@@ -57,7 +57,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, smoke: bool = Fal
             for name, unit in LAYER_UNITS.items()
         }
     else:
-        work, work_unit = ctx.named[WORK_METRIC[workload]]
+        work = ctx.named[WORK_METRIC[workload]][0]
         answer, answer_unit = ctx.named[ANSWER_METRIC[workload]]
         if answer is not None and answer_unit == "s":
             answer *= 1e3

@@ -71,13 +71,14 @@ REFRESH_FRACTION = 0.01   # share of edge weights one refresh perturbs
 SLA_REL_TOL = 0.05
 BA_GRAPHS = 4             # social-er rotates over this many graphs
 
-# Accuracy gates, about ten times the seed's error (1.5 times for the
-# known far-pair gap on meshes, which the ICT drop causes): a run whose
-# answers are worse than this reports ``correct: false``.
+# Accuracy gates: a run whose answers are worse reports ``correct: false``.
+# They sit well above the seed's errors (about 12x on mesh edges, 4x on the
+# PG port voltages, 50x on BA so the smoke-size graphs pass too) and 1.5x
+# above the known far-pair gap on meshes, which the ICT drop causes.
 GATES = {
     "mesh-er": {"err_edge_mean": 1e-2, "err_far_mean": 0.4},
     "social-er": {"err_edge_mean": 5e-3, "err_far_mean": 5e-3},
-    "pg-reduce": {"dc_err_pct": 10.0},
+    "pg-reduce": {"dc_err_pct": 10.0, "incremental_rel_pct": 10.0},
 }
 
 # Every per-layer metric with its unit; a layer the workload does not call
@@ -564,7 +565,8 @@ def pg_reduce(ctx: Context) -> None:
             if outcome is None:
                 return
             ledger.sample("incremental_s", outcome.total_time)
-            ledger.check("incremental_rel_pct<=10", outcome.rel_pct <= 10.0)
+            limit = GATES["pg-reduce"]["incremental_rel_pct"]
+            ledger.check(f"incremental_rel_pct<={limit:g}", outcome.rel_pct <= limit)
             layer_samples.setdefault("powergrid.dc_reduced_s", []).append(
                 outcome.time_reduced_solve
             )
@@ -587,8 +589,8 @@ def pg_reduce(ctx: Context) -> None:
     ctx.timed_median("reduce_s", "s")
     ctx.timed_median("incremental_s", "s")
     ctx.timed_median("dc_err_pct", "%")
-    dc_err = ctx.named["dc_err_pct"][0]
-    ledger.check("dc_err_pct<=10", dc_err is not None and dc_err <= GATES["pg-reduce"]["dc_err_pct"])
+    dc_err, limit = ctx.named["dc_err_pct"][0], GATES["pg-reduce"]["dc_err_pct"]
+    ledger.check(f"dc_err_pct<={limit:g}", dc_err is not None and dc_err <= limit)
     for name, values in layer_samples.items():
         ctx.layers[name] = median(values)
 
