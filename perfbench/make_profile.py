@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-WORKLOADS = ("mesh-er", "social-er", "serve-mixed", "pg-reduce")
+WORKLOADS = ("mesh-er", "social-er", "pg-reduce")
 
 
 def run_one(workload: str, seed: int, seconds: float, trace: int):

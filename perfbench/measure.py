@@ -63,6 +63,25 @@ def host_info() -> dict:
     }
 
 
+def speed_probe_ms() -> float:
+    """Median time of a fixed pure-Python and numpy loop.
+
+    The host's speed drifts by tens of percent over minutes; the probe,
+    taken before and after a run, tells that drift apart from a change in
+    the program.
+    """
+    values = np.random.default_rng(0).random(100_000)
+    times = []
+    for _ in range(15):
+        start = time.perf_counter()
+        total = 0
+        for i in range(50_000):
+            total += i * i
+        np.sort(values)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
+
+
 def run_window(seconds: float, min_cycles: int, cycle) -> int:
     """Call ``cycle(i)`` until ``seconds`` have passed and at least
     ``min_cycles`` cycles ran; return the number of cycles."""

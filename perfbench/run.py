@@ -35,11 +35,9 @@ def parse_args(argv):
 
 def run(workload: str, seed: int, seconds: float, trace: bool, smoke: bool = False):
     """Run one workload in this process; return ``(result, detail)``."""
-    from measure import host_info
+    from measure import host_info, speed_probe_ms
     from tracing import Tracer
-    from workloads import (
-        ANSWER_METRIC, LAYER_UNITS, SIZES, WORK_METRIC, WORKLOADS, Context,
-    )
+    from workloads import DRIVER_METRICS, LAYER_UNITS, SIZES, WORKLOADS, Context
 
     if workload not in WORKLOADS:
         raise SystemExit(f"unknown workload {workload!r}; choose from {sorted(WORKLOADS)}")
@@ -47,7 +45,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool, smoke: bool = Fal
         seed=seed, seconds=seconds, tracer=Tracer(trace),
         size=SIZES["smoke" if smoke else "full"], root=ROOT,
     )
+    probe_before = speed_probe_ms()
     WORKLOADS[workload](ctx)
+    probe_after = speed_probe_ms()
     ledger = ctx.ledger
     ctx.named["failed_frac"] = (ledger.failed / max(ledger.attempted, 1), "ratio")
 
@@ -57,16 +57,12 @@ def run(workload: str, seed: int, seconds: float, trace: bool, smoke: bool = Fal
             for name, unit in LAYER_UNITS.items()
         }
     else:
-        work = ctx.named[WORK_METRIC[workload]][0]
-        answer, answer_unit = ctx.named[ANSWER_METRIC[workload]]
-        if answer is not None and answer_unit == "s":
-            answer *= 1e3
-        metrics = {
-            "setup_s": {"value": ctx.named["setup_s"][0], "unit": "s"},
-            "work_s": {"value": work, "unit": "s"},
-            "answer_ms": {"value": answer, "unit": "ms"},
-            "peak_rss_mb": {"value": ctx.named["peak_rss_mb"][0], "unit": "MB"},
-        }
+        stands_for = {"setup_s": "setup_s", "peak_rss_mb": "peak_rss_mb"}
+        stands_for.update({metric: by[workload] for metric, by in DRIVER_METRICS.items()})
+        metrics = {}
+        for metric, name in stands_for.items():
+            value, unit = ctx.named[name]
+            metrics[metric] = {"value": value, "unit": unit}
     missing = [name for name, m in metrics.items() if m["value"] is None]
     if missing:
         raise RuntimeError(f"{workload}: no samples for {missing}: {ledger.failures[:5]}")
@@ -78,7 +74,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, smoke: bool = Fal
     }
     detail = {
         "workload": workload, "seed": seed, "seconds": seconds, "trace": int(trace),
-        "host": host_info(),
+        "host": {**host_info(), "speed_probe_ms": [probe_before, probe_after]},
         "named": {name: {"value": v, "unit": u} for name, (v, u) in ctx.named.items()},
         "samples": {name: len(v) for name, v in ledger.samples.items()},
         "checks": ledger.checks,

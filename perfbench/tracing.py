@@ -1,8 +1,9 @@
 """In-memory spans recorded around the benchmark's calls into ``repro``.
 
 A span has a name, start, end, the span that caused it (the innermost open
-span of the same thread) and, on ``serve-mixed``, a request id.  A layer's
-self time is its span's duration minus the part its child spans cover.
+span of the same thread) and, for an open-loop request, a request id.  A
+layer's self time is its span's duration minus the part its child spans
+cover.
 With tracing off every method is a no-op, so the untraced run measures the
 program alone and the difference between the two runs is the overhead.
 """

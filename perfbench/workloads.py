@@ -1,4 +1,4 @@
-"""The four benchmark workloads, driven through the public API of ``repro``.
+"""The benchmark workloads, driven through the public API of ``repro``.
 
 Every engine uses ``EngineConfig()`` defaults (epsilon = drop_tol = 1e-3,
 AMD ordering, blocked Alg. 2, one build worker), so the benchmark measures
@@ -12,7 +12,6 @@ scoring and checks run outside the timed regions, after peak memory is read.
 
 from __future__ import annotations
 
-import concurrent.futures
 import gc
 import threading
 import time
@@ -42,34 +41,34 @@ from repro.powergrid.generators import PGConfig, synthetic_ibmpg_like
 from repro.reduction.pipeline import PGReducer, ReductionConfig
 from repro.service import AsyncResistanceService, ResistanceService
 
-# Input sizes.  "full" is what the benchmark measures; it is sized so one
-# run takes about half a minute on a 2-core host.  "smoke" only exercises
-# every code path, for the benchmark's own tests.  serve-mixed keeps the
-# sizes of its specification (100x100 mesh, 400 req/s, a refresh every
-# 6 s); it is not a driver workload, see README.md.
+# Input sizes.  "full" is what the benchmark measures; it is sized so that
+# a 30 s run repeats every timed operation several times on a 2-core host
+# (at least six builds and refreshes on the mesh, sixteen on the BA
+# graphs, six PG reductions).  "smoke" only exercises every code path, for
+# the benchmark's own tests.
 SIZES = {
     "full": {
-        "mesh_side": 100, "ba_nodes": 3000, "serve_side": 100, "pg_side": 96,
-        "er_batches": 8, "edge_passes": 5, "incremental_flows": 3,
-        "batch_pairs": 4096, "mesh_ref_pairs": 512, "ba_ref_pairs": 64,
-        "min_cycles": 3, "setup_reps": 30,
-        "request_rate": 400.0, "refresh_period": 6.0,
+        "mesh_side": 100, "ba_nodes": 3000, "pg_side": 96,
+        "er_batches": 8, "edge_passes": 10, "batch_pairs": 4096,
+        "mesh_ref_pairs": 512, "ba_ref_pairs": 64, "min_cycles": 3,
+        "request_rate": 400.0, "burst_seconds": 1.0,
+        "reps": 2, "dc_solves": 3, "incremental_flows": 5,
     },
     "smoke": {
-        "mesh_side": 16, "ba_nodes": 300, "serve_side": 12, "pg_side": 24,
-        "er_batches": 2, "edge_passes": 1, "incremental_flows": 1,
-        "batch_pairs": 256, "mesh_ref_pairs": 32, "ba_ref_pairs": 16,
-        "min_cycles": 2, "setup_reps": 2,
-        "request_rate": 200.0, "refresh_period": 0.4,
+        "mesh_side": 16, "ba_nodes": 300, "pg_side": 24,
+        "er_batches": 2, "edge_passes": 1, "batch_pairs": 256,
+        "mesh_ref_pairs": 32, "ba_ref_pairs": 16, "min_cycles": 2,
+        "request_rate": 200.0, "burst_seconds": 0.2,
+        "reps": 1, "dc_solves": 1, "incremental_flows": 1,
     },
 }
 
-REQUEST_PAIRS = 64        # pairs per serve-mixed request
-HOT_PAIRS = 4096          # skewed half of serve-mixed draws from these
+REQUEST_PAIRS = 64        # pairs per open-loop request
+HOT_PAIRS = 4096          # skewed half of the requests draws from these
 ZIPF_EXPONENT = 1.3
 REFRESH_FRACTION = 0.01   # share of edge weights one refresh perturbs
 SLA_REL_TOL = 0.05
-BA_GRAPHS = 4             # social-er rotates over this many graphs
+BA_GRAPHS = 8             # social-er rotates over this many graphs
 
 # Accuracy gates: a run whose answers are worse reports ``correct: false``.
 # They sit well above the seed's errors (about 12x on mesh edges, 4x on the
@@ -227,33 +226,182 @@ def _build_layers(ctx: Context, counts: dict) -> None:
 
 
 # ----------------------------------------------------------------------
+# serving: warm start, open-loop requests, refresh
+# ----------------------------------------------------------------------
+def _warm_start(ctx: Context, engine, pairs: np.ndarray):
+    """Save ``engine`` (untimed) and serve it again through ``from_saved``.
+
+    The reloaded service must answer ``pairs`` bit for bit like ``engine``.
+    """
+    ledger, tracer = ctx.ledger, ctx.tracer
+    with TemporaryDirectory(prefix=".perfbench-", dir=ctx.root) as scratch:
+        path = engine.save(Path(scratch) / "engine.npz")
+        ctx.layers["persistence.bytes"] = path.stat().st_size
+        with tracer.span("persistence.load"):
+            service = ledger.run("from_saved", ResistanceService.from_saved, path)
+    if service is not None and not np.array_equal(
+        service.engine.query_pairs(pairs), engine.query_pairs(pairs)
+    ):
+        ledger.fail("from_saved reload does not answer bit-identically")
+    return service
+
+
+def _request_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Even requests draw zipf-skewed hot pairs, odd ones uniform pairs."""
+    hot = uniform_pairs(rng, n, HOT_PAIRS)
+    weights = np.arange(1, HOT_PAIRS + 1, dtype=np.float64) ** -ZIPF_EXPONENT
+    ranks = rng.choice(HOT_PAIRS, size=(count, REQUEST_PAIRS), p=weights / weights.sum())
+    requests = hot[ranks]
+    odd = np.arange(1, count, 2)
+    requests[odd] = uniform_pairs(rng, n, odd.size * REQUEST_PAIRS).reshape(
+        odd.size, REQUEST_PAIRS, 2
+    )
+    return requests
+
+
+def _open_loop(ledger: Ledger, front: AsyncResistanceService, requests, rate: float):
+    """Submit each request at its due time, ``rate`` per second, whether or
+    not earlier ones have been answered, then wait for every answer.
+
+    Returns the due and done times of each request and its future.
+    """
+    count = len(requests)
+    due = time.perf_counter() + 0.01 + np.arange(count) / rate
+    done = np.full(count, np.nan)
+    answered = threading.Semaphore(0)
+    futures, late = {}, []
+
+    def on_done(i: int):
+        def callback(_future) -> None:
+            done[i] = time.perf_counter()
+            answered.release()
+        return callback
+
+    for i in range(count):
+        delay = due[i] - time.perf_counter()
+        if delay > 0:
+            time.sleep(delay)
+        late.append(time.perf_counter() - due[i])
+        future = ledger.run("request", front.submit, requests[i])
+        if future is not None:
+            futures[i] = future
+            future.add_done_callback(on_done(i))
+    deadline = time.perf_counter() + 60.0
+    resolved = 0
+    while resolved < len(futures) and answered.acquire(
+        timeout=max(0.0, deadline - time.perf_counter())
+    ):
+        resolved += 1
+    if resolved < len(futures):
+        ledger.fail(f"{len(futures) - resolved} requests unresolved at the end of the run")
+    return due, done, futures, late
+
+
+@dataclass
+class Serving:
+    """What the open-loop bursts of one run measured."""
+
+    latencies_ms: "list[float]" = field(default_factory=list)
+    late_s: "list[float]" = field(default_factory=list)
+    requests: int = 0
+    pairs: int = 0
+    batches: int = 0
+    reports: list = field(default_factory=list)
+
+
+def _burst(ctx: Context, service: ResistanceService, serving: Serving, rng) -> None:
+    """An open-loop burst of requests through ``AsyncResistanceService``.
+
+    Every answer must equal the engine's for the same pairs.
+    """
+    size, ledger, tracer = ctx.size, ctx.ledger, ctx.tracer
+    rate = size["request_rate"]
+    requests = _request_pairs(
+        rng, service.engine.n, max(1, int(rate * size["burst_seconds"]))
+    )
+    if tracer.enabled:
+        # the batcher calls this public method once per coalesced batch
+        plain = service.query_pairs_with_report
+
+        def traced_batch(*args, **kwargs):
+            with tracer.span("service.query_pairs"):
+                out = plain(*args, **kwargs)
+            serving.reports.append(out[1])
+            return out
+
+        service.query_pairs_with_report = traced_batch
+    front = AsyncResistanceService(service)
+    try:
+        due, done, futures, late = _open_loop(ledger, front, requests, rate)
+    finally:
+        front.close()
+    if tracer.enabled:
+        del service.query_pairs_with_report
+    serving.late_s += late
+    serving.requests += front.stats.requests
+    serving.pairs += front.stats.pairs
+    serving.batches += front.stats.batches
+
+    for i, future in futures.items():
+        if np.isnan(done[i]):
+            continue  # unresolved, already counted
+        if future.exception() is not None:
+            ledger.fail(f"request: {future.exception()!r}")
+            continue
+        serving.latencies_ms.append((done[i] - due[i]) * 1e3)
+        tracer.record("request", due[i], done[i], request_id=len(serving.latencies_ms))
+        values = future.result()
+        if ledger.count_nonfinite("request", values) and not np.array_equal(
+            values, service.engine.query_pairs(requests[i])
+        ):
+            ledger.fail("request disagrees with the engine")
+
+
+def _edited(graph: Graph, rng: np.random.Generator) -> Graph:
+    """``graph`` with ``REFRESH_FRACTION`` of its edge weights scaled by
+    U(0.5, 2)."""
+    weights = graph.weights.copy()
+    count = max(1, int(REFRESH_FRACTION * graph.num_edges))
+    edited = rng.choice(graph.num_edges, count, replace=False)
+    weights[edited] *= rng.uniform(0.5, 2.0, size=edited.size)
+    return Graph(graph.num_nodes, graph.heads, graph.tails, weights)
+
+
+# ----------------------------------------------------------------------
 # mesh-er and social-er: the Table I protocol
 # ----------------------------------------------------------------------
 def _er_protocol(
-    ctx: Context, graphs: "list[Graph]", reference_method: str, sla: bool, gates: dict
+    ctx: Context, graphs: "list[Graph]", reference_method: str, gates: dict,
+    sla: bool = False, serve: bool = False,
 ) -> None:
-    """Build, all-edge resistances, closed-loop batches, then accuracy.
+    """Builds, all-edge resistances, closed-loop batches, refreshes, then
+    accuracy.
 
     Cycle ``i`` runs on ``graphs[i % len(graphs)]``; accuracy is scored on
     ``graphs[0]``.  ``sla`` adds the landmark tier to set-up and follows
-    each exact batch with a ``rel_tol`` batch through the router.
+    each exact batch with a ``rel_tol`` batch through the router.  ``serve``
+    warm-starts the service from a saved engine and sends an open-loop
+    burst of requests through ``AsyncResistanceService`` before the refresh.
     """
     size, ledger, tracer = ctx.size, ctx.ledger, ctx.tracer
     config = EngineConfig()
     rng = rng_for(ctx.seed, "pairs")
+    request_rng = rng_for(ctx.seed, "requests")
+    edit_rng = rng_for(ctx.seed, "refresh")
     scored_graph = graphs[0]
     n = scored_graph.num_nodes
     ref_count = size["mesh_ref_pairs" if reference_method == "exact" else "ba_ref_pairs"]
     sampled_edges = rng.choice(scored_graph.num_edges, size=ref_count, replace=False)
     far_pairs = uniform_pairs(rng, n, ref_count)
     reports, sla_reports = [], []
+    serving = Serving()
     scored: dict = {}
     counts: dict = {}
 
-    def cycle(i: int) -> None:
-        graph = graphs[i % len(graphs)]
-        # the previous cycle's engine sits in reference cycles; free it now,
-        # not at whichever point of this cycle the collector would pick
+    def set_up(graph: Graph):
+        """Build an engine and a service over it; ``None`` if that failed."""
+        # the previous engines sit in reference cycles; free them now, not
+        # at whichever point of the build the collector would pick
         gc.collect()
         start = time.perf_counter()
         if tracer.enabled:
@@ -262,14 +410,31 @@ def _er_protocol(
         else:
             engine = ledger.run("build", build_engine, graph, config)
         if engine is None:
-            return
+            return None
         service = ResistanceService.from_engine(engine)
         if sla and ledger.run("enable_tiers", service.enable_tiers, ("landmark",)) is None:
-            return
+            return None
         ledger.sample("setup_s", time.perf_counter() - start)
-        if tracer.enabled and i == 0:
+        if tracer.enabled and not counts:
             _check_staged_fidelity(ctx, graph, config, engine, built[1])
             counts.update(built[2])
+        return engine, service
+
+    def cycle(i: int) -> None:
+        graph = graphs[i % len(graphs)]
+        # set-up and refresh repeat within a cycle, on the same graph, so
+        # their medians rest on more samples; the last engine serves
+        for _ in range(size["reps"]):
+            ready = None  # free the previous repetition's engine first
+            ready = set_up(graph)
+            if ready is None:
+                return
+        engine, service = ready
+        if serve:
+            service = _warm_start(ctx, engine, far_pairs)
+            if service is None:
+                return
+            engine = service.engine
 
         for _ in range(size["edge_passes"]):
             start = time.perf_counter()
@@ -314,6 +479,20 @@ def _er_protocol(
             over = float(np.mean(err > SLA_REL_TOL))
             ledger.check("sla_answers_over_rel_tol<=1%", over <= 0.01)
 
+        if serve:
+            _burst(ctx, service, serving, request_rng)
+
+        # the refresh runs alone, so its time is the rebuild's own
+        for _ in range(size["reps"]):
+            edited = _edited(graph, edit_rng)
+            start = time.perf_counter()
+            with tracer.span("service.refresh"):
+                refreshed = ledger.run("refresh", service.refresh_after_edge_update, graph=edited)
+            if refreshed is None:
+                return
+            ledger.sample("refresh_s", time.perf_counter() - start)
+            ledger.count_nonfinite("refreshed", service.query_pairs(far_pairs))
+
     run_window(ctx.seconds, max(size["min_cycles"], len(graphs)), cycle)
     ctx.named["peak_rss_mb"] = (peak_rss_mb(), "MB")
 
@@ -322,6 +501,10 @@ def _er_protocol(
     ctx.timed_median("batch_ms_p50", "ms", scale=1e3)
     if sla:
         ctx.timed_median("sla_batch_ms_p50", "ms", scale=1e3)
+    ctx.timed_median("refresh_s", "s")
+    if serve:
+        ctx.named["request_ms_p50"] = (median(serving.latencies_ms), "ms")
+        ctx.named["request_ms_p99"] = (percentile(serving.latencies_ms, 99.0), "ms")
     if scored:
         # an independent reference that shares nothing with the Alg. 3 path
         reference = build_engine(scored_graph, EngineConfig(method=reference_method))
@@ -340,7 +523,7 @@ def _er_protocol(
 
     if tracer.enabled:
         _build_layers(ctx, counts)
-        _report_layers(ctx, reports + sla_reports)
+        _report_layers(ctx, reports + sla_reports + serving.reports)
         if sla_reports:
             routed = sum(sum(r.tier_rows.values()) for r in sla_reports)
             approx = sum(
@@ -352,13 +535,20 @@ def _er_protocol(
                 sum(t.seconds for t in r.subbatch_timings if t.tier != "exact")
                 for r in sla_reports
             ])
+        if serve:
+            ctx.layers["persistence.load_s"] = tracer.layer_seconds("persistence.load")
+            if serving.batches:
+                ctx.layers["async.coalescing_ratio"] = serving.requests / serving.batches
+                ctx.layers["async.batch_pairs"] = serving.pairs / serving.batches
+            ctx.layers["loadgen.late_ms_p99"] = float(np.percentile(serving.late_s, 99.0)) * 1e3
 
 
 def mesh_er(ctx: Context) -> None:
-    """Table I protocol on a jittered 2-D mesh; its build is ordering-bound."""
+    """Table I protocol on a jittered 2-D mesh (its build is ordering-bound),
+    served warm from a saved engine under open-loop requests."""
     side = ctx.size["mesh_side"]
     graph = grid_2d(side, side, jitter=0.3, seed=derive_seed(ctx.seed, "graph"))
-    _er_protocol(ctx, [graph], "exact", sla=False, gates=GATES["mesh-er"])
+    _er_protocol(ctx, [graph], "exact", GATES["mesh-er"], serve=True)
 
 
 def social_er(ctx: Context) -> None:
@@ -372,147 +562,7 @@ def social_er(ctx: Context) -> None:
         for k in range(BA_GRAPHS)
     ]
     # SuperLU does not finish on BA graphs of useful size; CG does
-    _er_protocol(ctx, graphs, "naive", sla=True, gates=GATES["social-er"])
-
-
-# ----------------------------------------------------------------------
-# serve-mixed: open-loop reads beside refresh writes
-# ----------------------------------------------------------------------
-def _request_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Even requests draw zipf-skewed hot pairs, odd ones uniform pairs."""
-    hot = uniform_pairs(rng, n, HOT_PAIRS)
-    weights = np.arange(1, HOT_PAIRS + 1, dtype=np.float64) ** -ZIPF_EXPONENT
-    ranks = rng.choice(HOT_PAIRS, size=(count, REQUEST_PAIRS), p=weights / weights.sum())
-    requests = hot[ranks]
-    odd = np.arange(1, count, 2)
-    requests[odd] = uniform_pairs(rng, n, odd.size * REQUEST_PAIRS).reshape(
-        odd.size, REQUEST_PAIRS, 2
-    )
-    return requests
-
-
-def serve_mixed(ctx: Context) -> None:
-    """Warm-started async service under an open loop of requests, with a
-    writer thread refreshing the engine after edge-weight edits."""
-    size, ledger, tracer = ctx.size, ctx.ledger, ctx.tracer
-    side = size["serve_side"]
-    graph = grid_2d(side, side, jitter=0.3, seed=derive_seed(ctx.seed, "graph"))
-    n = graph.num_nodes
-    rate, period = size["request_rate"], size["refresh_period"]
-    count = max(1, int(rate * ctx.seconds))
-    requests = _request_pairs(rng_for(ctx.seed, "requests"), n, count)
-    writer_rng = rng_for(ctx.seed, "refresh")
-    engine = build_engine(graph, EngineConfig())
-    sample_rows = np.arange(0, count, max(1, count // 200))
-    expected = {int(i): engine.query_pairs(requests[i]) for i in sample_rows}
-
-    with TemporaryDirectory(prefix=".perfbench-", dir=ctx.root) as scratch:
-        path = engine.save(Path(scratch) / "engine.npz")
-        ctx.layers["persistence.bytes"] = path.stat().st_size
-        front = None
-        for rep in range(size["setup_reps"]):
-            if front is not None:
-                front.close()
-            start = time.perf_counter()
-            with tracer.span("persistence.load"):
-                service = ResistanceService.from_saved(path)
-            with tracer.span("async.start"):
-                front = AsyncResistanceService(service)
-            ledger.sample("setup_s", time.perf_counter() - start)
-
-    reloaded = service.engine.query_pairs(requests[0])
-    if not np.array_equal(reloaded, expected[0]):
-        ledger.fail("from_saved reload does not answer bit-identically")
-    reports: list = []
-    if tracer.enabled:
-        # the batcher calls this public method once per coalesced batch
-        plain = service.query_pairs_with_report
-
-        def traced_batch(*args, **kwargs):
-            with tracer.span("service.query_pairs"):
-                out = plain(*args, **kwargs)
-            reports.append(out[1])
-            return out
-
-        service.query_pairs_with_report = traced_batch
-
-    done = np.full(count, np.nan)
-    first_refresh = [np.inf]
-    stop = threading.Event()
-
-    def refresh_writer(window_end: float) -> None:
-        weights = graph.weights.copy()
-        next_start = time.perf_counter() + period
-        # the last refresh must end inside the window, under load
-        while next_start + period <= window_end and not stop.wait(
-            max(0.0, next_start - time.perf_counter())
-        ):
-            edited = writer_rng.choice(graph.num_edges, max(1, int(REFRESH_FRACTION * graph.num_edges)), replace=False)
-            weights[edited] *= writer_rng.uniform(0.5, 2.0, size=edited.size)
-            edited_graph = Graph(n, graph.heads, graph.tails, weights.copy())
-            start = time.perf_counter()
-            first_refresh[0] = min(first_refresh[0], start)
-            with tracer.span("service.refresh"):
-                stats = ledger.run("refresh", service.refresh_after_edge_update, graph=edited_graph)
-            if stats is not None:
-                ledger.sample("refresh_s", time.perf_counter() - start)
-            next_start = max(start + period, time.perf_counter())
-
-    t0 = time.perf_counter() + 0.05
-    window_end = t0 + count / rate
-    writer = threading.Thread(target=refresh_writer, args=(window_end,), name="refresh-writer")
-    writer.start()
-    futures, late = [], []
-    try:
-        for i in range(count):
-            due = t0 + i / rate
-            delay = due - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            late.append(time.perf_counter() - due)
-            future = ledger.run("request", front.submit, requests[i])
-            if future is None:
-                continue
-            future.add_done_callback(lambda f, i=i: done.__setitem__(i, time.perf_counter()))
-            futures.append((i, future))
-        _, pending = concurrent.futures.wait([f for _, f in futures], timeout=60.0)
-    finally:
-        stop.set()
-        writer.join()
-        front.close()
-    ctx.named["peak_rss_mb"] = (peak_rss_mb(), "MB")
-
-    if pending:
-        ledger.fail(f"{len(pending)} requests unresolved at the end of the run")
-    latencies = []
-    for i, future in futures:
-        if not future.done():
-            continue
-        if future.exception() is not None:
-            ledger.fail(f"request {i}: {future.exception()!r}")
-            continue
-        values = future.result()
-        latencies.append((done[i] - (t0 + i / rate)) * 1e3)
-        tracer.record("request", t0 + i / rate, done[i], request_id=i)
-        if not ledger.count_nonfinite(f"request {i}", values):
-            continue
-        # before the first refresh the service must answer like the engine
-        if i in expected and done[i] < first_refresh[0] and not np.array_equal(values, expected[i]):
-            ledger.fail(f"request {i} disagrees with the engine before any refresh")
-    ledger.check("at_least_one_refresh", bool(ledger.samples.get("refresh_s")))
-
-    ctx.timed_median("setup_s", "s")
-    ctx.timed_median("refresh_s", "s")
-    ctx.named["request_ms_p50"] = (median(latencies), "ms")
-    ctx.named["request_ms_p99"] = (percentile(latencies, 99.0), "ms")
-    if tracer.enabled:
-        ctx.layers["persistence.load_s"] = tracer.layer_seconds("persistence.load")
-        _report_layers(ctx, reports)
-        ctx.layers["async.coalescing_ratio"] = front.stats.coalescing_ratio
-        ctx.layers["async.batch_pairs"] = (
-            front.stats.pairs / front.stats.batches if front.stats.batches else 0.0
-        )
-        ctx.layers["loadgen.late_ms_p99"] = float(np.percentile(late, 99.0)) * 1e3
+    _er_protocol(ctx, graphs, "naive", GATES["social-er"], sla=True)
 
 
 # ----------------------------------------------------------------------
@@ -534,20 +584,42 @@ def pg_reduce(ctx: Context) -> None:
     layer_samples: "dict[str, list[float]]" = {}
 
     def cycle(i: int) -> None:
-        start = time.perf_counter()
-        with tracer.span("reduction.construct"):
-            reducer = ledger.run("construct", PGReducer, grid, config)
-        if reducer is None:
-            return
-        ledger.sample("setup_s", time.perf_counter() - start)
-        start = time.perf_counter()
-        with tracer.span("reduction.reduce"):
-            reduced = ledger.run("reduce", reducer.reduce)
-        if reduced is None:
-            return
-        ledger.sample("reduce_s", time.perf_counter() - start)
+        # set-up and reduction repeat within a cycle; each reducer starts
+        # from scratch, so every repetition does the same work
+        for _ in range(size["reps"]):
+            start = time.perf_counter()
+            with tracer.span("reduction.construct"):
+                reducer = ledger.run("construct", PGReducer, grid, config)
+            if reducer is None:
+                return
+            ledger.sample("setup_s", time.perf_counter() - start)
+            start = time.perf_counter()
+            with tracer.span("reduction.reduce"):
+                reduced = ledger.run("reduce", reducer.reduce)
+            if reduced is None:
+                return
+            ledger.sample("reduce_s", time.perf_counter() - start)
 
-        reduced_dc = dc_analysis(reduced.grid)
+            blocks = [reducer.reduce_block(b) for b in range(reducer.num_blocks)]
+            er = sum(b.er_time for b in blocks)
+            for name, value in (
+                ("partition.s", reducer.timer["partition"]),
+                ("reduction.er_s", er),
+                ("reduction.block_other_s", sum(b.total_time for b in blocks) - er),
+                ("reduction.stitch_s", reducer.timer["stitch"]),
+                ("reduction.kept_frac", reduced.grid.num_nodes / grid.num_nodes),
+            ):
+                layer_samples.setdefault(name, []).append(value)
+            ctx.layers["reduction.blocks"] = reducer.num_blocks
+
+        # the answer a user of the reduced model waits for: its DC solve
+        for _ in range(size["dc_solves"]):
+            start = time.perf_counter()
+            with tracer.span("powergrid.dc_reduced"):
+                reduced_dc = ledger.run("dc_reduced", dc_analysis, reduced.grid)
+            if reduced_dc is None:
+                return
+            ledger.sample("dc_solve_ms", time.perf_counter() - start)
         ledger.count_nonfinite("reduced dc", reduced_dc.voltages)
         errors = reduced.port_voltage_errors(original.voltages, reduced_dc.voltages, ports)
         ledger.sample("dc_err_pct", 100.0 * float(errors.mean()) / max_drop)
@@ -571,22 +643,11 @@ def pg_reduce(ctx: Context) -> None:
                 outcome.time_reduced_solve
             )
 
-        blocks = [reducer.reduce_block(b) for b in range(reducer.num_blocks)]
-        er = sum(b.er_time for b in blocks)
-        for name, value in (
-            ("partition.s", reducer.timer["partition"]),
-            ("reduction.er_s", er),
-            ("reduction.block_other_s", sum(b.total_time for b in blocks) - er),
-            ("reduction.stitch_s", reducer.timer["stitch"]),
-            ("reduction.kept_frac", reduced.grid.num_nodes / grid.num_nodes),
-        ):
-            layer_samples.setdefault(name, []).append(value)
-        ctx.layers["reduction.blocks"] = reducer.num_blocks
-
     run_window(ctx.seconds, size["min_cycles"], cycle)
     ctx.named["peak_rss_mb"] = (peak_rss_mb(), "MB")
     ctx.timed_median("setup_s", "s")
     ctx.timed_median("reduce_s", "s")
+    ctx.timed_median("dc_solve_ms", "ms", scale=1e3)
     ctx.timed_median("incremental_s", "s")
     ctx.timed_median("dc_err_pct", "%")
     dc_err, limit = ctx.named["dc_err_pct"][0], GATES["pg-reduce"]["dc_err_pct"]
@@ -598,17 +659,17 @@ def pg_reduce(ctx: Context) -> None:
 WORKLOADS = {
     "mesh-er": mesh_er,
     "social-er": social_er,
-    "serve-mixed": serve_mixed,
     "pg-reduce": pg_reduce,
 }
 
-# The end-to-end metrics every workload reports to the driver, and the
-# named metric of each workload they stand for.
-WORK_METRIC = {
-    "mesh-er": "edge_er_s", "social-er": "edge_er_s",
-    "serve-mixed": "refresh_s", "pg-reduce": "reduce_s",
-}
-ANSWER_METRIC = {
-    "mesh-er": "batch_ms_p50", "social-er": "batch_ms_p50",
-    "serve-mixed": "request_ms_p50", "pg-reduce": "incremental_s",
+# The driver's end-to-end metrics besides setup_s and peak_rss_mb, and the
+# named metric each stands for on each workload; the units match.
+DRIVER_METRICS = {
+    "work_s": {"mesh-er": "edge_er_s", "social-er": "edge_er_s", "pg-reduce": "reduce_s"},
+    "answer_ms": {
+        "mesh-er": "batch_ms_p50", "social-er": "batch_ms_p50", "pg-reduce": "dc_solve_ms",
+    },
+    "update_s": {
+        "mesh-er": "refresh_s", "social-er": "refresh_s", "pg-reduce": "incremental_s",
+    },
 }
