@@ -3,7 +3,8 @@
 Prints every named end-to-end metric with its unit, the per-layer metrics
 of the traced runs and the tracing overhead (traced minus untraced named
 metric), per workload.  ``--out`` also writes all of it as JSON, the form
-of the committed ``perfbench/baseline.json``.
+of the committed ``perfbench/baseline.json``, which also keeps the driver's
+end-to-end metrics, scaled to the reference host.
 
     python3 perfbench/make_profile.py --seed 0 --seconds 20 --out perfbench/baseline.json
 """
@@ -54,6 +55,7 @@ def main(argv=None) -> int:
             "correct": result["correct"] and traced_result["correct"],
             "failed": result["failed"] + traced_result["failed"],
             "named": detail["named"],
+            "driver": result["metrics"],
             "layers": traced_result["metrics"],
             "tracing_overhead": overhead,
             "checks": {**detail["checks"], **traced["checks"]},

@@ -63,23 +63,82 @@ def host_info() -> dict:
     }
 
 
-def speed_probe_ms() -> float:
-    """Median time of a fixed pure-Python and numpy loop.
+class HostReference:
+    """A fixed computation that shares no code with ``repro``, read right
+    after every timed sample to measure how fast the host is running then.
 
-    The host's speed drifts by tens of percent over minutes; the probe,
-    taken before and after a run, tells that drift apart from a change in
-    the program.
+    The benchmark's host is shared: its speed drifts by up to 2x, over
+    seconds and over minutes, for every program on it alike, but not for
+    every kind of work alike: interpreted Python slows down more than numpy
+    and scipy kernels do.  So a reading has two timed parts, on working
+    sets larger than the core's own caches: ``interpreted``, a pure-Python
+    breadth-first search like an ordering's, and ``native``, a numpy sort
+    and random gathers and a scipy sparse product.  A sample scaled by one
+    part (or ``both``) of the readings taken just before and just after it
+    is the time it would have taken on a host on which that part takes
+    ``NOMINAL_S``.  A change to ``repro`` moves the sample and leaves the
+    readings alone.
     """
-    values = np.random.default_rng(0).random(100_000)
-    times = []
-    for _ in range(15):
+
+    NOMINAL_S = {"interpreted": 0.01, "native": 0.01, "both": 0.02}
+
+    def __init__(self):
+        import scipy.sparse
+
+        rng = np.random.default_rng(0)
+        side = 100
+        nodes = np.arange(side * side).reshape(side, side)
+        self._neighbours = [[] for _ in range(side * side)]
+        for a, b in [*zip(nodes[:, :-1].ravel(), nodes[:, 1:].ravel()),
+                     *zip(nodes[:-1].ravel(), nodes[1:].ravel())]:
+            self._neighbours[a].append(int(b))
+            self._neighbours[b].append(int(a))
+        self._values = rng.random(1_000_000)
+        self._index = rng.integers(0, 1_000_000, size=(100_000, 2))
+        entries = rng.integers(0, 30_000, size=(2, 60_000))
+        self._matrix = scipy.sparse.csr_matrix(
+            (rng.random(60_000), (entries[0], entries[1])), shape=(30_000, 30_000)
+        )
+        self._vector = rng.random(30_000)
+        self.readings: "list[dict[str, float]]" = []
+        self.read()
+
+    def read(self) -> None:
+        """Time one pass of the reference computation and keep the reading."""
         start = time.perf_counter()
-        total = 0
-        for i in range(50_000):
-            total += i * i
-        np.sort(values)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3
+        for source in (0, 5050):
+            depth = {source: 0}
+            frontier = [source]
+            while frontier:
+                following = []
+                for v in frontier:
+                    for w in self._neighbours[v]:
+                        if w not in depth:
+                            depth[w] = depth[v] + 1
+                            following.append(w)
+                frontier = following
+        middle = time.perf_counter()
+        np.sort(self._values[:100_000])
+        gathered = self._values[self._index[:, 0]] - self._values[self._index[:, 1]]
+        np.abs(gathered).sum()
+        (self._matrix @ self._matrix.T) @ self._vector
+        end = time.perf_counter()
+        self.readings.append(
+            {"interpreted": middle - start, "native": end - middle, "both": end - start}
+        )
+
+    def scale(self, seconds: float, part: str) -> float:
+        """Read the reference now and scale ``seconds``, just measured, by
+        the mean of ``part`` of this reading and the one before it."""
+        before = self.readings[-1][part]
+        self.read()
+        return seconds * 2.0 * self.NOMINAL_S[part] / (before + self.readings[-1][part])
+
+    def median_ms(self) -> "dict[str, float]":
+        return {
+            part: 1e3 * statistics.median(r[part] for r in self.readings)
+            for part in self.NOMINAL_S
+        }
 
 
 def run_window(seconds: float, min_cycles: int, cycle) -> int:
@@ -96,11 +155,15 @@ def run_window(seconds: float, min_cycles: int, cycle) -> int:
 class Ledger:
     """Operations attempted and failed, correctness checks and samples."""
 
-    def __init__(self):
+    def __init__(self, reference: "HostReference | None" = None, bound=None):
+        self.reference = reference
+        # which part of a reference reading scales each sample series
+        self.bound: "dict[str, str]" = bound or {}
         self.attempted = 0
         self.failures: "list[str]" = []
         self.checks: "dict[str, bool]" = {}
         self.samples: "dict[str, list[float]]" = {}
+        self.scaled: "dict[str, list[float]]" = {}
 
     @property
     def failed(self) -> int:
@@ -125,7 +188,12 @@ class Ledger:
         self.checks[name] = bool(passed) and self.checks.get(name, True)
 
     def sample(self, name: str, value: float) -> None:
+        """Record one sample and, with a host reference, the sample scaled
+        to the reference host."""
         self.samples.setdefault(name, []).append(float(value))
+        if self.reference is not None:
+            part = self.bound.get(name, "both")
+            self.scaled.setdefault(name, []).append(self.reference.scale(value, part))
 
     def count_nonfinite(self, what: str, values: np.ndarray) -> bool:
         """Answers for pairs in one component must all be finite; return

@@ -35,19 +35,19 @@ def parse_args(argv):
 
 def run(workload: str, seed: int, seconds: float, trace: bool, smoke: bool = False):
     """Run one workload in this process; return ``(result, detail)``."""
-    from measure import host_info, speed_probe_ms
+    from measure import HostReference, Ledger, host_info
     from tracing import Tracer
-    from workloads import DRIVER_METRICS, LAYER_UNITS, SIZES, WORKLOADS, Context
+    from workloads import DRIVER_METRICS, HOST_BOUND, LAYER_UNITS, SIZES, WORKLOADS, Context
 
     if workload not in WORKLOADS:
         raise SystemExit(f"unknown workload {workload!r}; choose from {sorted(WORKLOADS)}")
+    reference = HostReference()
     ctx = Context(
         seed=seed, seconds=seconds, tracer=Tracer(trace),
         size=SIZES["smoke" if smoke else "full"], root=ROOT,
+        ledger=Ledger(reference, HOST_BOUND),
     )
-    probe_before = speed_probe_ms()
     WORKLOADS[workload](ctx)
-    probe_after = speed_probe_ms()
     ledger = ctx.ledger
     ctx.named["failed_frac"] = (ledger.failed / max(ledger.attempted, 1), "ratio")
 
@@ -62,6 +62,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool, smoke: bool = Fal
         metrics = {}
         for metric, name in stands_for.items():
             value, unit = ctx.named[name]
+            if unit in ("s", "ms"):
+                value = ctx.scaled[name]
             metrics[metric] = {"value": value, "unit": unit}
     missing = [name for name, m in metrics.items() if m["value"] is None]
     if missing:
@@ -74,7 +76,11 @@ def run(workload: str, seed: int, seconds: float, trace: bool, smoke: bool = Fal
     }
     detail = {
         "workload": workload, "seed": seed, "seconds": seconds, "trace": int(trace),
-        "host": {**host_info(), "speed_probe_ms": [probe_before, probe_after]},
+        "host": {
+            **host_info(),
+            "reference_ms": reference.median_ms(),
+            "reference_readings": len(reference.readings),
+        },
         "named": {name: {"value": v, "unit": u} for name, (v, u) in ctx.named.items()},
         "samples": {name: len(v) for name, v in ledger.samples.items()},
         "checks": ledger.checks,

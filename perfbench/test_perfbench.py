@@ -17,6 +17,7 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 import run as bench  # noqa: E402
+from measure import HostReference  # noqa: E402
 from workloads import DRIVER_METRICS, LAYER_UNITS, WORKLOADS  # noqa: E402
 
 from repro.core.effective_resistance import CholInvEffectiveResistance  # noqa: E402
@@ -71,6 +72,17 @@ def test_every_metric_is_emitted_with_its_unit(workload, trace):
     for name, metric in named.items():
         if name not in SMOKE_UNREPORTED:
             assert math.isfinite(metric["value"]), name
+
+
+def test_host_reference_scales_a_sample_by_the_readings_around_it(monkeypatch):
+    reference = HostReference()
+    reference.readings[-1] = {"interpreted": 0.01, "native": 0.5, "both": 0.51}
+    monkeypatch.setattr(
+        reference, "read",
+        lambda: reference.readings.append({"interpreted": 0.03, "native": 0.5, "both": 0.53}),
+    )
+    nominal = HostReference.NOMINAL_S["interpreted"]
+    assert reference.scale(1.0, "interpreted") == pytest.approx(nominal / 0.02)
 
 
 def _corrupt_first_answer(monkeypatch, change):

@@ -42,17 +42,17 @@ from repro.reduction.pipeline import PGReducer, ReductionConfig
 from repro.service import AsyncResistanceService, ResistanceService
 
 # Input sizes.  "full" is what the benchmark measures; it is sized so that
-# a 30 s run repeats every timed operation several times on a 2-core host
-# (at least six builds and refreshes on the mesh, sixteen on the BA
-# graphs, six PG reductions).  "smoke" only exercises every code path, for
+# a 30 s run repeats every timed operation many times on a 2-core host,
+# even while the host runs slow (ten builds and refreshes on the mesh,
+# sixteen on the BA graphs, twelve PG reductions).  "smoke" only exercises every code path, for
 # the benchmark's own tests.
 SIZES = {
     "full": {
-        "mesh_side": 100, "ba_nodes": 3000, "pg_side": 96,
+        "mesh_side": 72, "ba_nodes": 3000, "pg_side": 72,
         "er_batches": 8, "edge_passes": 10, "batch_pairs": 4096,
         "mesh_ref_pairs": 512, "ba_ref_pairs": 64, "min_cycles": 3,
         "request_rate": 400.0, "burst_seconds": 1.0,
-        "reps": 2, "dc_solves": 3, "incremental_flows": 5,
+        "reps": 2, "dc_solves": 8, "incremental_flows": 8,
     },
     "smoke": {
         "mesh_side": 16, "ba_nodes": 300, "pg_side": 24,
@@ -68,7 +68,7 @@ HOT_PAIRS = 4096          # skewed half of the requests draws from these
 ZIPF_EXPONENT = 1.3
 REFRESH_FRACTION = 0.01   # share of edge weights one refresh perturbs
 SLA_REL_TOL = 0.05
-BA_GRAPHS = 8             # social-er rotates over this many graphs
+BA_GRAPHS = 6             # social-er rotates over this many graphs
 
 # Accuracy gates: a run whose answers are worse reports ``correct: false``.
 # They sit well above the seed's errors (about 12x on mesh edges, 4x on the
@@ -78,6 +78,17 @@ GATES = {
     "mesh-er": {"err_edge_mean": 1e-2, "err_far_mean": 0.4},
     "social-er": {"err_edge_mean": 5e-3, "err_far_mean": 5e-3},
     "pg-reduce": {"dc_err_pct": 10.0, "incremental_rel_pct": 10.0},
+}
+
+# The part of a host-reference reading that scales each timed series (see
+# ``measure.HostReference``); unlisted series use both parts.  Builds,
+# refreshes and reductions are interpreter-bound (the ordering, the
+# per-block engine calls); an all-edge pass is one numpy gather; batches
+# and DC solves mix the two.
+HOST_BOUND = {
+    "setup_s": "interpreted", "refresh_s": "interpreted",
+    "reduce_s": "interpreted", "incremental_s": "interpreted",
+    "edge_er_s": "native",
 }
 
 # Every per-layer metric with its unit; a layer the workload does not call
@@ -127,11 +138,15 @@ class Context:
     ledger: Ledger = field(default_factory=Ledger)
     named: "dict[str, tuple[float | None, str]]" = field(default_factory=dict)
     layers: "dict[str, float]" = field(default_factory=dict)
+    # named timings with every sample scaled to the reference host
+    scaled: "dict[str, float | None]" = field(default_factory=dict)
 
     def timed_median(self, name: str, unit: str, scale: float = 1.0) -> None:
         """Publish the median of a sample series as a named metric."""
         value = median(self.ledger.samples.get(name, []))
         self.named[name] = (None if value is None else value * scale, unit)
+        value = median(self.ledger.scaled.get(name, []))
+        self.scaled[name] = None if value is None else value * scale
 
 
 # ----------------------------------------------------------------------
