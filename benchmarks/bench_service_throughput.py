@@ -25,6 +25,7 @@ from benchmarks.conftest import emit, full_scale
 from repro.bench.reporting import format_table
 from repro.cholesky.incomplete import ichol
 from repro.core.approx_inverse import approximate_inverse
+from repro.core.engine import EngineConfig
 from repro.graphs.generators import grid_2d
 from repro.graphs.laplacian import grounded_laplacian
 from repro.service import ResistanceService
@@ -106,7 +107,9 @@ def test_service_query_throughput(benchmark, bench_out_dir):
 
     def run():
         rows.clear()
-        service = ResistanceService(graph, epsilon=1e-3, drop_tol=1e-3)
+        service = ResistanceService(
+            graph, config=EngineConfig(epsilon=1e-3, drop_tol=1e-3)
+        )
         t0 = time.perf_counter()
         cold = service.query_pairs(stream)
         t_cold = time.perf_counter() - t0

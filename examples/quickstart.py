@@ -101,11 +101,18 @@ def main() -> None:
     # the serving layer: cached queries, centrality ranking, live refresh
     from repro.service import ResistanceService
 
-    service = ResistanceService(graph, epsilon=1e-3, drop_tol=1e-3)
+    # the same EngineConfig picks and tunes the engine the service builds
+    service = ResistanceService(
+        graph, config=EngineConfig(epsilon=1e-3, drop_tol=1e-3)
+    )
     hot_pairs = [(0, 1), (0, graph.num_nodes - 1), (1, 0)]
     service.query_pairs(hot_pairs)
     service.query_pairs(hot_pairs)  # answered from the LRU result cache
-    print(f"\nservice cache hit rate: {service.stats.hit_rate:.0%}")
+    # a scalar query is bit-identical to the batch answer it shares a
+    # cache entry with
+    same = service.query(0, 1) == service.query_pairs([(0, 1)])[0]
+    print(f"\nservice cache hit rate: {service.stats.hit_rate:.0%} "
+          f"(scalar == batch: {same})")
     top_edges, centrality = service.top_k_central_edges(3)
     print("3 most central edges (w(e)·R(e)):")
     for e, c in zip(top_edges, centrality):

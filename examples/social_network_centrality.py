@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro import barabasi_albert_graph, spanning_edge_centrality
+from repro import EngineConfig, barabasi_albert_graph, spanning_edge_centrality
 from repro.core.effective_resistance import ExactEffectiveResistance
 
 
@@ -23,8 +23,10 @@ def main() -> None:
     print(f"social-network proxy: {graph.num_nodes} nodes, {graph.num_edges} edges")
 
     t0 = time.perf_counter()
+    # EngineConfig picks the engine: Alg. 3 ("cholinv") at the paper's
+    # epsilon = drop_tol = 1e-3
     centrality = spanning_edge_centrality(
-        graph, method="cholinv", epsilon=1e-3, drop_tol=1e-3
+        graph, EngineConfig(method="cholinv", epsilon=1e-3, drop_tol=1e-3)
     )
     print(f"all-edge centrality via Alg. 3: {time.perf_counter() - t0:.2f}s")
 

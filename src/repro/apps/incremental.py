@@ -196,7 +196,7 @@ def run_edge_update_flow(
     re-query a random pair sample, and compare against the exact engine on
     the updated graph.
     """
-    from repro.core.engine import build_engine
+    from repro.core.engine import EngineConfig, build_engine
 
     rng = ensure_rng(seed)
     if updated_graph is None:
@@ -211,7 +211,8 @@ def run_edge_update_flow(
         rng.integers(0, n, size=num_check_pairs),
     ])
     served = service.query_pairs(pairs)
-    truth = build_engine(updated_graph, "exact").query_pairs(pairs)
+    exact = build_engine(updated_graph, EngineConfig(method="exact"))
+    truth = exact.query_pairs(pairs)
     finite = np.isfinite(truth) & (truth > 0)
     rel = np.abs(served[finite] - truth[finite]) / truth[finite]
     same = ~finite

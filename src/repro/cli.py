@@ -100,6 +100,32 @@ def _print_tier_summary(report) -> None:
     print(f"tier split (distinct pairs): {split}", file=sys.stderr)
 
 
+def _parse_pairs(args, num_nodes: int) -> np.ndarray:
+    """``--pairs`` items (``"P,Q"``) as an ``(m, 2)`` id array.
+
+    A malformed item or an id outside the graph is a usage error, reported
+    through the subcommand's ``parser.error`` instead of a traceback.
+    """
+    from repro.core.engine import validate_node_ids
+
+    pairs = []
+    for item in args.pairs:
+        p, _, q = item.partition(",")
+        try:
+            pairs.append((int(p), int(q)))
+        except ValueError:
+            args.parser.error(
+                f"--pairs item {item!r} is not a pair of integer node ids "
+                f"like 12,97"
+            )
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    try:
+        validate_node_ids(arr, num_nodes)
+    except ValueError as exc:
+        args.parser.error(f"--pairs: {exc}")
+    return arr
+
+
 def _reject_graph_source_with_load(args) -> None:
     """A loaded engine brings its own graph and configuration."""
     if args.edgelist or args.mtx or args.generator:
@@ -175,9 +201,7 @@ def cmd_er(args) -> int:
     if args.save_engine:
         _save_engine(engine, args.save_engine)
     if args.pairs:
-        pairs = np.asarray(
-            [tuple(int(x) for x in pair.split(",")) for pair in args.pairs]
-        )
+        pairs = _parse_pairs(args, graph.num_nodes)
     else:
         pairs = graph.edge_array()
     if _sla_requested(args):
@@ -253,9 +277,7 @@ def cmd_service(args) -> int:
                 print(f"calibration saved to {saved}", file=sys.stderr)
 
         if args.pairs:
-            pairs = np.asarray(
-                [tuple(int(x) for x in pair.split(",")) for pair in args.pairs]
-            )
+            pairs = _parse_pairs(args, graph.num_nodes)
             repeat = max(args.repeat, 1)
             t0 = time.perf_counter()
             if args.batch_window > 0.0:
@@ -528,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print shard/separator quality diagnostics "
                          "(needs --sharded or --shard-strategy separator)")
     er.add_argument("--output", default="-", help="CSV path or - for stdout")
-    er.set_defaults(func=cmd_er)
+    er.set_defaults(func=cmd_er, parser=er)
 
     sv = sub.add_parser("service", help="serve cached pair/centrality queries")
     _add_graph_engine_arguments(sv)
@@ -548,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--mmap", action="store_true",
                     help="with --load-engine, memory-map the saved arrays "
                          "so co-located workers share pages")
-    sv.set_defaults(func=cmd_service)
+    sv.set_defaults(func=cmd_service, parser=sv)
 
     dc = sub.add_parser("dc", help="DC analysis of a SPICE power grid")
     dc.add_argument("netlist")

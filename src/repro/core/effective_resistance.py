@@ -35,7 +35,6 @@ from repro.core.engine import (
     ResistanceEngine,
     as_pair_columns,
     build_engine,
-    config_from_kwargs,
     register_engine,
 )
 from repro.graphs.components import connected_components
@@ -46,10 +45,6 @@ from repro.utils.validation import require
 
 _PAIR_CHUNK = 65536
 _SOLVE_CHUNK = 64
-
-# Back-compat alias: older code (and the baselines) imported the pair
-# normaliser from this module before it moved to repro.core.engine.
-_as_pair_arrays = as_pair_columns
 
 
 @register_engine("exact", params=("ground_value",))
@@ -256,6 +251,34 @@ class CholInvEffectiveResistance(ResistanceEngine):
         return int(depths.max()) if depths.size else 0
 
     # ------------------------------------------------------------------
+    def query(self, p: int, q: int) -> float:
+        """Eq. (22) for one pair, read straight from the two ``Z̃`` columns.
+
+        The cross term intersects the columns' sorted row lists and sums
+        the products with ``np.add.reduceat`` — the reduction scipy's
+        column ``sum`` applies in :meth:`query_pairs` — so the answer is
+        bit-identical to ``query_pairs([(p, q)])[0]`` at a fraction of
+        the cost of a one-pair batch.
+        """
+        p, q = int(p), int(q)
+        if p == q:
+            return 0.0
+        if self.component_labels[p] != self.component_labels[q]:
+            return float("inf")
+        z = self.z_tilde
+        cp = self._position[p]
+        cq = self._position[q]
+        span_p = slice(z.indptr[cp], z.indptr[cp + 1])
+        span_q = slice(z.indptr[cq], z.indptr[cq + 1])
+        _, ip, iq = np.intersect1d(
+            z.indices[span_p], z.indices[span_q],
+            assume_unique=True, return_indices=True,
+        )
+        products = z.data[span_p][ip] * z.data[span_q][iq]
+        dot = np.add.reduceat(products, [0])[0] if products.size else 0.0
+        norms = self._column_sq_norms
+        return max(float(norms[cp] + norms[cq] - 2.0 * dot), 0.0)
+
     def query_pairs(self, pairs) -> np.ndarray:
         """Approximate effective resistances for ``(m, 2)`` node pairs.
 
@@ -292,9 +315,7 @@ class CholInvEffectiveResistance(ResistanceEngine):
 def effective_resistances(
     graph: Graph,
     pairs=None,
-    method: str = "cholinv",
     config: "EngineConfig | None" = None,
-    **kwargs,
 ) -> np.ndarray:
     """One-shot convenience API (dispatches through the engine registry).
 
@@ -304,31 +325,18 @@ def effective_resistances(
         Weighted undirected graph.
     pairs:
         ``(m, 2)`` query pairs; default: every edge of the graph.
-    method:
-        Any registered engine name — ``"cholinv"`` (Alg. 3, default),
-        ``"exact"``, ``"random_projection"`` or ``"naive"``; see
-        :func:`repro.core.engine.registered_engines`.
     config:
-        Full :class:`~repro.core.engine.EngineConfig`; overrides
-        ``method``/``kwargs`` when given.
-    kwargs:
-        Legacy engine parameters, folded into an ``EngineConfig``.
+        :class:`~repro.core.engine.EngineConfig` naming the engine and its
+        tunables (default: Alg. 3 with the paper's settings); see
+        :func:`repro.core.engine.registered_engines` for the methods.
     """
     if pairs is None:
         pairs = graph.edge_array()
-    if config is None:
-        config = config_from_kwargs(method, **kwargs)
-    elif kwargs:
-        raise ValueError("pass config or engine kwargs, not both")
-    elif method != "cholinv" and method != config.method:
-        raise ValueError(
-            f"method {method!r} conflicts with config.method {config.method!r}"
-        )
     return build_engine(graph, config).query_pairs(pairs)
 
 
 def spanning_edge_centrality(
-    graph: Graph, method: str = "cholinv", **kwargs
+    graph: Graph, config: "EngineConfig | None" = None
 ) -> np.ndarray:
     """Spanning-edge centrality ``c(e) = w(e)·R(e)`` for every edge.
 
@@ -337,8 +345,7 @@ def spanning_edge_centrality(
     connected graph the exact values sum to ``n − 1`` (a property test
     exploits this invariant).
     """
-    resistances = effective_resistances(graph, method=method, **kwargs)
-    return graph.weights * resistances
+    return graph.weights * effective_resistances(graph, config=config)
 
 
 def dense_pinv_resistance(graph: Graph, pairs) -> np.ndarray:

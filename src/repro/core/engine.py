@@ -7,7 +7,8 @@ the naive per-query strawman and the component-sharded composite — speaks
 the same small interface defined here:
 
 ``query(p, q)``
-    effective resistance between two nodes (``inf`` across components);
+    effective resistance between two nodes (``inf`` across components),
+    bit-identical to ``query_pairs([(p, q)])[0]``;
 ``query_pairs(pairs)``
     vectorised batch of ``(m, 2)`` queries (an empty batch returns an
     empty float array);
@@ -23,10 +24,10 @@ single dispatch point the convenience API
 (:func:`~repro.core.effective_resistance.effective_resistances`), the
 serving layer (:class:`~repro.service.ResistanceService`), the reduction
 pipeline, the bench harness and the CLI all go through.  ``EngineConfig``
-replaces the untyped kwargs soup those layers used to forward blindly: one
-frozen dataclass carries every tunable, each engine picks out its own
-fields, and the whole thing serialises to/from a plain dict for engine
-persistence (:mod:`repro.core.persistence`).
+is the only way to pick and tune an engine: one frozen dataclass carries
+every tunable, each engine picks out its own fields, and the whole thing
+serialises to/from a plain dict for engine persistence
+(:mod:`repro.core.persistence`).
 
 Example
 -------
@@ -268,21 +269,6 @@ class EngineConfig:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-def config_from_kwargs(method: str = "cholinv", **kwargs: Any) -> EngineConfig:
-    """Build an :class:`EngineConfig` from legacy ``method=`` + kwargs calls.
-
-    This is the shim that keeps every pre-registry call signature working:
-    unknown parameter names raise a ``ValueError`` listing the valid ones.
-    """
-    valid = {f.name for f in dataclasses.fields(EngineConfig)} - {"method"}
-    unknown = sorted(set(kwargs) - valid)
-    if unknown:
-        raise ValueError(
-            f"unknown engine parameter(s) {unknown}; valid: {sorted(valid)}"
-        )
-    return EngineConfig(method=method, **kwargs)
-
-
 # ----------------------------------------------------------------------
 # the protocol
 # ----------------------------------------------------------------------
@@ -307,7 +293,11 @@ class ResistanceEngine(abc.ABC):
         """Effective resistances for an ``(m, 2)`` array of node pairs."""
 
     def query(self, p: int, q: int) -> float:
-        """Effective resistance between nodes ``p`` and ``q``."""
+        """Effective resistance between nodes ``p`` and ``q``.
+
+        An engine may override this with a cheaper scalar path, but its
+        answer must stay bit-identical to ``query_pairs([(p, q)])[0]``.
+        """
         return float(self.query_pairs([(int(p), int(q))])[0])
 
     def all_edge_resistances(self) -> np.ndarray:
@@ -401,22 +391,22 @@ def engine_params(name: str) -> "tuple[str, ...]":
 
 
 def build_engine(
-    graph: Graph,
-    config: "EngineConfig | str | None" = None,
-    **kwargs: Any,
+    graph: Graph, config: "EngineConfig | None" = None
 ) -> ResistanceEngine:
     """Build the engine a config describes — the registry's single factory.
 
-    ``config`` may be a full :class:`EngineConfig`, a bare method name
-    (kwargs then fill the remaining fields), or ``None`` (pure kwargs /
-    all defaults).  ``config.sharded`` — or any ``shard_strategy`` other
-    than ``"component"`` — wraps the chosen method in a
+    ``config`` defaults to ``EngineConfig()`` (Alg. 3 with the paper's
+    settings).  ``config.sharded`` — or any ``shard_strategy`` other than
+    ``"component"`` — wraps the chosen method in a
     :class:`~repro.core.sharded.ShardedEngine` (the partitioned layer).
     """
-    if config is None or isinstance(config, str):
-        config = config_from_kwargs(config or "cholinv", **kwargs)
-    elif kwargs:
-        raise ValueError("pass an EngineConfig or keyword parameters, not both")
+    if config is None:
+        config = EngineConfig()
+    elif not isinstance(config, EngineConfig):
+        raise TypeError(
+            f"config must be an EngineConfig, got {config!r}; pick an "
+            f"engine with EngineConfig(method=...)"
+        )
     _ensure_builtins_registered()
     spec = _REGISTRY.get(config.method)
     if spec is None:

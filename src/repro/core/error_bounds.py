@@ -25,7 +25,7 @@ from repro.core.effective_resistance import (
     CholInvEffectiveResistance,
     ExactEffectiveResistance,
 )
-from repro.core.engine import build_engine
+from repro.core.engine import EngineConfig, build_engine
 from repro.graphs.graph import Graph
 from repro.utils.rng import ensure_rng
 
@@ -152,7 +152,7 @@ def estimate_query_errors(
     chosen = rng.choice(m, size=count, replace=False)
     pairs = np.column_stack([graph.heads[chosen], graph.tails[chosen]])
     if exact is None:
-        exact = build_engine(graph, "exact")
+        exact = build_engine(graph, EngineConfig(method="exact"))
     truth = exact.query_pairs(pairs)
     approx = estimator.query_pairs(pairs)
     rel = np.abs(approx - truth) / np.maximum(np.abs(truth), 1e-300)

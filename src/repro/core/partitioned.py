@@ -393,14 +393,12 @@ class PartitionedEngine(ResistanceEngine):
     def __init__(
         self,
         graph: Graph,
-        config: "EngineConfig | str | None" = None,
+        config: "EngineConfig | None" = None,
         lazy: "bool | None" = None,
         plan: "ShardPlan | None" = None,
     ):
         if config is None:
             config = EngineConfig()
-        elif isinstance(config, str):
-            config = EngineConfig(method=config)
         self.graph = graph
         self.n = graph.num_nodes
         self.timer = Timer()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.effective_resistance import CholInvEffectiveResistance
-from repro.core.engine import build_engine
+from repro.core.engine import EngineConfig, build_engine
 from repro.graphs.graph import Graph
 from repro.utils.validation import require
 
@@ -52,7 +52,7 @@ def pairwise_resistance_matrix(
 def exact_pairwise_resistance_matrix(graph: Graph, nodes) -> np.ndarray:
     """Reference implementation through the exact engine (O(k²) queries)."""
     nodes = np.asarray(nodes, dtype=np.int64)
-    est = build_engine(graph, "exact")
+    est = build_engine(graph, EngineConfig(method="exact"))
     k = nodes.size
     out = np.zeros((k, k))
     pairs = [(int(nodes[i]), int(nodes[j])) for i in range(k) for j in range(i + 1, k)]

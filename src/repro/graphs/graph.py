@@ -67,6 +67,13 @@ class Graph:
                 "edge endpoint out of range",
             )
             require(not np.any(heads == tails), "self loops are not allowed")
+            finite = np.isfinite(weights)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise ValueError(
+                    f"edge weights must be finite, got {weights[bad]} on edge "
+                    f"{bad} ({int(heads[bad])}, {int(tails[bad])})"
+                )
             require(bool(np.all(weights > 0)), "edge weights must be strictly positive")
 
     # ------------------------------------------------------------------

@@ -23,11 +23,11 @@ re-reduce only the blocks a designer modified (Table II lower half).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro.core.engine import build_engine, config_from_kwargs, registered_engines
+from repro.core.engine import EngineConfig, build_engine, registered_engines
 from repro.graphs.graph import Graph
 from repro.graphs.laplacian import laplacian
 from repro.partition.interface import NodeRole, classify_nodes, partition_graph
@@ -50,8 +50,9 @@ class ReductionConfig:
         Any registered engine name — ``"exact"``, ``"random_projection"``
         and ``"cholinv"`` are the three scenarios of Table II.
     er_kwargs:
-        Extra keyword arguments for the chosen estimator (e.g. ``epsilon``,
-        ``drop_tol`` for cholinv; ``num_projections`` for the baseline).
+        :class:`~repro.core.engine.EngineConfig` fields for the chosen
+        estimator (e.g. ``epsilon``, ``drop_tol`` for cholinv;
+        ``num_projections`` for the baseline); unknown names are rejected.
     ports_per_block:
         Alg. 1 sets ``#blocks = #ports / 50``; this is the 50.
     num_blocks:
@@ -87,6 +88,13 @@ class ReductionConfig:
         require(
             self.er_method in registered_engines(),
             f"unknown er_method {self.er_method!r}",
+        )
+        valid = {f.name for f in fields(EngineConfig)} - {"method"}
+        unknown = sorted(set(self.er_kwargs) - valid)
+        require(
+            not unknown,
+            f"unknown er_kwargs name(s) {unknown}; valid EngineConfig "
+            f"fields: {sorted(valid)}",
         )
 
 
@@ -199,7 +207,7 @@ class PGReducer:
         kwargs.setdefault("seed", self.rng)
         with timer.section("effective_resistance"):
             estimator = build_engine(
-                graph, config_from_kwargs(self.config.er_method, **kwargs)
+                graph, EngineConfig(method=self.config.er_method, **kwargs)
             )
             return estimator.all_edge_resistances()
 

@@ -13,10 +13,12 @@ each usable on its own:
   calling thread (default) or
   :class:`~repro.service.executor.ThreadedExecutor` fanning shards out
   over a thread pool, with results bit-identical either way;
-* :class:`~repro.service.resistance_service.ResistanceService` owns a
-  built engine plus locked LRU caches (pair results, hot ``Z̃`` columns),
-  drives plan → execute → scatter for ``query``/``query_pairs``, ranks
-  edges by spanning-edge centrality, refreshes in place after graph edits,
+* :class:`~repro.service.resistance_service.ResistanceService` owns an
+  engine built from one :class:`~repro.core.engine.EngineConfig` plus a
+  locked pair-result LRU, drives plan → execute → scatter for
+  ``query_pairs`` (a scalar ``query`` goes straight to the engine's
+  bit-identical ``query``), ranks edges by spanning-edge centrality,
+  refreshes in place after graph edits,
   and reports per-batch :class:`~repro.service.resistance_service.BatchReport`
   accounting; everything is thread-safe, and node ids are validated at
   this boundary.

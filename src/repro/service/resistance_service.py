@@ -18,11 +18,15 @@ redesign, every batch flows through the same three stages:
    caller-ordered answers; a :class:`BatchReport` records the hit/miss
    split and per-sub-batch timings.
 
-``query``/``query_pairs`` keep their original signatures on top of that
-path, and all caches, stats and the hot-column LRU are lock-protected so
-many threads (or the micro-batching loop of
+A scalar :meth:`ResistanceService.query` skips the planner: after the same
+validation, ``p == q`` case and result-cache probe it asks the engine's own
+``query(p, q)``, which every engine keeps bit-identical to a one-pair
+``query_pairs`` — so a cached answer is the same whichever call filled it.
+The result cache and stats are lock-protected so many threads (or the
+micro-batching loop of
 :class:`~repro.service.async_service.AsyncResistanceService`) can share one
-service.  Node ids are validated at this boundary: out-of-range ids raise a
+service.  One :class:`~repro.core.engine.EngineConfig` picks and tunes the
+engine.  Node ids are validated at this boundary: out-of-range ids raise a
 ``ValueError`` naming the offender instead of an ``IndexError`` deep inside
 an engine.  Built ``cholinv`` engines persist to disk
 (:mod:`repro.core.persistence`); :meth:`ResistanceService.from_saved`
@@ -45,7 +49,6 @@ from repro.core.engine import (
     ResistanceEngine,
     as_pair_array,
     build_engine,
-    config_from_kwargs,
     validate_node_ids,
 )
 from repro.estimators.base import BoundedResistanceEngine
@@ -71,8 +74,6 @@ class ServiceStats:
     queries: int = 0
     result_hits: int = 0
     result_misses: int = 0
-    column_hits: int = 0
-    column_misses: int = 0
     refreshes: int = 0
     batches: int = 0
 
@@ -91,7 +92,6 @@ class RefreshStats:
     num_nodes: int
     num_edges: int
     invalidated_results: int
-    invalidated_columns: int
 
 
 @dataclass
@@ -196,17 +196,12 @@ class ResistanceService:
     ----------
     graph:
         Weighted undirected graph to serve queries on.
-    method:
-        Any registered engine name (``"cholinv"``, Alg. 3, is the
-        default); see :func:`repro.core.engine.registered_engines`.
+    config:
+        :class:`~repro.core.engine.EngineConfig` naming the engine and its
+        tunables, used on every (re)build (default: Alg. 3 with the
+        paper's settings); see :func:`repro.core.engine.registered_engines`.
     result_cache_size:
         Maximum cached pair results (LRU, default 65536).
-    column_cache_size:
-        Maximum cached hot ``Z̃`` columns (LRU, default 4096; only used by
-        the ``cholinv`` engine).
-    config:
-        Full :class:`~repro.core.engine.EngineConfig`; overrides
-        ``method``/``engine_kwargs`` when given.
     executor:
         :class:`~repro.service.executor.Executor` running the planned
         sub-batches; default :class:`~repro.service.executor.SerialExecutor`.
@@ -215,33 +210,19 @@ class ResistanceService:
     max_task_pairs:
         Split engine-bound sub-batches larger than this so a threaded
         executor can balance them (default: no splitting).
-    engine_kwargs:
-        Legacy engine parameters (``epsilon``, ``drop_tol``, …), folded
-        into an ``EngineConfig`` and used on every (re)build.
     """
 
     def __init__(
         self,
         graph: Graph,
-        method: str = "cholinv",
-        result_cache_size: int = 65536,
-        column_cache_size: int = 4096,
         config: "EngineConfig | None" = None,
+        result_cache_size: int = 65536,
         executor: "Executor | None" = None,
         max_task_pairs: "int | None" = None,
-        **engine_kwargs,
     ):
-        if config is None:
-            config = config_from_kwargs(method, **engine_kwargs)
-        elif engine_kwargs:
-            raise ValueError("pass config or engine kwargs, not both")
-        elif method != "cholinv" and method != config.method:
-            raise ValueError(
-                f"method {method!r} conflicts with config.method "
-                f"{config.method!r}"
-            )
         self._init_state(
-            config, result_cache_size, column_cache_size, executor, max_task_pairs
+            EngineConfig() if config is None else config,
+            result_cache_size, executor, max_task_pairs,
         )
         self._build(graph)
 
@@ -249,12 +230,10 @@ class ResistanceService:
         self,
         config: EngineConfig,
         result_cache_size: int,
-        column_cache_size: int,
         executor: "Executor | None" = None,
         max_task_pairs: "int | None" = None,
     ) -> None:
         require(result_cache_size >= 0, "result_cache_size must be >= 0")
-        require(column_cache_size >= 0, "column_cache_size must be >= 0")
         require(
             max_task_pairs is None or max_task_pairs >= 1,
             "max_task_pairs must be >= 1",
@@ -268,7 +247,6 @@ class ResistanceService:
         self.max_task_pairs = max_task_pairs
         self.last_report: "BatchReport | None" = None
         self._results = _LRU(result_cache_size)
-        self._columns = _LRU(column_cache_size)
         self._edge_resistances: "tuple[np.ndarray, np.ndarray] | None" = None  # repro: ignore[lock-discipline] — constructing
         self._router: "QueryRouter | None" = None  # repro: ignore[lock-discipline] — constructing
         self._lock = threading.Lock()          # stats + engine swap
@@ -292,7 +270,6 @@ class ResistanceService:
         cls,
         engine: ResistanceEngine,
         result_cache_size: int = 65536,
-        column_cache_size: int = 4096,
         executor: "Executor | None" = None,
         max_task_pairs: "int | None" = None,
     ) -> "ResistanceService":
@@ -311,8 +288,7 @@ class ResistanceService:
         )
         service = cls.__new__(cls)
         service._init_state(
-            engine.config, result_cache_size, column_cache_size,
-            executor, max_task_pairs,
+            engine.config, result_cache_size, executor, max_task_pairs
         )
         service.engine = engine
         service.graph = engine.graph
@@ -323,7 +299,6 @@ class ResistanceService:
         cls,
         path,
         result_cache_size: int = 65536,
-        column_cache_size: int = 4096,
         mmap: bool = False,
         executor: "Executor | None" = None,
         max_task_pairs: "int | None" = None,
@@ -340,11 +315,7 @@ class ResistanceService:
         from repro.core.persistence import load_engine
 
         engine = load_engine(path, mmap=mmap)
-        service = cls.from_engine(
-            engine, result_cache_size, column_cache_size,
-            executor, max_task_pairs,
-        )
-        return service
+        return cls.from_engine(engine, result_cache_size, executor, max_task_pairs)
 
     # ------------------------------------------------------------------
     # construction / refresh
@@ -382,9 +353,9 @@ class ResistanceService:
         Thread-safe: refreshes serialise among themselves, and queries in
         flight finish against the engine they started with — cache
         entries are epoch-stamped, so an overlapping query neither reads
-        another engine's values nor leaves its own (or a hot column keyed
-        by the old permutation) behind in a post-refresh cache; the
-        engine swap and cache invalidation happen atomically.
+        another engine's values nor leaves its own behind in a
+        post-refresh cache; the engine swap and cache invalidation happen
+        atomically.
 
         Any SLA router installed by :meth:`enable_tiers` is dropped in
         the same swap — its tier engines were built against the old
@@ -441,9 +412,7 @@ class ResistanceService:
                 self._router = None  # tier engines belong to the old graph
                 self._epoch += 1
                 invalidated_results = len(self._results)
-                invalidated_columns = len(self._columns)
                 self._results.clear()
-                self._columns.clear()
                 self.stats.refreshes += 1
             with self._edge_lock:
                 self._edge_resistances = None
@@ -452,7 +421,6 @@ class ResistanceService:
                 num_nodes=graph.num_nodes,
                 num_edges=graph.num_edges,
                 invalidated_results=invalidated_results,
-                invalidated_columns=invalidated_columns,
             )
 
     # ------------------------------------------------------------------
@@ -533,14 +501,20 @@ class ResistanceService:
     # queries
     # ------------------------------------------------------------------
     def query(self, p: int, q: int) -> float:
-        """Effective resistance between ``p`` and ``q`` (cached)."""
+        """Effective resistance between ``p`` and ``q`` (cached).
+
+        Bit-identical to ``query_pairs([(p, q)])[0]``: a miss is answered
+        by the engine's own scalar ``query``.
+        """
         p, q = int(p), int(q)
         with self._lock:  # engine + epoch swap together; read them together
             engine = self.engine
             epoch = self._epoch
         # validate against the snapshot, before any accounting, so a bad
-        # id fails cleanly even if a refresh shrank the graph meanwhile
-        validate_node_ids((p, q), engine.n)
+        # id fails cleanly even if a refresh shrank the graph meanwhile;
+        # the plain range test keeps the array-based check off the hot path
+        if not (0 <= p < engine.n and 0 <= q < engine.n):
+            validate_node_ids((p, q), engine.n)
         with self._lock:
             self.stats.queries += 1
         if p == q:
@@ -553,7 +527,7 @@ class ResistanceService:
             return entry[1]
         with self._lock:
             self.stats.result_misses += 1
-        value = self._answer_single(engine, epoch, key[0], key[1])
+        value = engine.query(key[0], key[1])
         self._results.put(
             key, (epoch, value), still_valid=lambda: self._epoch == epoch
         )
@@ -700,49 +674,6 @@ class ResistanceService:
         report.total_seconds = time.perf_counter() - t_start
         self.last_report = report
         return out, report
-
-    def _answer_single(self, engine, epoch, p: int, q: int) -> float:
-        """One uncached pair — via hot columns for Alg. 3, engine otherwise."""
-        if isinstance(engine, CholInvEffectiveResistance):
-            if engine.component_labels[p] != engine.component_labels[q]:
-                return float("inf")
-            cp = engine._position[p]
-            cq = engine._position[q]
-            rows_p, vals_p = self._column(engine, epoch, int(cp))
-            rows_q, vals_q = self._column(engine, epoch, int(cq))
-            # dot of two sorted sparse columns via index intersection
-            common, ip, iq = np.intersect1d(
-                rows_p, rows_q, assume_unique=True, return_indices=True
-            )
-            del common
-            dot = float(vals_p[ip] @ vals_q[iq]) if ip.size else 0.0
-            norms = engine._column_sq_norms
-            return max(float(norms[cp] + norms[cq] - 2.0 * dot), 0.0)
-        return float(engine.query_pairs([(p, q)])[0])
-
-    def _column(self, engine, epoch, j: int) -> "tuple[np.ndarray, np.ndarray]":
-        """Hot-column cache: (rows, values) of permuted ``Z̃`` column ``j``.
-
-        A column is meaningful only together with the norms and
-        permutation of the engine it was sliced from, so the cache key
-        carries the epoch: a query in flight across a refresh can
-        neither read a newer engine's column nor leave its own behind
-        for newer queries (the write fence drops post-refresh inserts,
-        and cross-epoch keys never collide).
-        """
-        key = (epoch, j)
-        cached = self._columns.get(key)
-        if cached is not None:
-            with self._lock:
-                self.stats.column_hits += 1
-            return cached
-        with self._lock:
-            self.stats.column_misses += 1
-        z = engine.z_tilde
-        start, end = z.indptr[j], z.indptr[j + 1]
-        column = (z.indices[start:end], z.data[start:end])
-        self._columns.put(key, column, still_valid=lambda: self._epoch == epoch)
-        return column
 
     # ------------------------------------------------------------------
     # centrality

@@ -202,8 +202,8 @@ class TestRegistryPurity:
                 "caller.py": """
     from engine import build_engine
 
-    def use(graph):
-        return build_engine(graph, "exact")
+    def use(graph, config):
+        return build_engine(graph, config)
     """,
             },
             select=["registry-purity"],

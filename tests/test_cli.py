@@ -92,6 +92,22 @@ class TestER:
                      "--pairs", "0,15"])
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["er", "service"])
+    @pytest.mark.parametrize(
+        "item, message",
+        [("0:5", "'0:5' is not a pair of integer node ids"),
+         ("0,1,2", "'0,1,2' is not a pair"),
+         ("0,500", "node id 500 is out of range for a graph with 64 nodes")],
+    )
+    def test_bad_pairs_are_usage_errors(self, command, item, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--generator", "grid2d:8x8", "--method", "exact",
+                  "--pairs", "0,1", item])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: error: --pairs" in err
+        assert message in err
+
 
 class TestService:
     def test_pairs_and_top_k(self, capsys):

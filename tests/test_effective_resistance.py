@@ -10,6 +10,7 @@ from repro.core.effective_resistance import (
     effective_resistances,
     spanning_edge_centrality,
 )
+from repro.core.engine import EngineConfig
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -181,16 +182,19 @@ class TestCholInvEngine:
         assert r.shape == (1,)
 
 
+EXACT = EngineConfig(method="exact")
+
+
 class TestDispatcher:
     def test_default_pairs_are_edges(self, small_grid):
-        r = effective_resistances(small_grid, method="exact")
+        r = effective_resistances(small_grid, config=EXACT)
         assert r.shape == (small_grid.num_edges,)
 
     def test_methods_agree(self, small_grid):
         pairs = small_grid.edge_array()[:10]
-        exact = effective_resistances(small_grid, pairs, method="exact")
+        exact = effective_resistances(small_grid, pairs, EXACT)
         cholinv = effective_resistances(
-            small_grid, pairs, method="cholinv", epsilon=0.0, drop_tol=0.0
+            small_grid, pairs, EngineConfig(epsilon=0.0, drop_tol=0.0)
         )
         assert np.allclose(exact, cholinv, rtol=1e-8)
 
@@ -199,30 +203,32 @@ class TestDispatcher:
         r = effective_resistances(
             small_grid,
             pairs,
-            method="random_projection",
-            num_projections=2000,
-            solver="splu",
-            seed=0,
+            EngineConfig(
+                method="random_projection",
+                num_projections=2000,
+                solver="splu",
+                seed=0,
+            ),
         )
-        exact = effective_resistances(small_grid, pairs, method="exact")
+        exact = effective_resistances(small_grid, pairs, EXACT)
         assert np.allclose(r, exact, rtol=0.25)
 
     def test_unknown_method(self, small_grid):
         with pytest.raises(ValueError, match="unknown method"):
-            effective_resistances(small_grid, method="bogus")
+            effective_resistances(small_grid, config=EngineConfig(method="bogus"))
 
 
 class TestSpanningEdgeCentrality:
     def test_sums_to_n_minus_one(self, weighted_mesh):
         """Σ_e w(e)R(e) = n - 1 on a connected graph (matrix-tree identity)."""
-        centrality = spanning_edge_centrality(weighted_mesh, method="exact")
+        centrality = spanning_edge_centrality(weighted_mesh, EXACT)
         assert np.isclose(centrality.sum(), weighted_mesh.num_nodes - 1, rtol=1e-8)
 
     def test_tree_edges_have_centrality_one(self):
-        centrality = spanning_edge_centrality(path_graph(6), method="exact")
+        centrality = spanning_edge_centrality(path_graph(6), EXACT)
         assert np.allclose(centrality, 1.0)
 
     def test_bounded_by_one(self, small_grid):
-        centrality = spanning_edge_centrality(small_grid, method="exact")
+        centrality = spanning_edge_centrality(small_grid, EXACT)
         assert np.all(centrality <= 1.0 + 1e-9)
         assert np.all(centrality > 0.0)

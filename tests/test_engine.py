@@ -18,7 +18,6 @@ from repro.core.engine import (
     ResistanceEngine,
     as_pair_array,
     build_engine,
-    config_from_kwargs,
     registered_engines,
 )
 from repro.core.persistence import load_engine, save_engine
@@ -93,9 +92,12 @@ class TestProtocolConformance:
         assert np.all(np.isinf(values))
 
     def test_scalar_query_matches_batch(self, engine):
-        assert engine.query(0, 1) == pytest.approx(
-            float(engine.query_pairs([(0, 1)])[0])
-        )
+        # bit for bit, on every ordered pair: same component, across
+        # components and p == q
+        for p in range(engine.n):
+            for q in range(engine.n):
+                single = engine.query_pairs([(p, q)])[0]
+                assert engine.query(p, q) == single, (p, q)
 
     def test_all_edge_resistances(self, engine, multi_component):
         values = engine.all_edge_resistances()
@@ -110,8 +112,10 @@ class TestRegistry:
         )
 
     def test_build_engine_returns_registered_classes(self, multi_component):
-        assert isinstance(build_engine(multi_component, "exact"),
-                          ExactEffectiveResistance)
+        assert isinstance(
+            build_engine(multi_component, EngineConfig(method="exact")),
+            ExactEffectiveResistance,
+        )
         assert isinstance(
             build_engine(multi_component, EngineConfig(sharded=True)),
             ShardedEngine,
@@ -122,36 +126,42 @@ class TestRegistry:
             build_engine(multi_component, EngineConfig(method="bogus"))
 
     def test_unknown_kwarg_raises(self):
-        with pytest.raises(ValueError, match="unknown engine parameter"):
-            config_from_kwargs("cholinv", dropp_tol=1e-3)
+        with pytest.raises(TypeError, match="dropp_tol"):
+            EngineConfig(dropp_tol=1e-3)
+        with pytest.raises(TypeError, match="dropp_tol"):
+            EngineConfig().replace(dropp_tol=1e-3)
 
     def test_config_plus_kwargs_rejected(self, multi_component):
-        with pytest.raises(ValueError):
+        # EngineConfig is the only way to pick and tune an engine
+        with pytest.raises(TypeError):
             build_engine(multi_component, EngineConfig(), epsilon=1e-2)
+        with pytest.raises(TypeError, match="EngineConfig"):
+            build_engine(multi_component, "exact")
 
     def test_config_plus_conflicting_method_rejected(self, multi_component):
-        with pytest.raises(ValueError, match="conflicts"):
+        # the method comes from the config alone; a stray method= keyword
+        # fails loudly instead of silently picking another engine
+        with pytest.raises(TypeError, match="method"):
             effective_resistances(
                 multi_component, [(0, 1)], method="exact", config=EngineConfig()
             )
-        with pytest.raises(ValueError, match="conflicts"):
+        with pytest.raises(TypeError, match="method"):
             ResistanceService(
                 multi_component, method="naive", config=EngineConfig(method="exact")
             )
-        # a matching method is fine
-        ResistanceService(
-            multi_component, method="exact", config=EngineConfig(method="exact")
-        )
 
-    def test_legacy_dispatcher_signatures_still_work(self, multi_component):
-        a = effective_resistances(multi_component, [(0, 1)], method="exact")
+    def test_dispatcher_configs_agree(self, multi_component):
+        a = effective_resistances(
+            multi_component, [(0, 1)], EngineConfig(method="exact")
+        )
         b = effective_resistances(
-            multi_component, [(0, 1)], method="cholinv", epsilon=0.0, drop_tol=0.0
+            multi_component, [(0, 1)],
+            config=EngineConfig(epsilon=0.0, drop_tol=0.0),
         )
-        c = effective_resistances(
-            multi_component, [(0, 1)], config=EngineConfig(method="exact")
-        )
-        assert a == pytest.approx(b) and a == pytest.approx(c)
+        c = build_engine(
+            multi_component, EngineConfig(method="exact")
+        ).query_pairs([(0, 1)])
+        assert a == pytest.approx(b) and np.array_equal(a, c)
 
     def test_config_round_trips_through_dict(self):
         config = EngineConfig(method="exact", epsilon=0.5, sharded=True)
@@ -273,7 +283,9 @@ class TestPersistence:
             _ = restored.depths
 
     def test_service_from_saved(self, tmp_path, weighted_mesh):
-        original = ResistanceService(weighted_mesh, epsilon=1e-4, drop_tol=1e-4)
+        original = ResistanceService(
+            weighted_mesh, config=EngineConfig(epsilon=1e-4, drop_tol=1e-4)
+        )
         path = original.engine.save(tmp_path / "svc.npz")
         warm = ResistanceService.from_saved(path)
         pairs = [(0, 7), (1, 9)]
@@ -329,13 +341,15 @@ class TestServiceEngineIntegration:
         assert service.query_pairs([]).shape == (0,)
 
     def test_service_config_plus_kwargs_rejected(self, weighted_mesh):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="epsilon"):
             ResistanceService(
                 weighted_mesh, config=EngineConfig(), epsilon=1e-2
             )
 
     def test_refresh_weights_length_mismatch(self, weighted_mesh):
-        service = ResistanceService(weighted_mesh, method="exact")
+        service = ResistanceService(
+            weighted_mesh, config=EngineConfig(method="exact")
+        )
         with pytest.raises(ValueError, match="weights length"):
             service.refresh_after_edge_update(
                 edges=[(0, 1), (1, 2)], weights=[1.0]

@@ -40,6 +40,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             Graph.from_edges(3, [(0, 1, -1.0)])
 
+    def test_rejects_infinite_weights(self):
+        # an inf conductance used to pass and silently short the edge:
+        # cholinv answered R(0,1)=0 and R(0,3)=1 on this path (truth 1, 2)
+        with pytest.raises(ValueError, match="finite.*edge 1 \\(1, 2\\)"):
+            Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)],
+                             weights=[1.0, np.inf, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Graph.from_edges(2, [(0, 1, np.nan)])
+
     def test_rejects_out_of_range_endpoints(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(2, [(0, 5)])

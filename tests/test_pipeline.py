@@ -151,6 +151,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ReductionConfig(er_method="bogus")
 
+    def test_unknown_er_kwargs_rejected_at_construction(self):
+        # a typo fails here, listing the valid names, not mid-reduction
+        with pytest.raises(ValueError, match=r"\['dropp_tol'\].*'drop_tol'"):
+            ReductionConfig(er_kwargs={"dropp_tol": 1e-3})
+        # the method is er_method's job, not an er_kwargs entry
+        with pytest.raises(ValueError, match="unknown er_kwargs"):
+            ReductionConfig(er_kwargs={"method": "exact"})
+        ReductionConfig(er_method="random_projection",
+                        er_kwargs={"num_projections": 50})
+
     def test_block_count_from_ports(self, pg_case):
         grid, _ = pg_case
         reducer = PGReducer(grid, ReductionConfig(ports_per_block=20, seed=0))

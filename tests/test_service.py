@@ -19,7 +19,8 @@ from repro.core.effective_resistance import (
     ExactEffectiveResistance,
     dense_pinv_resistance,
 )
-from repro.graphs.generators import fe_mesh_2d, grid_2d
+from repro.core.engine import EngineConfig, build_engine
+from repro.graphs.generators import barabasi_albert_graph, fe_mesh_2d, grid_2d
 from repro.graphs.graph import Graph
 from repro.graphs.laplacian import grounded_laplacian
 from repro.service import ResistanceService
@@ -31,7 +32,9 @@ def _engines(graph):
         "cholinv-reference": CholInvEffectiveResistance(graph, mode="reference"),
         "exact": ExactEffectiveResistance(graph),
         "service-cholinv": ResistanceService(graph),
-        "service-exact": ResistanceService(graph, method="exact"),
+        "service-exact": ResistanceService(
+            graph, config=EngineConfig(method="exact")
+        ),
     }
 
 
@@ -119,15 +122,26 @@ class TestServiceCaching:
         assert service.stats.result_hits == 3
         assert service.stats.hit_rate >= 0.5
 
-    def test_single_query_uses_column_cache(self, weighted_mesh):
-        service = ResistanceService(weighted_mesh)
-        value = service.query(0, 7)
-        assert service.stats.column_misses == 2
-        # a different pair sharing node 0 reuses its hot column
-        service.query(0, 9)
-        assert service.stats.column_hits == 1
-        exact = ExactEffectiveResistance(weighted_mesh).query(0, 7)
-        assert value == pytest.approx(exact, rel=2e-2)
+    @pytest.mark.parametrize(
+        "graph",
+        [grid_2d(24, 24, jitter=0.3, seed=0), barabasi_albert_graph(600, 3, seed=0)],
+        ids=["mesh", "ba"],
+    )
+    def test_single_query_bit_identical_to_batch(self, graph):
+        # one cached answer per pair, whichever call fills the cache first
+        rng = np.random.default_rng(7)
+        pairs = np.vstack([
+            rng.integers(0, graph.num_nodes, size=(300, 2)),
+            graph.edge_array()[rng.integers(0, graph.num_edges, size=300)],
+        ])
+        engine = build_engine(graph, EngineConfig())
+        scalar_first = ResistanceService.from_engine(engine)
+        singles = [scalar_first.query(p, q) for p, q in pairs]
+        assert np.array_equal(singles, scalar_first.query_pairs(pairs))
+        batch_first = ResistanceService.from_engine(engine)
+        batch = batch_first.query_pairs(pairs)
+        assert np.array_equal(batch, [batch_first.query(p, q) for p, q in pairs])
+        assert np.array_equal(batch, singles)
 
     def test_result_cache_capacity_zero_disables_caching(self, weighted_mesh):
         service = ResistanceService(weighted_mesh, result_cache_size=0)
@@ -151,7 +165,9 @@ class TestServiceCaching:
 
 class TestServiceRefresh:
     def test_refresh_with_new_graph_changes_answers(self, weighted_mesh):
-        service = ResistanceService(weighted_mesh, epsilon=1e-5, drop_tol=1e-5)
+        service = ResistanceService(
+            weighted_mesh, config=EngineConfig(epsilon=1e-5, drop_tol=1e-5)
+        )
         before = service.query(0, 7)
         updated = perturb_edge_weights(weighted_mesh, fraction=0.5, seed=2)
         stats = service.refresh_after_edge_update(updated)
@@ -163,7 +179,7 @@ class TestServiceRefresh:
         assert service.stats.refreshes == 1
 
     def test_refresh_with_edge_list_adds_conductance(self, tiny_path):
-        service = ResistanceService(tiny_path, method="exact")
+        service = ResistanceService(tiny_path, config=EngineConfig(method="exact"))
         before = service.query(0, 4)
         # a parallel unit edge over (0, 1) halves that segment's resistance
         service.refresh_after_edge_update(edges=[(0, 1)], weights=[1.0])
@@ -177,7 +193,9 @@ class TestServiceRefresh:
         assert np.isfinite(service.query(0, 3))
 
     def test_run_edge_update_flow(self, weighted_mesh):
-        service = ResistanceService(weighted_mesh, epsilon=1e-5, drop_tol=1e-5)
+        service = ResistanceService(
+            weighted_mesh, config=EngineConfig(epsilon=1e-5, drop_tol=1e-5)
+        )
         outcome = run_edge_update_flow(service, modified_fraction=0.2, seed=4)
         assert outcome.refresh_seconds >= 0.0
         assert outcome.max_rel_error < 2e-2
@@ -192,7 +210,7 @@ class TestServiceRefresh:
 class TestServiceValidation:
     def test_unknown_method(self, tiny_path):
         with pytest.raises(ValueError):
-            ResistanceService(tiny_path, method="voodoo")
+            ResistanceService(tiny_path, config=EngineConfig(method="voodoo"))
 
     def test_bad_pairs_shape(self, tiny_path):
         service = ResistanceService(tiny_path)

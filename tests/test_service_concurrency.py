@@ -17,6 +17,8 @@ from repro.graphs.generators import grid_2d
 from repro.graphs.graph import Graph
 from repro.service import ResistanceService, ThreadedExecutor
 
+EXACT = EngineConfig(method="exact")
+
 
 @pytest.fixture
 def multi_component() -> Graph:
@@ -141,7 +143,7 @@ def test_refresh_during_inflight_query_does_not_poison_cache(tiny_path):
     is returned to its own caller but the epoch fence must keep it out
     of the post-refresh result cache.
     """
-    service = ResistanceService(tiny_path, method="exact")
+    service = ResistanceService(tiny_path, config=EXACT)
     entered = threading.Event()
     release = threading.Event()
     original = service.engine.query_pairs
@@ -153,7 +155,7 @@ def test_refresh_during_inflight_query_does_not_poison_cache(tiny_path):
         return values
 
     service.engine.query_pairs = stalled
-    before = ResistanceService(tiny_path, method="exact").query(0, 4)
+    before = ResistanceService(tiny_path, config=EXACT).query(0, 4)
     inflight = {}
 
     def old_query():
@@ -175,7 +177,7 @@ def test_refresh_during_inflight_query_does_not_poison_cache(tiny_path):
 
 def test_concurrent_refresh_with_changed_graph_converges(multi_component):
     """Queries racing a real topology change settle on the new answers."""
-    service = ResistanceService(multi_component, method="exact")
+    service = ResistanceService(multi_component, config=EXACT)
     updated = Graph(
         multi_component.num_nodes,
         np.concatenate([multi_component.heads, [0]]),
@@ -197,7 +199,7 @@ def test_concurrent_refresh_with_changed_graph_converges(multi_component):
     stop.set()
     for w in workers:
         w.join(timeout=60)
-    expected = build_engine(updated, "exact").query_pairs(pairs)
+    expected = build_engine(updated, EXACT).query_pairs(pairs)
     assert np.allclose(service.query_pairs(pairs), expected)
     assert np.isfinite(service.query(0, 30))
 
