@@ -120,7 +120,8 @@ def main() -> None:
     refresh = service.refresh_after_edge_update(edges=[(0, 1)], weights=[1.0])
     print(
         f"after adding a parallel (0, 1) edge (rebuilt in "
-        f"{refresh.rebuild_seconds:.2f}s): R_eff(0, 1) = "
+        f"{refresh.rebuild_seconds:.2f}s, ordering reused: "
+        f"{refresh.reused_ordering}): R_eff(0, 1) = "
         f"{service.query(0, 1):.4f} ohms"
     )
 

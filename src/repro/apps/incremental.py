@@ -10,7 +10,8 @@ Two scenarios live here:
   :class:`repro.service.ResistanceService` — edge weights change (or edges
   appear), the service refreshes in place, and the flow reports refresh
   cost and post-refresh accuracy against the exact engine
-  (:func:`run_edge_update_flow`).
+  (:func:`run_edge_update_flow`); a weight-only edit refactors on the
+  served fill-reducing permutation, and the outcome says whether it did.
 
 For the power-grid flow:
 
@@ -163,6 +164,8 @@ class EdgeUpdateOutcome:
     max_rel_error: float
     mean_rel_error: float
     invalidated_results: int
+    # the refresh refactored on the served fill-reducing permutation
+    reused_ordering: bool
 
 
 def perturb_edge_weights(
@@ -225,4 +228,5 @@ def run_edge_update_flow(
         max_rel_error=float(rel.max()) if rel.size else 0.0,
         mean_rel_error=float(rel.mean()) if rel.size else 0.0,
         invalidated_results=refresh.invalidated_results,
+        reused_ordering=refresh.reused_ordering,
     )

@@ -29,12 +29,14 @@ import scipy.sparse.linalg as spla
 
 from repro.cholesky.depth import filled_graph_depth
 from repro.cholesky.incomplete import ichol
+from repro.cholesky.ordering import compute_ordering
 from repro.core.approx_inverse import ApproxInverseStats, approximate_inverse
 from repro.core.engine import (
     EngineConfig,
     ResistanceEngine,
     as_pair_columns,
     build_engine,
+    engine_params,
     register_engine,
 )
 from repro.graphs.components import connected_components
@@ -126,6 +128,10 @@ class CholInvEffectiveResistance(ResistanceEngine):
         Threads for the level-parallel blocked kernel (default 1).  The
         resulting ``Z̃`` is bit-identical for every worker count; the knob
         only trades build wall-clock.
+    perm:
+        Precomputed fill-reducing permutation to factor on instead of
+        computing ``ordering`` (:meth:`rebuilt` passes the predecessor's
+        when an edit leaves the sparsity pattern unchanged).
 
     Attributes
     ----------
@@ -134,7 +140,12 @@ class CholInvEffectiveResistance(ResistanceEngine):
     stats:
         :class:`~repro.core.approx_inverse.ApproxInverseStats` of the run.
     timer:
-        Stage timings (``factorize`` / ``approx_inverse`` / ``queries``).
+        Stage timings (``ordering`` / ``ichol`` / ``approx_inverse`` /
+        ``queries``); ``ichol`` includes the grounded-Laplacian assembly,
+        and ``ordering`` is near zero on an engine built on a given
+        ``perm``.
+    reused_ordering:
+        Whether the engine was built on a given ``perm``.
     """
 
     def __init__(
@@ -147,6 +158,7 @@ class CholInvEffectiveResistance(ResistanceEngine):
         small_column_threshold: "float | None" = None,
         mode: str = "blocked",
         build_workers: int = 1,
+        perm: "np.ndarray | None" = None,
     ):
         self.graph = graph
         self.epsilon = epsilon
@@ -165,9 +177,14 @@ class CholInvEffectiveResistance(ResistanceEngine):
         self.ground_value = ground_value
         self.component_labels, _ = connected_components(graph)
 
-        with self.timer.section("factorize"):
+        self.reused_ordering = perm is not None
+        with self.timer.section("ichol"):
             matrix, self.ground_nodes = grounded_laplacian(graph, ground_value)
-            self.ichol_result = ichol(matrix, drop_tol=drop_tol, ordering=ordering)
+        with self.timer.section("ordering"):
+            if perm is None:
+                perm = compute_ordering(matrix, method=ordering)
+        with self.timer.section("ichol"):
+            self.ichol_result = ichol(matrix, drop_tol=drop_tol, perm=perm)
         with self.timer.section("approx_inverse"):
             self.z_tilde, self.stats = approximate_inverse(
                 self.ichol_result.lower,
@@ -224,6 +241,43 @@ class CholInvEffectiveResistance(ResistanceEngine):
         engine._position[perm] = np.arange(perm.shape[0])
         engine._column_sq_norms = column_sq_norms
         engine.n = graph.num_nodes
+        engine.config = config
+        return engine
+
+    def rebuilt(self, graph: Graph, config: EngineConfig) -> ResistanceEngine:
+        """The engine for an edited graph, reusing ``perm`` when it can.
+
+        The fill-reducing orderings read only the sparsity pattern of the
+        grounded Laplacian, which the node count and the set of node pairs
+        joined by an edge determine (grounding picks one node per
+        connected component).  When ``config`` still selects this unsharded
+        engine with the same ordering and the edit kept ``n`` and that
+        pair set — new weights, reordered edges, or extra conductance on
+        existing edges — the successor factors on this engine's
+        permutation and skips the ordering; every other stage runs as in
+        a cold build, so the result is bit-identical to
+        ``build_engine(graph, config)``.  Any other edit is a cold build.
+        """
+        same_engine = (
+            config.method == self.engine_name
+            and not config.sharded
+            and config.shard_strategy == "component"
+            and config.ordering == self.ordering
+        )
+        if not (
+            same_engine
+            and graph.num_nodes == self.n
+            and np.array_equal(graph.node_pair_keys(), self.graph.node_pair_keys())
+        ):
+            return super().rebuilt(graph, config)
+        # a private copy: a warm-started engine's permutation may be a
+        # read-only map of its archive, which must not outlive a rewrite
+        perm = np.array(self.perm, dtype=np.int64)
+        engine = type(self)(
+            graph,
+            perm=perm,
+            **{p: getattr(config, p) for p in engine_params(self.engine_name)},
+        )
         engine.config = config
         return engine
 

@@ -16,7 +16,12 @@ the same small interface defined here:
     ``query_pairs`` over every edge of the served graph;
 ``n`` / ``component_labels`` / ``timer`` / ``graph``
     the served node count, connected-component labels, stage timings and
-    the graph itself.
+    the graph itself;
+``rebuilt(graph, config)``
+    the engine for an edited graph — a cold :func:`build_engine` unless
+    the engine can reuse symbolic work the edit leaves valid (the Alg. 3
+    engine keeps its fill-reducing permutation when the sparsity pattern
+    is unchanged).
 
 Engines register under a short name with :func:`register_engine`, declaring
 which :class:`EngineConfig` fields they consume; :func:`build_engine` is the
@@ -287,10 +292,24 @@ class ResistanceEngine(abc.ABC):
     component_labels: np.ndarray
     timer: Timer
     config: "EngineConfig | None" = None
+    # True on an engine that :meth:`rebuilt` built on its predecessor's
+    # fill-reducing permutation instead of computing a fresh one
+    reused_ordering: bool = False
 
     @abc.abstractmethod
     def query_pairs(self, pairs: ArrayLike) -> np.ndarray:
         """Effective resistances for an ``(m, 2)`` array of node pairs."""
+
+    def rebuilt(self, graph: Graph, config: EngineConfig) -> "ResistanceEngine":
+        """The engine ``config`` describes for ``graph``, an edit of this one's.
+
+        The service's refresh path calls this instead of
+        :func:`build_engine`, so an engine can carry symbolic work that
+        the edit leaves valid over to its successor.  The result must be
+        bit-identical to ``build_engine(graph, config)``; the default is
+        exactly that cold build.
+        """
+        return build_engine(graph, config)
 
     def query(self, p: int, q: int) -> float:
         """Effective resistance between nodes ``p`` and ``q``.

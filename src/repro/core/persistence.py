@@ -319,6 +319,11 @@ def load_engine(path: "str | Path", mmap: bool = False):
     data/indices, norms, permutation, graph edges) stay on disk as
     read-only memory maps, so many workers on one host share one copy of
     the pages.
+
+    Every persisted factor is checked against its graph's node count
+    ``n`` — ``perm`` an integer permutation of ``range(n)``, ``z_shape``
+    ``(n, n)``, ``column_sq_norms`` and ``component_labels`` of length
+    ``n`` — and a failed check raises ``ValueError`` naming the member.
     """
     path = _npz_path(path)
     require(path.exists(), f"no saved engine at {path}")
@@ -368,6 +373,37 @@ def _landmark_from_arrays(data):
     )
 
 
+def _check_member(ok: bool, member: str, problem: str) -> None:
+    require(ok, f"corrupt saved engine: archive member {member!r} {problem}")
+
+
+def _check_factor_members(data, n: int, prefix: str = "") -> None:
+    """Verify that a persisted Alg. 3 factor fits an ``n``-node graph.
+
+    A refresh factors the edited graph on the persisted ``perm`` (see
+    :meth:`~repro.core.effective_resistance.CholInvEffectiveResistance.rebuilt`),
+    so a damaged permutation must fail here, at load, with the member
+    named — not as wrong answers after the next edit.
+    """
+    shape = tuple(int(s) for s in np.asarray(data[prefix + "z_shape"]).ravel())
+    _check_member(
+        shape == (n, n), prefix + "z_shape", f"is {shape}, expected ({n}, {n})"
+    )
+    perm = np.asarray(data[prefix + "perm"])
+    _check_member(
+        perm.dtype.kind in "iu"
+        and np.array_equal(np.sort(perm), np.arange(n)),
+        prefix + "perm",
+        f"is not an integer permutation of range({n})",
+    )
+    norms = np.asarray(data[prefix + "column_sq_norms"])
+    _check_member(
+        norms.shape == (n,),
+        prefix + "column_sq_norms",
+        f"has shape {norms.shape}, expected ({n},)",
+    )
+
+
 def _engine_from_arrays(data, engine_cls):
     config = EngineConfig.from_dict(json.loads(str(data["config_json"])))
     graph = Graph(
@@ -375,6 +411,14 @@ def _engine_from_arrays(data, engine_cls):
         data["graph_heads"],
         data["graph_tails"],
         data["graph_weights"],
+    )
+    n = graph.num_nodes
+    _check_factor_members(data, n)
+    labels = np.asarray(data["component_labels"])
+    _check_member(
+        labels.shape == (n,),
+        "component_labels",
+        f"has shape {labels.shape}, expected ({n},)",
     )
     z_tilde = sp.csc_matrix(
         (data["z_data"], data["z_indices"], data["z_indptr"]),
@@ -442,6 +486,7 @@ def _partitioned_from_arrays(data):
     for shard in np.asarray(data["built_shards"]).tolist():
         prefix = f"shard{int(shard)}_"
         halo = engine._shard_graph(int(shard))
+        _check_factor_members(data, halo.num_nodes, prefix)
         labels, _ = connected_components(halo)
         z_tilde = sp.csc_matrix(
             (

@@ -174,6 +174,18 @@ class Graph:
         """Return edges as an ``(m, 2)`` int array of ``(head, tail)`` rows."""
         return np.column_stack([self.heads, self.tails])
 
+    def node_pair_keys(self) -> np.ndarray:
+        """Sorted distinct keys ``min·n + max`` of the node pairs joined by
+        an edge.
+
+        Two graphs with equal keys (and node counts) have the same
+        Laplacian sparsity pattern, whatever their edge order, edge
+        orientation, parallel duplicates or weights.
+        """
+        lo = np.minimum(self.heads, self.tails)
+        hi = np.maximum(self.heads, self.tails)
+        return np.unique(lo * np.int64(self.num_nodes) + hi)
+
     def degrees(self) -> np.ndarray:
         """Weighted degree (total incident conductance) of every node."""
         deg = np.zeros(self.num_nodes)

@@ -92,6 +92,8 @@ class RefreshStats:
     num_nodes: int
     num_edges: int
     invalidated_results: int
+    # the rebuild kept the served engine's fill-reducing permutation
+    reused_ordering: bool
 
 
 @dataclass
@@ -350,6 +352,17 @@ class ResistanceService:
         never change engine results, so a parallel rebuild serves the
         exact answers a serial one would.
 
+        The rebuild goes through the served engine's
+        :meth:`~repro.core.engine.ResistanceEngine.rebuilt`.  When the edit
+        leaves the sparsity pattern unchanged — new weights, or ``edges``
+        that only add conductance to existing edges — a ``cholinv``
+        engine (warm-started ones included) refactors on its persisted
+        fill-reducing permutation and skips the ordering, the largest
+        stage of a mesh build; new node pairs, a different ordering or a
+        sharded engine take a cold build.  Either way the new engine is
+        bit-identical to ``build_engine(graph, config)``;
+        :attr:`RefreshStats.reused_ordering` reports which path ran.
+
         Thread-safe: refreshes serialise among themselves, and queries in
         flight finish against the engine they started with — cache
         entries are epoch-stamped, so an overlapping query neither reads
@@ -402,8 +415,10 @@ class ResistanceService:
                 if build_workers is None
                 else self.config.replace(build_workers=int(build_workers))
             )
+            with self._lock:
+                engine = self.engine
             start = time.perf_counter()
-            new_engine = build_engine(graph, rebuild_config)  # repro: ignore[blocking-under-lock] — _refresh_lock exists to serialise rebuilds; queries never take it
+            new_engine = engine.rebuilt(graph, rebuild_config)  # repro: ignore[blocking-under-lock] — _refresh_lock exists to serialise rebuilds; queries never take it
             rebuild = time.perf_counter() - start
             with self._lock:
                 self.config = rebuild_config
@@ -421,6 +436,7 @@ class ResistanceService:
                 num_nodes=graph.num_nodes,
                 num_edges=graph.num_edges,
                 invalidated_results=invalidated_results,
+                reused_ordering=new_engine.reused_ordering,
             )
 
     # ------------------------------------------------------------------

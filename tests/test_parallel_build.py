@@ -136,15 +136,14 @@ class TestEngineBuildWorkers:
     def test_failed_refresh_does_not_adopt_build_workers(self, monkeypatch):
         """A refresh whose rebuild raises must not change how future
         refreshes build — the worker count is adopted with its engine."""
-        import repro.service.resistance_service as service_module
-
         graph = grid_2d(6, 6, jitter=0.3, seed=8)
         service = ResistanceService(graph)
 
         def exploding_build(graph, config):
             raise RuntimeError("injected build failure")
 
-        monkeypatch.setattr(service_module, "build_engine", exploding_build)
+        # a refresh rebuilds through the served engine's ``rebuilt``
+        monkeypatch.setattr(service.engine, "rebuilt", exploding_build)
         with pytest.raises(RuntimeError):
             service.refresh_after_edge_update(
                 edges=[(0, 1)], weights=[1.0], build_workers=4
