@@ -2,7 +2,8 @@
 
 Measures the planner/executor redesign on its target workload: a cold
 batch of mixed pair queries against a *multi-component* graph served by a
-component-sharded engine.  Three paths answer the identical batch:
+component-sharded engine (``shard_strategy="component"``).  Three paths
+answer the identical batch:
 
 * **serial** — ``ResistanceService`` with the default ``SerialExecutor``
   (the pre-redesign behaviour: shards visited one after another);
@@ -82,7 +83,7 @@ def make_query_stream(
 def run_case(args) -> dict:
     graph = build_multi_component_graph(args.components, args.side, seed=args.seed)
     config = EngineConfig(
-        sharded=True, epsilon=args.epsilon, drop_tol=args.epsilon
+        shard_strategy="component", epsilon=args.epsilon, drop_tol=args.epsilon
     )
     t0 = time.perf_counter()
     engine = build_engine(graph, config)

@@ -8,7 +8,7 @@ shapes:
   column chunks that run concurrently; scipy's sparsetools matmul
   releases the GIL);
 * **multi-component** — an 8-component disjoint union served by a
-  component-sharded engine, where eager shard builds fan out over the
+  component-sharded engine (``shard_strategy="component"``), where eager shard builds fan out over the
   build pool (each shard is an independent factorisation).
 
 Every worker count must produce a **bit-identical** engine (asserted on
@@ -42,7 +42,7 @@ from benchmarks.conftest import emit_json, host_context  # noqa: E402
 import repro.core.approx_inverse as approx_inverse_module  # noqa: E402
 from repro.core.effective_resistance import CholInvEffectiveResistance
 from repro.core.engine import EngineConfig, build_engine
-from repro.core.sharded import ShardedEngine
+from repro.core.partitioned import PartitionedEngine
 from repro.graphs.generators import grid_2d
 from repro.graphs.graph import Graph
 
@@ -51,7 +51,7 @@ WORKER_COUNTS = (1, 2, 4)
 
 def _z_arrays(engine) -> "list[tuple[np.ndarray, np.ndarray, np.ndarray]]":
     """The raw CSC arrays of every Alg. 3 factor an engine holds."""
-    if isinstance(engine, ShardedEngine):
+    if isinstance(engine, PartitionedEngine):
         out = []
         for sub in engine._engines:
             if isinstance(sub, CholInvEffectiveResistance):
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     print("multi-component case:", file=sys.stderr)
     multi_case = run_case(
         "multi_component", multi,
-        EngineConfig(epsilon=args.epsilon, sharded=True), probe,
+        EngineConfig(epsilon=args.epsilon, shard_strategy="component"), probe,
     )
 
     result = {

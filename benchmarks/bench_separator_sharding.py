@@ -1,6 +1,6 @@
 """E11 — within-component separator sharding on one large component.
 
-The classic ``sharded=True`` engine parallelises across connected
+The ``shard_strategy="component"`` engine parallelises across connected
 components, which buys nothing on the single huge component that
 dominates real netlists.  ``shard_strategy="separator"`` splits that one
 component into vertex-separator-bounded regions, factors each region

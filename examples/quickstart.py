@@ -8,7 +8,8 @@ the query-serving layer (``repro.service.ResistanceService``): cached pair
 queries, top-k central edges, an in-place refresh after edge edits, then
 engine persistence — save a built Alg. 3 engine to ``.npz`` and warm-start
 a service from it without refactoring — and finally the async serving
-stack: a component-sharded engine whose per-shard sub-batches fan out over
+stack: a component-sharded engine (``EngineConfig(shard_strategy=
+"component")``) whose per-shard sub-batches fan out over
 a thread pool, fronted by ``AsyncResistanceService``, whose micro-batching
 loop coalesces concurrent small requests into one planned batch
 (``await``-able from asyncio, or via ``submit() -> Future``).
@@ -152,7 +153,7 @@ def main() -> None:
     # the engine is bit-identical to a serial build, just ready sooner
     sharded_service = ResistanceService(
         multi,
-        config=EngineConfig(sharded=True, build_workers=2),
+        config=EngineConfig(shard_strategy="component", build_workers=2),
         executor=ThreadedExecutor(2),
     )
     print(

@@ -15,8 +15,9 @@ Every solver implements the :class:`~repro.core.engine.ResistanceEngine`
 protocol and registers under a short name (``"cholinv"``, ``"exact"``,
 ``"random_projection"``, ``"naive"``); :func:`~repro.core.engine.build_engine`
 is the one factory the convenience API, the service layer, the bench
-harness and the CLI dispatch through.  ``EngineConfig(sharded=True)``
-serves each connected component from its own sub-engine, and
+harness and the CLI dispatch through.
+``EngineConfig(shard_strategy="component")`` serves each connected
+component from its own sub-engine, and
 ``EngineConfig(shard_strategy="separator")`` goes further — it splits one
 large component into vertex-separator-bounded regions and answers
 cross-region pairs exactly through a dense Schur complement on the
@@ -28,8 +29,7 @@ Layers
 * :mod:`repro.cholesky` — sparse complete/incomplete Cholesky substrate;
 * :mod:`repro.core` — the paper's Alg. 2 / Alg. 3 and error analysis, the
   engine protocol/registry (:mod:`repro.core.engine`), partitioned /
-  component sharding (:mod:`repro.core.partitioned`,
-  :mod:`repro.core.sharded`) and engine persistence
+  component sharding (:mod:`repro.core.partitioned`) and engine persistence
   (:mod:`repro.core.persistence`);
 * :mod:`repro.baselines` — WWW'15 random projection and the naive method
   (registered engines like everything else);
@@ -68,7 +68,6 @@ from repro.core.engine import (
 from repro.core.error_bounds import estimate_query_errors, theorem1_bound
 from repro.core.partitioned import PartitionedEngine, ShardPlan
 from repro.core.persistence import load_engine, save_engine
-from repro.core.sharded import ShardedEngine
 from repro.graphs.generators import (
     barabasi_albert_graph,
     complete_graph,
@@ -113,7 +112,6 @@ __all__ = [
     "register_engine",
     "registered_engines",
     "build_engine",
-    "ShardedEngine",
     "PartitionedEngine",
     "ShardPlan",
     "save_engine",

@@ -1,6 +1,6 @@
 """Rule ``lock-discipline`` — once locked, always locked.
 
-The concurrent layers (``core/sharded.py``, ``service/resistance_service.py``,
+The concurrent layers (``core/partitioned.py``, ``service/resistance_service.py``,
 ``service/async_service.py``) follow one convention: instance state that is
 ever mutated under a lock is *only* mutated under a lock.  PR 4's epoch
 fencing and PR 5's per-shard build locks both depend on it, and the

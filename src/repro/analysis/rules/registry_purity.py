@@ -2,9 +2,9 @@
 
 PR 3 unified every solver behind :func:`repro.core.engine.build_engine`:
 the factory is where ``EngineConfig`` defaults are resolved, where
-``config.sharded`` wraps the method in a :class:`ShardedEngine`, and where
-the ``config`` attribute that persistence and the serving layer rely on is
-attached.  An engine class instantiated directly skips all of that — the
+``config.shard_strategy`` wraps the method in a :class:`PartitionedEngine`,
+and where the ``config`` attribute that persistence and the serving layer
+rely on is attached.  An engine class instantiated directly skips all of that — the
 resulting object has no config, cannot be refreshed by a service, and
 silently bypasses sharding.  (The two pre-rule offenders were
 ``core/error_bounds.py`` and ``core/resistance_matrix.py``, fixed in the

@@ -3,8 +3,9 @@
 Commands
 --------
 ``er``          effective resistances of a graph (file or generator);
-                ``--method`` accepts any registered engine, ``--sharded``
-                builds one sub-engine per connected component, and
+                ``--method`` accepts any registered engine,
+                ``--shard-strategy component`` builds one sub-engine per
+                connected component, and
                 ``--save-engine``/``--load-engine`` persist/warm-start
                 built Alg. 3 engines
 ``service``     serve batched/centrality queries via ResistanceService
@@ -61,7 +62,7 @@ def _engine_config(args):
     return EngineConfig(
         method=args.method, epsilon=args.epsilon, drop_tol=args.drop_tol,
         ordering=args.ordering, mode=args.mode, seed=args.seed,
-        sharded=args.sharded, lazy_shards=args.lazy_shards,
+        lazy_shards=args.lazy_shards,
         build_workers=args.build_workers,
         shard_strategy=args.shard_strategy,
         max_shard_nodes=args.max_shard_nodes,
@@ -150,8 +151,8 @@ def _print_partition_report(engine) -> None:
 
     if not isinstance(engine, PartitionedEngine):
         raise SystemExit(
-            "--partition-report needs a sharded engine; add --sharded or "
-            "--shard-strategy separator"
+            "--partition-report needs a sharded engine; add "
+            "--shard-strategy component or --shard-strategy separator"
         )
     report = engine.partition_report()
     out = sys.stderr
@@ -473,16 +474,17 @@ def _add_graph_engine_arguments(parser) -> None:
     parser.add_argument("--mode", default="blocked", choices=["blocked", "reference"],
                         help="Alg. 2 kernel (cholinv only)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sharded", action="store_true",
-                        help="one sub-engine per connected component")
-    parser.add_argument("--lazy-shards", dest="lazy_shards", action="store_true",
-                        help="with --sharded, build each shard on first query")
     parser.add_argument("--shard-strategy", dest="shard_strategy",
-                        default="component", choices=["component", "separator"],
-                        help="how shards map to the graph: one per connected "
-                             "component (default) or vertex-separator regions "
-                             "within large components with Schur-complement "
-                             "cross-region queries (implies sharding)")
+                        default="none",
+                        choices=["none", "component", "separator"],
+                        help="how shards map to the graph: none (one engine "
+                             "for the whole graph, default), one per "
+                             "connected component, or vertex-separator "
+                             "regions within large components with "
+                             "Schur-complement cross-region queries")
+    parser.add_argument("--lazy-shards", dest="lazy_shards", action="store_true",
+                        help="with a --shard-strategy, build each shard on "
+                             "first query")
     parser.add_argument("--max-shard-nodes", dest="max_shard_nodes",
                         type=int, default=None, metavar="N",
                         help="with --shard-strategy separator, split any "
@@ -496,7 +498,7 @@ def _add_graph_engine_arguments(parser) -> None:
                         default=1, metavar="N",
                         help="threads used to build the engine: large Alg. 2 "
                              "levels split into parallel column chunks, and "
-                             "with --sharded the per-component builds fan "
+                             "with a --shard-strategy the per-shard builds fan "
                              "out; results are bit-identical for any N")
     parser.add_argument("--save-engine", dest="save_engine", metavar="PATH",
                         help="persist the built engine to PATH (.npz)")
@@ -548,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     er.add_argument("--partition-report", dest="partition_report",
                     action="store_true",
                     help="print shard/separator quality diagnostics "
-                         "(needs --sharded or --shard-strategy separator)")
+                         "(needs --shard-strategy component or separator)")
     er.add_argument("--output", default="-", help="CSV path or - for stdout")
     er.set_defaults(func=cmd_er, parser=er)
 
@@ -561,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the k most central edges (w(e)·R(e))")
     sv.add_argument("--workers", type=int, default=1,
                     help="executor threads fanning per-shard sub-batches "
-                         "out in parallel (pairs well with --sharded)")
+                         "out in parallel (pairs well with --shard-strategy)")
     sv.add_argument("--batch-window", dest="batch_window", type=float,
                     default=0.0, metavar="SECONDS",
                     help="micro-batching window; > 0 serves the repeated "

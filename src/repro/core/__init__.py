@@ -8,12 +8,11 @@
   through;
 * :mod:`repro.core.effective_resistance` — Alg. 3 plus exact effective
   resistances and the high-level query API;
-* :mod:`repro.core.partitioned` — the partitioned composite engine:
+* :mod:`repro.core.partitioned` — the sharded composite engine behind
+  every ``shard_strategy`` other than ``"none"``:
   :class:`~repro.core.partitioned.ShardPlan` shard plans (per-component or
   within-component vertex-separator regions) and the Schur-complement
   cross-region query path;
-* :mod:`repro.core.sharded` — the classic component-sharded engine, now a
-  thin alias over the partitioned layer;
 * :mod:`repro.core.persistence` — save/load built Alg. 3 engines (warm
   starts);
 * :mod:`repro.core.error_bounds` — Theorem 1 / Eq. (25)–(26) machinery and
@@ -42,7 +41,6 @@ from repro.core.error_bounds import (
 )
 from repro.core.partitioned import PartitionedEngine, ShardPlan, make_plan
 from repro.core.persistence import load_engine, save_engine
-from repro.core.sharded import ShardedEngine
 from repro.core.truncation import truncate_relative_1norm
 
 __all__ = [
@@ -54,7 +52,6 @@ __all__ = [
     "register_engine",
     "registered_engines",
     "build_engine",
-    "ShardedEngine",
     "PartitionedEngine",
     "ShardPlan",
     "make_plan",

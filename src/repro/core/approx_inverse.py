@@ -46,7 +46,9 @@ Kernels (the ``mode=`` knob)
 
 Both kernels produce the same truncation decisions: the blocked path sorts
 magnitudes within each column with a stable key, exactly like
-:func:`repro.core.truncation.truncation_keep_mask` does per column.
+:func:`repro.core.truncation.truncation_keep_mask` does per column, and
+the ``e_j/L_jj`` diagonal term is one more entry of that scan (a tiny
+``1/L_jj`` under a heavy column drops like any other small entry).
 
 Cost model of the parallel path
 -------------------------------
@@ -241,6 +243,11 @@ def _reference_kernel(
 # ----------------------------------------------------------------------
 # blocked kernel — level-scheduled batched evaluation
 # ----------------------------------------------------------------------
+# the pool's indptr is int32 (what sparsetools' matmul takes), so the
+# number of stored entries must stay addressable by it
+_MAX_POOL_ENTRIES = int(np.iinfo(np.int32).max)
+
+
 class _ColumnPool:
     """Growable flat storage for the computed ``z̃`` columns.
 
@@ -263,7 +270,19 @@ class _ColumnPool:
         self.used = 0
 
     def reserve(self, count: int) -> "tuple[np.ndarray, np.ndarray]":
-        """Views over the next ``count`` uncommitted slots (for in-place fill)."""
+        """Views over the next ``count`` uncommitted slots (for in-place fill).
+
+        Raises ``OverflowError`` once the pool would outgrow the int32
+        ``indptr`` (numpy would wrap the offsets silently).
+        """
+        if self.used + count > _MAX_POOL_ENTRIES:
+            raise OverflowError(
+                f"Alg. 2 cannot store more than {_MAX_POOL_ENTRIES} entries "
+                f"of the approximate inverse: nnz(Z̃) is {self.used} after "
+                f"{self.filled} of {self.start.shape[0]} columns and the next "
+                f"level adds {count}; use a larger epsilon or "
+                f'shard_strategy="separator" to split the graph'
+            )
         if self.used + count > self.rows.shape[0]:
             capacity = max(2 * self.rows.shape[0], self.used + count)
             self.rows = np.concatenate([self.rows[:self.used], np.empty(capacity - self.used, dtype=np.int32)])
@@ -507,8 +526,8 @@ def _blocked_kernel(
                     b_ptr, b_idx, b_val, bound,
                 )
                 # the e_j/L_jj unit term lands on row j, a smaller row
-                # index than every dependency entry — truncation accounts
-                # for it and prepends it to the surviving chunk
+                # index than every dependency entry — truncation prepends
+                # it to each column before the Eq. (10) scan
                 return _truncate_block(
                     level_cols[a:b], block_ptr, block_rows, block_data,
                     level_inv_diag[a:b], epsilon, keep_whole_nnz,
@@ -630,9 +649,10 @@ def _truncate_block(
 
     ``(bindptr, bindices, bdata)`` hold the dependency contributions of the
     level in CSC layout; the ``e_j/L_jj`` diagonal term of column ``c``
-    (value ``diag_vals[c]``, row ``cols[c]``) is accounted for separately and
-    prepended to the output — its row index is strictly smaller than every
-    dependency row, so it always sorts first.
+    (value ``diag_vals[c]``, row ``cols[c]``) joins them at the head of the
+    column — its row index is strictly smaller than every dependency row —
+    and from there on is an ordinary entry: a diagonal that falls under
+    the column's budget drops like any other small entry.
 
     Mirrors :func:`repro.core.truncation.truncation_keep_mask` column by
     column: exact zeros are discarded, entries are stably sorted by magnitude
@@ -657,140 +677,83 @@ def _truncate_block(
         bindices, bdata = bindices[nonzero], bdata[nonzero]
         bindptr = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(column_nnz, out=bindptr[1:])
-    big = column_nnz + 1 > keep_whole_nnz
+    counts = column_nnz + 1  # with the diagonal head
+    big = counts > keep_whole_nnz
     num_truncated = int(np.count_nonzero(big))
-    keep = None
-    kept_counts = column_nnz
-    if num_truncated and epsilon > 0 and bdata.shape[0]:
-        # M-matrix factors give nonnegative blocks — skip the abs pass then
-        magnitudes = bdata if float(bdata.min()) >= 0.0 else np.abs(bdata)
-        # column 1-norms via global prefix sums (one cumsum, no scatter-add)
-        running = np.cumsum(magnitudes)
-        starts, ends = bindptr[:-1], bindptr[1:]
-        base = np.where(starts > 0, running[np.maximum(starts, 1) - 1], 0.0)
-        dep_totals = np.where(ends > starts, running[np.maximum(ends, 1) - 1], 0.0) - base
-        budget = np.where(big, epsilon * (dep_totals + diag_vals), -1.0)
-        if bool(np.any(diag_vals <= budget)):
-            # a diagonal entry is itself truncation-eligible (tiny 1/L_jj
-            # against a heavy column) — merge it in and run the generic scan
-            merged, merged_ptr = _prepend_diag(
-                k, column_nnz, bindices, bdata, cols, diag_vals
-            )
-            kept, kept_ptr, num_truncated = _truncate_merged(
-                k, merged_ptr, merged[0], merged[1], epsilon, keep_whole_nnz
-            )
-            return kept_ptr, kept[0], kept[1], num_truncated
-        # only entries with |v| ≤ ε·‖col‖₁ can belong to the dropped prefix
-        # (any larger entry's inclusive prefix mass already exceeds the
-        # budget), so all further work runs on this subset only
-        cand_idx = np.flatnonzero(magnitudes <= np.repeat(budget, column_nnz))
-        if cand_idx.shape[0]:
-            cand_col = np.searchsorted(bindptr, cand_idx, side="right") - 1
-            cand_mags = magnitudes[cand_idx]
-            # binade bucketing: bucket b holds candidates ~2^b below the
-            # budget (IEEE exponent distance, clipped).  Buckets respect
-            # magnitude order, so accumulating bucket masses small-to-large
-            # finds the one *crossing* binade per column — buckets below it
-            # are dropped wholesale, above it kept wholesale, and only the
-            # crossing binade's entries need the exact magnitude sort.
-            mag_exp = (cand_mags.view(np.int64) >> 52).astype(np.int64)
-            budget_exp = (budget.view(np.int64) >> 52).astype(np.int64)
-            bucket = np.minimum(budget_exp[cand_col] - mag_exp, _BINADES - 1)
-            key = cand_col * _BINADES + bucket
-            hist_mass = np.bincount(key, weights=cand_mags, minlength=k * _BINADES)
-            hist_mass = hist_mass.reshape(k, _BINADES)[:, ::-1]
-            cum_rev = np.cumsum(hist_mass, axis=1)
-            # first (smallest-magnitude-first) position whose mass exceeds
-            # the budget; 63 - that position is the crossing binade
-            first_exceed = (cum_rev <= budget[:, None]).sum(axis=1)
-            crossing = _BINADES - 1 - first_exceed  # -1 → everything drops
-            below_mass = np.where(
-                first_exceed > 0,
-                cum_rev[np.arange(k), np.maximum(first_exceed, 1) - 1],
-                0.0,
-            )
-            entry_crossing = crossing[cand_col]
-            sure = bucket > entry_crossing
-            band = np.flatnonzero(bucket == entry_crossing)
-            band_col = cand_col[band]
-            band_mags = cand_mags[band]
-            # stable two-key sort keeps within-column ties in ascending-row
-            # order, matching truncation_keep_mask's kind="stable" argsort
-            perm = np.lexsort((band_mags, band_col))
-            band_counts = np.bincount(band_col, minlength=k)
-            prefix = np.cumsum(band_mags[perm])
-            band_starts = np.zeros(k, dtype=np.int64)
-            np.cumsum(band_counts[:-1], out=band_starts[1:])
-            band_base = np.where(band_starts > 0, prefix[np.maximum(band_starts, 1) - 1], 0.0)
-            within = prefix - np.repeat(band_base - below_mass, band_counts)
-            dropped = within <= np.repeat(budget, band_counts)
-            # within-column prefix masses are increasing, so the dropped
-            # entries form a prefix of each column's band
-            dcum = np.concatenate([[0], np.cumsum(dropped)])
-            dropped_counts = (
-                np.bincount(cand_col[sure], minlength=k)
-                + dcum[np.cumsum(band_counts)]
-                - dcum[band_starts]
-            )
-            kept_counts = column_nnz - dropped_counts
-            keep = np.ones(bdata.shape[0], dtype=bool)
-            keep[cand_idx[sure]] = False
-            keep[cand_idx[band[perm[dropped]]]] = False
-    if keep is not None:
-        bindices, bdata = bindices[keep], bdata[keep]
-    out, out_ptr = _prepend_diag(k, kept_counts, bindices, bdata, cols, diag_vals)
-    return out_ptr, out[0], out[1], num_truncated
-
-
-def _truncate_merged(
-    k: int,
-    bindptr: np.ndarray,
-    bindices: np.ndarray,
-    bdata: np.ndarray,
-    epsilon: float,
-    keep_whole_nnz: float,
-) -> "tuple[tuple[np.ndarray, np.ndarray], np.ndarray, int]":
-    """Generic Eq. (10) scan over full columns (diagonal already merged).
-
-    Slow path reached only when some diagonal entry is truncation-eligible;
-    identical decision procedure to :func:`_truncate_block`, without the
-    diagonal shortcut.
-    """
-    column_nnz = np.diff(bindptr).astype(np.int64)
-    big = column_nnz > keep_whole_nnz
-    num_truncated = int(np.count_nonzero(big))
-    keep = None
-    kept_counts = column_nnz
-    if num_truncated and epsilon > 0 and bdata.shape[0]:
-        magnitudes = np.abs(bdata)
-        running = np.cumsum(magnitudes)
-        starts, ends = bindptr[:-1], bindptr[1:]
-        base = np.where(starts > 0, running[np.maximum(starts, 1) - 1], 0.0)
-        totals = np.where(ends > starts, running[np.maximum(ends, 1) - 1], 0.0) - base
-        budget = np.where(big, epsilon * totals, -1.0)
-        cand_idx = np.flatnonzero(magnitudes <= np.repeat(budget, column_nnz))
-        if cand_idx.shape[0]:
-            cand_col = np.searchsorted(bindptr, cand_idx, side="right") - 1
-            cand_mags = magnitudes[cand_idx]
-            perm = np.lexsort((cand_mags, cand_col))
-            cand_counts = np.bincount(cand_col, minlength=k)
-            prefix = np.cumsum(cand_mags[perm])
-            cand_starts = np.zeros(k, dtype=np.int64)
-            np.cumsum(cand_counts[:-1], out=cand_starts[1:])
-            cand_base = np.where(cand_starts > 0, prefix[np.maximum(cand_starts, 1) - 1], 0.0)
-            within = prefix - np.repeat(cand_base, cand_counts)
-            dropped = within <= np.repeat(budget, cand_counts)
-            if bool(dropped.any()):
-                dcum = np.concatenate([[0], np.cumsum(dropped)])
-                dropped_counts = dcum[np.cumsum(cand_counts)] - dcum[cand_starts]
-                kept_counts = column_nnz - dropped_counts
-                keep = np.ones(bdata.shape[0], dtype=bool)
-                keep[cand_idx[perm[dropped]]] = False
-    if keep is not None:
-        bindices, bdata = bindices[keep], bdata[keep]
-    kept_ptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(kept_counts, out=kept_ptr[1:])
-    return (bindices, bdata), kept_ptr, num_truncated
+    (rows, vals), ptr = _prepend_diag(k, column_nnz, bindices, bdata, cols, diag_vals)
+    if not (num_truncated and epsilon > 0 and bdata.shape[0]):
+        return ptr, rows, vals, num_truncated
+    # M-matrix factors give nonnegative blocks — skip the abs pass then
+    nonnegative = float(bdata.min()) >= 0.0
+    # column 1-norms via global prefix sums over the dependency entries
+    # (one cumsum, no scatter-add) plus the positive diagonal term
+    running = np.cumsum(bdata if nonnegative else np.abs(bdata))
+    starts, ends = bindptr[:-1], bindptr[1:]
+    base = np.where(starts > 0, running[np.maximum(starts, 1) - 1], 0.0)
+    dep_totals = np.where(ends > starts, running[np.maximum(ends, 1) - 1], 0.0) - base
+    budget = np.where(big, epsilon * (dep_totals + diag_vals), -1.0)
+    magnitudes = vals if nonnegative else np.abs(vals)
+    # only entries with |v| ≤ ε·‖col‖₁ can belong to the dropped prefix
+    # (any larger entry's inclusive prefix mass already exceeds the
+    # budget), so all further work runs on this subset only
+    cand_idx = np.flatnonzero(magnitudes <= np.repeat(budget, counts))
+    if not cand_idx.shape[0]:
+        return ptr, rows, vals, num_truncated
+    cand_col = np.searchsorted(ptr, cand_idx, side="right") - 1
+    cand_mags = magnitudes[cand_idx]
+    # binade bucketing: bucket b holds candidates ~2^b below the budget
+    # (IEEE exponent distance, clipped).  Buckets respect magnitude order,
+    # so accumulating bucket masses small-to-large finds the one *crossing*
+    # binade per column — buckets below it are dropped wholesale, above it
+    # kept wholesale, and only the crossing binade's entries need the exact
+    # magnitude sort.
+    mag_exp = (cand_mags.view(np.int64) >> 52).astype(np.int64)
+    budget_exp = (budget.view(np.int64) >> 52).astype(np.int64)
+    bucket = np.minimum(budget_exp[cand_col] - mag_exp, _BINADES - 1)
+    key = cand_col * _BINADES + bucket
+    hist_mass = np.bincount(key, weights=cand_mags, minlength=k * _BINADES)
+    hist_mass = hist_mass.reshape(k, _BINADES)[:, ::-1]
+    cum_rev = np.cumsum(hist_mass, axis=1)
+    # first (smallest-magnitude-first) position whose mass exceeds the
+    # budget; 63 - that position is the crossing binade
+    first_exceed = (cum_rev <= budget[:, None]).sum(axis=1)
+    crossing = _BINADES - 1 - first_exceed  # -1 → everything drops
+    below_mass = np.where(
+        first_exceed > 0,
+        cum_rev[np.arange(k), np.maximum(first_exceed, 1) - 1],
+        0.0,
+    )
+    entry_crossing = crossing[cand_col]
+    sure = bucket > entry_crossing
+    band = np.flatnonzero(bucket == entry_crossing)
+    band_col = cand_col[band]
+    band_mags = cand_mags[band]
+    # stable two-key sort keeps within-column ties in ascending-row order,
+    # matching truncation_keep_mask's kind="stable" argsort
+    perm = np.lexsort((band_mags, band_col))
+    band_counts = np.bincount(band_col, minlength=k)
+    # prefix[0] = 0 keeps an empty band (every candidate dropped or kept
+    # wholesale) indexable
+    prefix = np.zeros(band.shape[0] + 1)
+    np.cumsum(band_mags[perm], out=prefix[1:])
+    band_starts = np.zeros(k, dtype=np.int64)
+    np.cumsum(band_counts[:-1], out=band_starts[1:])
+    within = prefix[1:] - np.repeat(prefix[band_starts] - below_mass, band_counts)
+    dropped = within <= np.repeat(budget, band_counts)
+    # within-column prefix masses are increasing, so the dropped entries
+    # form a prefix of each column's band
+    dcum = np.concatenate([[0], np.cumsum(dropped)])
+    dropped_counts = (
+        np.bincount(cand_col[sure], minlength=k)
+        + dcum[np.cumsum(band_counts)]
+        - dcum[band_starts]
+    )
+    keep = np.ones(vals.shape[0], dtype=bool)
+    keep[cand_idx[sure]] = False
+    keep[cand_idx[band[perm[dropped]]]] = False
+    out_ptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts - dropped_counts, out=out_ptr[1:])
+    return out_ptr, rows[keep], vals[keep], num_truncated
 
 
 def _assemble(

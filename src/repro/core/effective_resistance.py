@@ -260,8 +260,7 @@ class CholInvEffectiveResistance(ResistanceEngine):
         """
         same_engine = (
             config.method == self.engine_name
-            and not config.sharded
-            and config.shard_strategy == "component"
+            and config.shard_strategy == "none"
             and config.ordering == self.ordering
         )
         if not (

@@ -3,7 +3,7 @@
 Every effective-resistance solver in the repository — the paper's Alg. 3
 (:class:`~repro.core.effective_resistance.CholInvEffectiveResistance`), the
 exact direct-factorisation engine, the WWW'15 random-projection baseline,
-the naive per-query strawman and the component-sharded composite — speaks
+the naive per-query strawman and the sharded composite — speaks
 the same small interface defined here:
 
 ``query(p, q)``
@@ -130,18 +130,14 @@ class EngineConfig:
         Per-query solve tolerance of the naive engine.
     seed:
         RNG seed for randomised engines.
-    sharded:
-        Build one sub-engine per shard
-        (:class:`~repro.core.sharded.ShardedEngine`) instead of factoring
-        the whole graph at once; what a shard *is* comes from
-        ``shard_strategy``.
     shard_strategy:
-        ``"component"`` (default: one shard per connected component) or
+        ``"none"`` (default: factor the whole graph at once),
+        ``"component"`` (one sub-engine per connected component) or
         ``"separator"`` (components larger than ``max_shard_nodes`` are
         additionally split into separator-bounded regions, with exact
-        Schur-complement cross-region queries — see
-        :mod:`repro.core.partitioned`).  Any non-default strategy implies
-        ``sharded``.
+        Schur-complement cross-region queries).  Any strategy other than
+        ``"none"`` serves the graph through
+        :class:`~repro.core.partitioned.PartitionedEngine`.
     max_shard_nodes:
         With ``shard_strategy="separator"``, the target region size; a
         component at or below it stays one whole shard.  ``None`` picks
@@ -151,12 +147,13 @@ class EngineConfig:
         bisection + vertex separators, nested-dissection shape, default)
         or ``"kway"`` (k-way partition + greedy cover of crossing edges).
     lazy_shards:
-        With ``sharded``, defer each shard's build to its first query.
+        With a sharding strategy, defer each shard's build to its first
+        query.
     build_workers:
         Threads used to *build* the engine (default 1 = serial).  For the
         Alg. 3 engine the level-parallel blocked kernel splits large
         levels into column chunks run concurrently; for a sharded engine
-        eager component builds (and :meth:`ShardedEngine.warm_up`) fan
+        eager shard builds (and :meth:`PartitionedEngine.warm_up`) fan
         out over this many threads.  Every worker count produces
         bit-identical engines — the knob trades build wall-clock only.
     num_landmarks, landmark_strategy:
@@ -192,8 +189,7 @@ class EngineConfig:
     pcg_rtol: float = 1e-6
     rtol: float = 1e-10
     seed: "int | None" = None
-    sharded: bool = False
-    shard_strategy: str = "component"
+    shard_strategy: str = "none"
     max_shard_nodes: "int | None" = None
     separator: str = "bisection"
     lazy_shards: bool = False
@@ -245,8 +241,8 @@ class EngineConfig:
             )
             object.__setattr__(self, "tiers", tiers)
         require(
-            self.shard_strategy in ("component", "separator"),
-            f"shard_strategy must be 'component' or 'separator', "
+            self.shard_strategy in ("none", "component", "separator"),
+            f"shard_strategy must be 'none', 'component' or 'separator', "
             f"got {self.shard_strategy!r}",
         )
         require(
@@ -415,9 +411,8 @@ def build_engine(
     """Build the engine a config describes — the registry's single factory.
 
     ``config`` defaults to ``EngineConfig()`` (Alg. 3 with the paper's
-    settings).  ``config.sharded`` — or any ``shard_strategy`` other than
-    ``"component"`` — wraps the chosen method in a
-    :class:`~repro.core.sharded.ShardedEngine` (the partitioned layer).
+    settings).  Any ``shard_strategy`` other than ``"none"`` wraps the
+    chosen method in a :class:`~repro.core.partitioned.PartitionedEngine`.
     """
     if config is None:
         config = EngineConfig()
@@ -433,10 +428,10 @@ def build_engine(
             f"unknown method {config.method!r}; registered engines: "
             f"{', '.join(sorted(_REGISTRY))}"
         )
-    if config.sharded or config.shard_strategy != "component":
-        from repro.core.sharded import ShardedEngine
+    if config.shard_strategy != "none":
+        from repro.core.partitioned import PartitionedEngine
 
-        engine: ResistanceEngine = ShardedEngine(graph, config)
+        engine: ResistanceEngine = PartitionedEngine(graph, config)
     else:
         engine = spec.cls(graph, **{p: getattr(config, p) for p in spec.params})
     engine.config = config

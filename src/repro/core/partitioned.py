@@ -14,8 +14,8 @@ PAPERS.md).
 Two strategies produce plans:
 
 * ``"component"`` — one region per connected component, empty separator.
-  This is exactly the old :class:`~repro.core.sharded.ShardedEngine`
-  behaviour (which is now a thin subclass of this engine).
+  Cross-component pairs answer ``inf`` from the labels without touching
+  any factor, and singleton components never build.
 * ``"separator"`` — components larger than ``max_shard_nodes`` are split
   into separator-bounded regions, either by recursive bisection +
   vertex-separator extraction (``separator="bisection"``, the
@@ -372,8 +372,10 @@ class PartitionedEngine(ResistanceEngine):
     config:
         Config of the *base* engine each region builds (``method`` plus
         its tunables) and of the plan (``shard_strategy`` /
-        ``max_shard_nodes`` / ``separator``).  ``config.lazy_shards``
-        defers region builds to first use.
+        ``max_shard_nodes`` / ``separator``; ``shard_strategy="none"``
+        means ``"component"`` here).  ``config.lazy_shards`` defers region
+        builds to first use.  Every region builds with
+        ``config.replace(shard_strategy="none", lazy_shards=False)``.
     lazy:
         Overrides ``config.lazy_shards`` when given.
     plan:
@@ -402,10 +404,10 @@ class PartitionedEngine(ResistanceEngine):
         self.graph = graph
         self.n = graph.num_nodes
         self.timer = Timer()
-        self.config = config if config.sharded else config.replace(sharded=True)
-        self._shard_config = config.replace(
-            sharded=False, lazy_shards=False, shard_strategy="component"
-        )
+        if config.shard_strategy == "none":
+            config = config.replace(shard_strategy="component")
+        self.config = config
+        self._shard_config = config.replace(shard_strategy="none", lazy_shards=False)
         self.lazy = bool(config.lazy_shards if lazy is None else lazy)
 
         with self.timer.section("plan"):

@@ -19,14 +19,18 @@ engines"):
   a graph edit rebuilds with the saved settings).
 
 Partitioned engines (:class:`~repro.core.partitioned.PartitionedEngine`,
-i.e. ``config.sharded`` / ``shard_strategy="separator"``) persist too
-(format v2): the file carries the :class:`~repro.core.partitioned.ShardPlan`
+i.e. any ``shard_strategy`` other than ``"none"``) persist too (format
+v2): the file carries the :class:`~repro.core.partitioned.ShardPlan`
 arrays, every *built* separator Schur system and every *built* region
 factor under per-shard key prefixes — unbuilt pieces are simply absent and
 rebuild lazily after load, exactly like a cold lazy engine.  Region halo
-graphs are not stored: they are a deterministic function of the graph and
-the plan, so the loader reconstructs them.  Reload is bit-identical for
-everything that was built.
+graphs and the region config are not stored: they are a deterministic
+function of the graph, the plan and the engine config, so the loader
+reconstructs them.  Reload is bit-identical for everything that was built.
+
+Archives before v4 spelled the sharding choice as a ``sharded`` flag next
+to ``shard_strategy``; :func:`_saved_config` maps them onto the single
+``shard_strategy`` knob when they load.
 
 Entry points: :func:`save_engine` / :func:`load_engine`, surfaced as
 ``engine.save(path)``, ``ResistanceService.from_saved(path)`` and the CLI's
@@ -53,9 +57,10 @@ from repro.utils.validation import require
 
 # v1: monolithic cholinv only; v2 adds kind="partitioned" (plan + separator
 # systems + per-shard region factors); v3 adds kind="landmark" (projection
-# tables of the tiered landmark estimator).  v1 files have no "kind" member
-# and load as cholinv.
-FORMAT_VERSION = 3
+# tables of the tiered landmark estimator); v4 folds the config's "sharded"
+# flag into shard_strategy="none" and drops the region config member.  v1
+# files have no "kind" member and load as cholinv.
+FORMAT_VERSION = 4
 
 
 def _npz_path(path: "str | Path") -> Path:
@@ -198,9 +203,6 @@ def _save_partitioned(engine, path: "str | Path") -> Path:
         "format_version": np.int64(FORMAT_VERSION),
         "kind": np.asarray("partitioned"),
         "config_json": np.asarray(json.dumps(engine.config.to_dict())),
-        "shard_config_json": np.asarray(
-            json.dumps(engine._shard_config.to_dict())
-        ),
         "num_nodes": np.int64(engine.graph.num_nodes),
         "graph_heads": engine.graph.heads,
         "graph_tails": engine.graph.tails,
@@ -311,10 +313,10 @@ def load_engine(path: "str | Path", mmap: bool = False):
     The returned engine is a real
     :class:`~repro.core.effective_resistance.CholInvEffectiveResistance`
     (or, for a saved partitioned engine, a
-    :class:`~repro.core.sharded.ShardedEngine` with every persisted piece
-    installed) whose ``query_pairs`` output is bit-identical to the saved
-    one; its ``config`` attribute carries the settings it was built with
-    so :class:`~repro.service.ResistanceService` can refresh it after
+    :class:`~repro.core.partitioned.PartitionedEngine` with every persisted
+    piece installed) whose ``query_pairs`` output is bit-identical to the
+    saved one; its ``config`` attribute carries the settings it was built
+    with so :class:`~repro.service.ResistanceService` can refresh it after
     graph edits.  With ``mmap=True`` the large arrays (``Z̃``
     data/indices, norms, permutation, graph edges) stay on disk as
     read-only memory maps, so many workers on one host share one copy of
@@ -343,18 +345,36 @@ def _engine_from_any(data):
         f"v{FORMAT_VERSION}",
     )
     kind = str(data["kind"]) if "kind" in data else "cholinv"  # v1: no kind
+    config = _saved_config(data, version)
     if kind == "partitioned":
-        return _partitioned_from_arrays(data)
+        return _partitioned_from_arrays(data, config)
     if kind == "landmark":
-        return _landmark_from_arrays(data)
+        return _landmark_from_arrays(data, config)
     require(kind == "cholinv", f"unknown saved engine kind {kind!r}")
-    return _engine_from_arrays(data, CholInvEffectiveResistance)
+    return _engine_from_arrays(data, config, CholInvEffectiveResistance)
 
 
-def _landmark_from_arrays(data):
+def _saved_config(data, version: int) -> EngineConfig:
+    """The archive's :class:`EngineConfig`, in the current form.
+
+    Before v4 a config carried ``sharded`` next to ``shard_strategy``.
+    ``sharded: false`` with the old ``"component"`` default was an
+    unsharded engine, which is ``"none"`` now; every other pair already
+    named its strategy (a strategy other than ``"component"`` implied
+    sharding).
+    """
+    fields = json.loads(str(data["config_json"]))
+    if version <= 3:
+        strategy = fields.get("shard_strategy", "component")
+        if not fields.pop("sharded", False) and strategy == "component":
+            strategy = "none"
+        fields["shard_strategy"] = strategy
+    return EngineConfig.from_dict(fields)
+
+
+def _landmark_from_arrays(data, config: EngineConfig):
     from repro.estimators.landmark import LandmarkEffectiveResistance
 
-    config = EngineConfig.from_dict(json.loads(str(data["config_json"])))
     graph = Graph(
         int(data["num_nodes"]),
         data["graph_heads"],
@@ -404,8 +424,7 @@ def _check_factor_members(data, n: int, prefix: str = "") -> None:
     )
 
 
-def _engine_from_arrays(data, engine_cls):
-    config = EngineConfig.from_dict(json.loads(str(data["config_json"])))
+def _engine_from_arrays(data, config: EngineConfig, engine_cls):
     graph = Graph(
         int(data["num_nodes"]),
         data["graph_heads"],
@@ -442,26 +461,22 @@ def _engine_from_arrays(data, engine_cls):
     )
 
 
-def _partitioned_from_arrays(data):
+def _partitioned_from_arrays(data, config: EngineConfig):
     """Rebuild a partitioned engine: cold shell + every persisted piece.
 
     The plan is restored verbatim (no re-partitioning — the saved region
     layout is authoritative), region halo graphs are reconstructed
     deterministically from graph + plan, and each saved region factor is
     rehydrated through ``CholInvEffectiveResistance.from_state`` exactly
-    like a monolithic save.  Shards and Schur systems that were never
-    built are absent from the file and stay cold, rebuilding lazily on
-    first touch.
+    like a monolithic save, with the region config the engine derives
+    from ``config`` (a pre-v4 ``shard_config_json`` member is ignored).
+    Shards and Schur systems that were never built are absent from the
+    file and stay cold, rebuilding lazily on first touch.
     """
     from repro.core.effective_resistance import CholInvEffectiveResistance
-    from repro.core.partitioned import ShardPlan
-    from repro.core.sharded import ShardedEngine
+    from repro.core.partitioned import PartitionedEngine, ShardPlan
     from repro.graphs.components import connected_components
 
-    config = EngineConfig.from_dict(json.loads(str(data["config_json"])))
-    shard_config = EngineConfig.from_dict(
-        json.loads(str(data["shard_config_json"]))
-    )
     graph = Graph(
         int(data["num_nodes"]),
         data["graph_heads"],
@@ -477,7 +492,7 @@ def _partitioned_from_arrays(data):
         separator=np.asarray(data["plan_separator"], dtype=np.int64),
     )
     plan.validate(graph)
-    engine = ShardedEngine._restore(graph, config, plan)
+    engine = PartitionedEngine._restore(graph, config, plan)
     for component in np.asarray(data["system_components"]).tolist():
         engine._install_system(
             int(component),
@@ -504,7 +519,7 @@ def _partitioned_from_arrays(data):
         )
         sub = CholInvEffectiveResistance.from_state(
             graph=halo,
-            config=shard_config,
+            config=engine._shard_config,
             z_tilde=z_tilde,
             perm=data[prefix + "perm"],
             column_sq_norms=data[prefix + "column_sq_norms"],

@@ -7,7 +7,7 @@ each usable on its own:
   into trivially-answerable slices (``p == q``, cross-component),
   cache-resolvable pairs, and independent engine-bound
   :class:`~repro.service.planner.SubBatch` objects — one per component
-  shard for a :class:`~repro.core.sharded.ShardedEngine`;
+  shard for a :class:`~repro.core.partitioned.PartitionedEngine`;
 * :class:`~repro.service.executor.Executor` strategies run those
   sub-batches: :class:`~repro.service.executor.SerialExecutor` in the
   calling thread (default) or

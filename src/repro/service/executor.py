@@ -78,7 +78,7 @@ class ThreadedExecutor(Executor):
         concurrently; engine query math only reads built state (the
         engines' stage timers take their own lock), lazy shard builds
         are serialised per shard by
-        :class:`~repro.core.sharded.ShardedEngine`, so the fan-out is
+        :class:`~repro.core.partitioned.PartitionedEngine`, so the fan-out is
         safe for every registered engine.
     """
 

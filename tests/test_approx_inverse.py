@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.core.approx_inverse as approx_inverse_module
 from repro.cholesky.incomplete import ichol
 from repro.cholesky.numeric import cholesky
 from repro.core.approx_inverse import approximate_inverse
 from repro.core.error_bounds import column_error_report, theorem1_bound
+from repro.core.truncation import truncation_keep_mask
 from repro.graphs.generators import fe_mesh_2d, grid_2d
 from repro.graphs.laplacian import grounded_laplacian
 
@@ -138,3 +140,89 @@ class TestInterface:
         )
         assert np.array_equal(z_default.indices, z_ref.indices)
         assert np.allclose(z_default.data, z_ref.data, rtol=1e-12, atol=0.0)
+
+
+class TestDiagonalTruncation:
+    """A ``1/L_jj`` diagonal term small enough to fall under its column's
+    Eq. (10) budget is an ordinary truncation candidate in the blocked
+    kernel, exactly as in the per-column reference."""
+
+    def test_blocked_matches_reference_with_eligible_diagonals(self, monkeypatch):
+        graph = grid_2d(40, 40, jitter=0.3, seed=3)
+        matrix, _ = grounded_laplacian(graph, float(graph.weights.mean()))
+        lower = ichol(matrix, drop_tol=1e-3, ordering="amd").lower
+        epsilon = 0.3
+        eligible = []
+        truncate_block = approx_inverse_module._truncate_block
+
+        def spy(cols, bindptr, bindices, bdata, diag_vals, eps, keep_whole_nnz):
+            # columns of this block whose diagonal is under the budget
+            counts = np.diff(bindptr)
+            owner = np.repeat(np.arange(cols.shape[0]), counts)
+            totals = np.bincount(owner, np.abs(bdata), minlength=cols.shape[0])
+            big = counts + 1 > keep_whole_nnz
+            eligible.append(
+                int(np.count_nonzero(big & (diag_vals <= eps * (totals + diag_vals))))
+            )
+            return truncate_block(
+                cols, bindptr, bindices, bdata, diag_vals, eps, keep_whole_nnz
+            )
+
+        monkeypatch.setattr(approx_inverse_module, "_truncate_block", spy)
+        z_blocked, _ = approximate_inverse(lower, epsilon=epsilon)
+        assert sum(eligible) > 0, "the case no longer reaches the branch"
+        z_ref, _ = approximate_inverse(lower, epsilon=epsilon, mode="reference")
+        assert np.array_equal(z_blocked.indptr, z_ref.indptr)
+        assert np.array_equal(z_blocked.indices, z_ref.indices)
+        np.testing.assert_allclose(z_blocked.data, z_ref.data, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("first_diag", [1e-4, 1.0])
+    def test_block_scan_matches_truncation_keep_mask(self, first_diag):
+        # three columns of one level: a heavy dependency block whose
+        # diagonal is tiny (drops) or ordinary (stays), a column whose two
+        # small entries drop, and a column at the keep-whole threshold.
+        # Every candidate drops and none straddles the budget, so the
+        # chunk has no crossing band to sort.
+        cols = np.array([0, 1, 4])
+        dep_rows = [[2, 3, 4, 5, 6], [3, 5, 7], [6]]
+        dep_vals = [[1.0, 0.5, 0.25, 0.01, 0.002], [0.3, 0.02, 1e-3], [1e-9]]
+        diag_vals = np.array([first_diag, 2.0, 1.0])
+        bindptr = np.concatenate([[0], np.cumsum([len(r) for r in dep_rows])])
+        bindices = np.concatenate(dep_rows).astype(np.int32)
+        bdata = np.concatenate(dep_vals)
+        epsilon, keep_whole_nnz = 0.05, 2.0
+        out_ptr, out_rows, out_vals, num_truncated = (
+            approx_inverse_module._truncate_block(
+                cols, bindptr, bindices, bdata, diag_vals, epsilon, keep_whole_nnz
+            )
+        )
+        assert num_truncated == 2
+        for c, j in enumerate(cols):
+            rows = np.concatenate([[j], dep_rows[c]])
+            vals = np.concatenate([[diag_vals[c]], dep_vals[c]])
+            if rows.shape[0] > keep_whole_nnz:
+                keep = truncation_keep_mask(vals, epsilon)
+                rows, vals = rows[keep], vals[keep]
+            lo, hi = out_ptr[c], out_ptr[c + 1]
+            assert np.array_equal(out_rows[lo:hi], rows)
+            assert np.array_equal(out_vals[lo:hi], vals)
+        first_column = out_rows[out_ptr[0]:out_ptr[1]]
+        assert (0 in first_column) == (first_diag == 1.0)
+        assert out_rows[out_ptr[1]] == 1, "ordinary diagonal must stay"
+
+
+class TestIndexRange:
+    def test_pool_refuses_to_outgrow_int32_indptr(self, monkeypatch):
+        graph = grid_2d(12, 12, jitter=0.3, seed=1)
+        matrix, _ = grounded_laplacian(graph, 1.0)
+        lower = cholesky(matrix, ordering="amd").lower
+        z, _ = approximate_inverse(lower, epsilon=1e-3)
+        monkeypatch.setattr(approx_inverse_module, "_MAX_POOL_ENTRIES", z.nnz - 1)
+        with pytest.raises(OverflowError, match=r"nnz\(Z̃\) is \d+") as info:
+            approximate_inverse(lower, epsilon=1e-3)
+        assert "epsilon" in str(info.value)
+        assert 'shard_strategy="separator"' in str(info.value)
+        # the limit itself is still allowed
+        monkeypatch.setattr(approx_inverse_module, "_MAX_POOL_ENTRIES", z.nnz)
+        z_at_limit, _ = approximate_inverse(lower, epsilon=1e-3)
+        assert z_at_limit.nnz == z.nnz

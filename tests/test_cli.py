@@ -82,10 +82,15 @@ class TestER:
 
     def test_sharded_flag(self, capsys):
         code = main(["er", "--generator", "grid2d:5x5", "--method", "exact",
-                     "--sharded", "--pairs", "0,24"])
+                     "--shard-strategy", "component", "--pairs", "0,24"])
         assert code == 0
         _, _, r = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(r) > 0
+
+    def test_partition_report_names_shard_strategy(self):
+        with pytest.raises(SystemExit, match="--shard-strategy component"):
+            main(["er", "--generator", "grid2d:4x4", "--method", "exact",
+                  "--shard-strategy", "none", "--partition-report"])
 
     def test_naive_method_available(self, capsys):
         code = main(["er", "--generator", "grid2d:4x4", "--method", "naive",
@@ -136,7 +141,8 @@ class TestService:
     def test_workers_fan_out_same_answers(self, capsys):
         main(["service", "--generator", "grid2d:5x5", "--pairs", "0,24", "3,9"])
         serial = capsys.readouterr().out.splitlines()[1:3]
-        code = main(["service", "--generator", "grid2d:5x5", "--sharded",
+        code = main(["service", "--generator", "grid2d:5x5",
+                     "--shard-strategy", "component",
                      "--workers", "3", "--pairs", "0,24", "3,9"])
         assert code == 0
         captured = capsys.readouterr()

@@ -5,6 +5,8 @@ registered engine (plus sharded composites): engines added later inherit
 the whole battery by registering and adding one config below.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ from repro.core.engine import (
     build_engine,
     registered_engines,
 )
+from repro.core.partitioned import PartitionedEngine
 from repro.core.persistence import load_engine, save_engine
-from repro.core.sharded import ShardedEngine
 from repro.graphs.generators import fe_mesh_2d
 from repro.graphs.graph import Graph
 from repro.service import ResistanceService
@@ -43,8 +45,10 @@ CONFIGS = {
         method="local_walk", num_walks=256, walk_length=32, seed=0
     ),
     "adaptive": EngineConfig(method="adaptive", num_landmarks=4, seed=0),
-    "sharded-cholinv": EngineConfig(sharded=True),
-    "sharded-exact": EngineConfig(method="exact", sharded=True, lazy_shards=True),
+    "sharded-cholinv": EngineConfig(shard_strategy="component"),
+    "sharded-exact": EngineConfig(
+        method="exact", shard_strategy="component", lazy_shards=True
+    ),
 }
 
 
@@ -117,8 +121,8 @@ class TestRegistry:
             ExactEffectiveResistance,
         )
         assert isinstance(
-            build_engine(multi_component, EngineConfig(sharded=True)),
-            ShardedEngine,
+            build_engine(multi_component, EngineConfig(shard_strategy="component")),
+            PartitionedEngine,
         )
 
     def test_unknown_method_raises(self, multi_component):
@@ -130,6 +134,13 @@ class TestRegistry:
             EngineConfig(dropp_tol=1e-3)
         with pytest.raises(TypeError, match="dropp_tol"):
             EngineConfig().replace(dropp_tol=1e-3)
+
+    def test_shard_strategy_is_the_one_sharding_knob(self):
+        assert EngineConfig().shard_strategy == "none"
+        names = {f.name for f in dataclasses.fields(EngineConfig)}
+        assert {name for name in names if "shard" in name} == {
+            "shard_strategy", "max_shard_nodes", "lazy_shards"
+        }
 
     def test_config_plus_kwargs_rejected(self, multi_component):
         # EngineConfig is the only way to pick and tune an engine
@@ -164,7 +175,7 @@ class TestRegistry:
         assert a == pytest.approx(b) and np.array_equal(a, c)
 
     def test_config_round_trips_through_dict(self):
-        config = EngineConfig(method="exact", epsilon=0.5, sharded=True)
+        config = EngineConfig(method="exact", epsilon=0.5, shard_strategy="component")
         assert EngineConfig.from_dict(config.to_dict()) == config
         # unknown keys (newer versions) are ignored
         assert EngineConfig.from_dict({"method": "exact", "future_knob": 1})
@@ -182,7 +193,7 @@ class TestShardedEngine:
         pairs = np.column_stack([rng.integers(0, 10, 200), rng.integers(0, 10, 200)])
         whole = build_engine(multi_component, EngineConfig(method="exact"))
         sharded = build_engine(
-            multi_component, EngineConfig(method="exact", sharded=True)
+            multi_component, EngineConfig(method="exact", shard_strategy="component")
         )
         a, b = whole.query_pairs(pairs), sharded.query_pairs(pairs)
         finite = np.isfinite(a)
@@ -203,7 +214,9 @@ class TestShardedEngine:
         rng = np.random.default_rng(3)
         pairs = np.column_stack([rng.integers(0, n, 300), rng.integers(0, n, 300)])
         truth = build_engine(graph, EngineConfig(method="exact")).query_pairs(pairs)
-        sharded = build_engine(graph, EngineConfig(sharded=True)).query_pairs(pairs)
+        sharded = build_engine(
+            graph, EngineConfig(shard_strategy="component")
+        ).query_pairs(pairs)
         finite = np.isfinite(truth) & (truth > 0)
         assert np.array_equal(np.isfinite(truth), np.isfinite(sharded))
         rel = np.abs(sharded[finite] - truth[finite]) / truth[finite]
@@ -211,7 +224,7 @@ class TestShardedEngine:
 
     def test_lazy_builds_only_touched_shards(self, multi_component):
         engine = build_engine(
-            multi_component, EngineConfig(method="exact", sharded=True,
+            multi_component, EngineConfig(method="exact", shard_strategy="component",
                                           lazy_shards=True)
         )
         assert engine.shards_built == 0
@@ -222,14 +235,14 @@ class TestShardedEngine:
 
     def test_singleton_components_never_build(self, multi_component):
         engine = build_engine(
-            multi_component, EngineConfig(method="exact", sharded=True)
+            multi_component, EngineConfig(method="exact", shard_strategy="component")
         )
         assert engine.num_shards == 4
         assert engine.shards_built == 3  # the isolated node builds nothing
         assert engine.query(9, 9) == 0.0
 
     def test_shard_sizes(self, multi_component):
-        engine = ShardedEngine(multi_component, EngineConfig(method="exact"))
+        engine = PartitionedEngine(multi_component, EngineConfig(method="exact"))
         assert sorted(engine.shard_sizes().tolist()) == [1, 3, 3, 3]
 
     def test_many_shards_one_pair_each(self):
@@ -238,7 +251,9 @@ class TestShardedEngine:
         k = 60
         edges = [(3 * i + a, 3 * i + a + 1) for i in range(k) for a in (0, 1)]
         graph = Graph.from_edges(3 * k, edges)
-        engine = build_engine(graph, EngineConfig(method="exact", sharded=True))
+        engine = build_engine(
+            graph, EngineConfig(method="exact", shard_strategy="component")
+        )
         pairs = [(3 * i, 3 * i + 2) for i in range(k)] + [(0, 4)]
         values = engine.query_pairs(pairs)
         assert np.allclose(values[:k], 2.0)  # two unit resistors in series
@@ -331,7 +346,8 @@ class TestServiceEngineIntegration:
 
     def test_service_serves_sharded_engine(self, multi_component):
         service = ResistanceService(
-            multi_component, config=EngineConfig(method="exact", sharded=True)
+            multi_component,
+            config=EngineConfig(method="exact", shard_strategy="component"),
         )
         assert np.isinf(service.query(0, 3))
         assert service.query(0, 1) == pytest.approx(2.0 / 3.0)

@@ -27,7 +27,7 @@ from repro.cholesky.numeric import cholesky
 from repro.core.approx_inverse import approximate_inverse
 from repro.core.effective_resistance import CholInvEffectiveResistance
 from repro.core.engine import EngineConfig, build_engine
-from repro.core.sharded import ShardedEngine
+from repro.core.partitioned import PartitionedEngine
 from repro.graphs.generators import fe_mesh_2d, grid_2d
 from repro.graphs.graph import Graph
 from repro.graphs.laplacian import grounded_laplacian
@@ -170,8 +170,12 @@ def _probe_pairs(graph: Graph, seed: int = 9) -> np.ndarray:
 class TestShardedParallelBuild:
     def test_eager_parallel_build_matches_serial(self):
         graph = _multi_component()
-        serial = ShardedEngine(graph, EngineConfig(sharded=True, build_workers=1))
-        parallel = ShardedEngine(graph, EngineConfig(sharded=True, build_workers=4))
+        serial = PartitionedEngine(
+            graph, EngineConfig(shard_strategy="component", build_workers=1)
+        )
+        parallel = PartitionedEngine(
+            graph, EngineConfig(shard_strategy="component", build_workers=4)
+        )
         assert parallel.shards_built == serial.shards_built == 6
         pairs = _probe_pairs(graph)
         assert np.array_equal(serial.query_pairs(pairs), parallel.query_pairs(pairs))
@@ -180,8 +184,11 @@ class TestShardedParallelBuild:
 
     def test_warm_up_builds_pending_shards(self):
         graph = _multi_component()
-        lazy = ShardedEngine(
-            graph, EngineConfig(sharded=True, lazy_shards=True, build_workers=3)
+        lazy = PartitionedEngine(
+            graph,
+            EngineConfig(
+                shard_strategy="component", lazy_shards=True, build_workers=3
+            ),
         )
         assert lazy.shards_built == 0
         with pytest.raises(ValueError):
@@ -194,7 +201,9 @@ class TestShardedParallelBuild:
 
     def test_warm_up_skips_singletons(self):
         graph = Graph.from_edges(5, [(0, 1), (1, 2)])  # nodes 3, 4 isolated
-        lazy = ShardedEngine(graph, EngineConfig(sharded=True, lazy_shards=True))
+        lazy = PartitionedEngine(
+            graph, EngineConfig(shard_strategy="component", lazy_shards=True)
+        )
         assert lazy.warm_up(workers=2) == 1
         assert lazy.shards_built == 1
         assert lazy.query(3, 4) == float("inf")
@@ -203,7 +212,7 @@ class TestShardedParallelBuild:
     def test_warm_up_query_thread_hammer(self, monkeypatch):
         """Concurrent warm_up + queries: correct answers, one build per shard."""
         graph = _multi_component(components=8, side=6)
-        reference = ShardedEngine(graph, EngineConfig(sharded=True))
+        reference = PartitionedEngine(graph, EngineConfig(shard_strategy="component"))
         pairs = _probe_pairs(graph)
         expected = reference.query_pairs(pairs)
 
@@ -222,8 +231,11 @@ class TestShardedParallelBuild:
             return real_subgraph(self, nodes, *args, **kwargs)
 
         monkeypatch.setattr(Graph, "subgraph", counting_subgraph)
-        lazy = ShardedEngine(
-            graph, EngineConfig(sharded=True, lazy_shards=True, build_workers=2)
+        lazy = PartitionedEngine(
+            graph,
+            EngineConfig(
+                shard_strategy="component", lazy_shards=True, build_workers=2
+            ),
         )
 
         results: "list[np.ndarray | None]" = [None] * 8

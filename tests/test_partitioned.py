@@ -9,6 +9,7 @@ batches, and the separator-aware partition diagnostics.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -23,7 +24,6 @@ from repro.core.partitioned import (
     separator_plan,
 )
 from repro.core.persistence import load_engine
-from repro.core.sharded import ShardedEngine
 from repro.graphs.components import largest_component
 from repro.graphs.generators import (
     barabasi_albert_graph,
@@ -39,6 +39,7 @@ from repro.partition.interface import (
     partition_quality,
     separator_quality,
 )
+from repro.service import ResistanceService
 from repro.service.planner import QueryPlanner
 
 
@@ -248,9 +249,10 @@ class TestExactness:
         assert err_sharded.max() <= max(10 * err_mono.max(), 10 * epsilon)
         assert err_sharded.max() < 0.01
 
-    def test_sharded_engine_alias_still_components(self, two_components):
-        engine = build_engine(two_components, EngineConfig(sharded=True))
-        assert isinstance(engine, ShardedEngine)
+    def test_component_strategy_shards_per_component(self, two_components):
+        engine = build_engine(
+            two_components, EngineConfig(shard_strategy="component")
+        )
         assert isinstance(engine, PartitionedEngine)
         assert engine.plan.strategy == "component"
         assert engine.num_shards == 2
@@ -404,6 +406,95 @@ class TestPartitionedPersistence:
         assert np.array_equal(
             restored.query_pairs(pairs), engine.query_pairs(pairs)
         )
+
+
+def _as_v3_archive(path, tmp_path):
+    """Rewrite a fresh archive in the v3 layout: a ``sharded`` flag next to
+    ``shard_strategy`` in the config, the region config as its own member
+    for partitioned engines, and ``format_version=3``."""
+    data = dict(np.load(path, allow_pickle=False))
+
+    def v3_json(config: EngineConfig) -> np.ndarray:
+        fields = config.to_dict()
+        strategy = fields["shard_strategy"]
+        fields["sharded"] = strategy != "none"
+        fields["shard_strategy"] = "component" if strategy == "none" else strategy
+        return np.asarray(json.dumps(fields))
+
+    config = EngineConfig.from_dict(json.loads(str(data["config_json"])))
+    data["config_json"] = v3_json(config)
+    if str(data["kind"]) == "partitioned":
+        data["shard_config_json"] = v3_json(
+            config.replace(shard_strategy="none", lazy_shards=False)
+        )
+    data["format_version"] = np.int64(3)
+    legacy = tmp_path / "v3.npz"
+    np.savez(legacy, **data)
+    return legacy
+
+
+def _legacy_case(kind: str):
+    """(engine, its graph, the strategy a v3 copy must load with)."""
+    if kind == "cholinv":
+        graph = grid_2d(8, 8, jitter=0.3, seed=2)
+        return build_engine(graph, EngineConfig(epsilon=1e-3)), graph, "none"
+    if kind == "component":
+        graph = Graph.disjoint_union(
+            [grid_2d(6, 6, jitter=0.3, seed=3), grid_2d(5, 7, jitter=0.3, seed=4)]
+        )
+        config = EngineConfig(epsilon=1e-3, shard_strategy="component")
+        return build_engine(graph, config), graph, "component"
+    if kind == "separator":
+        graph = grid_2d(14, 14, jitter=0.3, seed=8)
+        config = EngineConfig(
+            epsilon=1e-3, shard_strategy="separator", max_shard_nodes=70
+        )
+        return build_engine(graph, config), graph, "separator"
+    graph = grid_2d(8, 8, jitter=0.3, seed=2)
+    config = EngineConfig(method="landmark", num_landmarks=4, seed=0)
+    return build_engine(graph, config), graph, "none"
+
+
+class TestLegacyArchives:
+    """v3 archives spelled the sharding choice as ``sharded`` +
+    ``shard_strategy``; they load onto the single ``shard_strategy``."""
+
+    @pytest.mark.parametrize(
+        "kind", ["cholinv", "component", "separator", "landmark"]
+    )
+    def test_v3_archive_loads_with_its_strategy(self, tmp_path, kind):
+        engine, graph, strategy = _legacy_case(kind)
+        legacy = _as_v3_archive(engine.save(tmp_path / "fresh.npz"), tmp_path)
+        restored = load_engine(legacy)
+        assert type(restored) is type(engine)
+        assert restored.config.shard_strategy == strategy
+        rng = np.random.default_rng(5)
+        pairs = rng.integers(0, graph.num_nodes, size=(300, 2))
+        assert np.array_equal(
+            restored.query_pairs(pairs), engine.query_pairs(pairs)
+        )
+        if isinstance(engine, PartitionedEngine):
+            # the region config is derived, not read from the old member
+            assert restored._shard_config == engine._shard_config
+            assert restored._shard_config.shard_strategy == "none"
+            assert restored.shards_built == engine.shards_built
+
+    def test_v3_cholinv_archive_still_refreshes_on_its_ordering(self, tmp_path):
+        engine, graph, _ = _legacy_case("cholinv")
+        legacy = _as_v3_archive(engine.save(tmp_path / "fresh.npz"), tmp_path)
+        service = ResistanceService.from_saved(legacy)
+        edited = graph.with_weights(graph.weights * 1.5)
+        stats = service.refresh_after_edge_update(edited)
+        assert stats.reused_ordering
+        cold = build_engine(edited, engine.config)
+        pairs = edited.edge_array()
+        assert np.array_equal(service.query_pairs(pairs), cold.query_pairs(pairs))
+
+    def test_current_archives_carry_no_region_config(self, tmp_path):
+        engine, _, _ = _legacy_case("separator")
+        with np.load(engine.save(tmp_path / "fresh.npz")) as data:
+            assert int(data["format_version"]) == 4
+            assert "shard_config_json" not in data
 
 
 # ----------------------------------------------------------------------

@@ -208,7 +208,7 @@ class TestColdRefresh:
     def test_sharded_config_takes_cold_build(self):
         graph = _disconnected()
         engine = build_engine(graph, EngineConfig())
-        config = engine.config.replace(sharded=True)
+        config = engine.config.replace(shard_strategy="component")
         rebuilt = engine.rebuilt(_reweighted(graph, 15), config)
         assert not rebuilt.reused_ordering
         assert type(rebuilt) is type(build_engine(graph, config))

@@ -73,7 +73,7 @@ def _hammer(service, graph, reference, pairs, threads, reps):
 @pytest.mark.parametrize("executor", [None, ThreadedExecutor(3)])
 def test_hammer_mixed_traffic_bit_identical(multi_component, executor):
     threads, reps = 6, 8
-    config = EngineConfig(sharded=True)
+    config = EngineConfig(shard_strategy="component")
     service = ResistanceService(
         multi_component, config=config, executor=executor
     )
@@ -111,12 +111,13 @@ def test_hammer_mixed_traffic_bit_identical(multi_component, executor):
 
 def test_lazy_shards_build_once_under_concurrency(multi_component):
     engine = build_engine(
-        multi_component, EngineConfig(sharded=True, lazy_shards=True)
+        multi_component,
+        EngineConfig(shard_strategy="component", lazy_shards=True),
     )
     assert engine.shards_built == 0
     pairs = np.array([(0, 5), (30, 31), (60, 61)])
     expected = build_engine(
-        multi_component, EngineConfig(sharded=True)
+        multi_component, EngineConfig(shard_strategy="component")
     ).query_pairs(pairs)
     results = [None] * 8
     barrier = threading.Barrier(8)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, build_engine, validate_node_ids
-from repro.core.sharded import ShardedEngine
+from repro.core.partitioned import PartitionedEngine
 from repro.graphs.generators import grid_2d
 from repro.graphs.graph import Graph
 from repro.service import (
@@ -44,7 +44,9 @@ def mixed_pairs(multi_component) -> np.ndarray:
 
 class TestQueryPlanner:
     def test_structural_resolution(self, multi_component, mixed_pairs):
-        engine = build_engine(multi_component, EngineConfig(sharded=True))
+        engine = build_engine(
+            multi_component, EngineConfig(shard_strategy="component")
+        )
         plan = QueryPlanner(engine).plan(mixed_pairs)
         labels = engine.component_labels
         lo, hi = mixed_pairs.min(axis=1), mixed_pairs.max(axis=1)
@@ -57,14 +59,18 @@ class TestQueryPlanner:
         assert plan.num_unique <= plan.num_queries
 
     def test_duplicates_collapse(self, multi_component):
-        engine = build_engine(multi_component, EngineConfig(sharded=True))
+        engine = build_engine(
+            multi_component, EngineConfig(shard_strategy="component")
+        )
         pairs = [(0, 5), (5, 0), (0, 5), (1, 2)]
         plan = QueryPlanner(engine).plan(pairs)
         assert plan.num_unique == 2
         assert plan.num_misses == 2
 
     def test_subbatches_grouped_per_shard(self, multi_component, mixed_pairs):
-        engine = build_engine(multi_component, EngineConfig(sharded=True))
+        engine = build_engine(
+            multi_component, EngineConfig(shard_strategy="component")
+        )
         plan = QueryPlanner(engine).plan(mixed_pairs)
         subbatches = plan.build_subbatches()
         shard_ids = [s.shard_id for s in subbatches]
@@ -102,7 +108,9 @@ class TestQueryPlanner:
         assert plan.num_misses == 1
 
     def test_gather_matches_direct_engine(self, multi_component, mixed_pairs):
-        engine = build_engine(multi_component, EngineConfig(sharded=True))
+        engine = build_engine(
+            multi_component, EngineConfig(shard_strategy="component")
+        )
         plan = QueryPlanner(engine).plan(mixed_pairs)
         for subbatch in plan.build_subbatches():
             plan.scatter(subbatch, plan.execute_subbatch(subbatch))
@@ -141,7 +149,9 @@ class TestExecutors:
 
 class TestParallelService:
     def test_threaded_results_bit_identical(self, multi_component, mixed_pairs):
-        engine = build_engine(multi_component, EngineConfig(sharded=True))
+        engine = build_engine(
+            multi_component, EngineConfig(shard_strategy="component")
+        )
         serial = ResistanceService.from_engine(engine)
         parallel = ResistanceService.from_engine(
             engine, executor=ThreadedExecutor(4)
@@ -155,7 +165,7 @@ class TestParallelService:
 
     def test_report_accounting(self, multi_component, mixed_pairs):
         service = ResistanceService(
-            multi_component, config=EngineConfig(sharded=True)
+            multi_component, config=EngineConfig(shard_strategy="component")
         )
         _, cold = service.query_pairs_with_report(mixed_pairs)
         assert cold.num_queries == mixed_pairs.shape[0]
@@ -189,7 +199,7 @@ class TestParallelService:
 
 class TestShardedSubBatchAPI:
     def test_query_shard_matches_query_pairs(self, multi_component):
-        engine = ShardedEngine(multi_component, EngineConfig(lazy_shards=True))
+        engine = PartitionedEngine(multi_component, EngineConfig(lazy_shards=True))
         pairs = np.array([(0, 5), (1, 7), (40, 41)])
         full = engine.query_pairs(pairs)
         ps, qs = pairs[:, 0], pairs[:, 1]
@@ -199,13 +209,13 @@ class TestShardedSubBatchAPI:
         assert np.array_equal(full, rebuilt)
 
     def test_subbatches_skip_trivial(self, two_components):
-        engine = ShardedEngine(two_components, EngineConfig())
+        engine = PartitionedEngine(two_components, EngineConfig())
         ps = np.array([0, 0, 3])
         qs = np.array([0, 4, 3])  # self, cross, self
         assert engine.shard_subbatches(ps, qs) == []
 
     def test_query_shard_validates_id(self, two_components):
-        engine = ShardedEngine(two_components, EngineConfig())
+        engine = PartitionedEngine(two_components, EngineConfig())
         with pytest.raises(ValueError, match="shard id"):
             engine.query_shard(99, [(0, 1)])
 
