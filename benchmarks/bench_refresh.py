@@ -12,7 +12,9 @@ build the ordering dominates, and a Barabási–Albert graph) this records:
 * ``new_edge`` — a refresh that adds one edge between unjoined nodes.
 
 Timings are best-of-``--repeat`` with cold builds and refreshes
-interleaved.  Every reused refresh must report ``reused_ordering`` and be
+interleaved, for each path as a whole and for each of its build stages
+(``ordering``, ``ichol``, ``approx_inverse``) separately, so the stage
+shares in ``stage_seconds`` compare across commits.  Every reused refresh must report ``reused_ordering`` and be
 bit-identical to the cold build (``perm``, ``Z̃``, column norms, answers);
 every new-edge refresh must order afresh and match its own cold build.
 Results print as JSON and, with ``--output``, are written as
@@ -81,18 +83,23 @@ def run_case(name: str, graph: Graph, repeat: int, seed: int) -> dict:
     probe = rng.integers(0, graph.num_nodes, size=(512, 2))
     service = ResistanceService(graph, config=config)
     times: "dict[str, list[float]]" = {"cold": [], "reused": [], "new_edge": []}
-    stages: "dict[str, dict[str, float]]" = {}
+    stages: "dict[str, dict[str, list[float]]]" = {path: {} for path in times}
+
+    def record_stages(path: str, engine) -> None:
+        for stage, seconds in engine.timer.times.items():
+            stages[path].setdefault(stage, []).append(seconds)
+
     for _ in range(repeat):
         edited = _edited(graph, rng)
         start = time.perf_counter()
         cold = build_engine(edited, config)
         times["cold"].append(time.perf_counter() - start)
-        stages["cold"] = dict(cold.timer.times)
+        record_stages("cold", cold)
 
         stats = service.refresh_after_edge_update(edited)
         assert stats.reused_ordering, f"{name}: weight edit did not reuse the ordering"
         times["reused"].append(stats.rebuild_seconds)
-        stages["reused"] = dict(service.engine.timer.times)
+        record_stages("reused", service.engine)
         _assert_bit_identical(service.engine, cold, probe, f"{name} reused")
 
         u, v = _unjoined_pair(graph, rng)
@@ -100,7 +107,7 @@ def run_case(name: str, graph: Graph, repeat: int, seed: int) -> dict:
         stats = grown.refresh_after_edge_update(edges=[(u, v)], weights=[1.0])
         assert not stats.reused_ordering, f"{name}: a new edge kept the old ordering"
         times["new_edge"].append(stats.rebuild_seconds)
-        stages["new_edge"] = dict(grown.engine.timer.times)
+        record_stages("new_edge", grown.engine)
         _assert_bit_identical(
             grown.engine, build_engine(grown.graph, config), probe, f"{name} new edge"
         )
@@ -117,7 +124,10 @@ def run_case(name: str, graph: Graph, repeat: int, seed: int) -> dict:
         "repeat": repeat,
         "best_seconds": best,
         "samples_seconds": times,
-        "stage_seconds": stages,
+        "stage_seconds": {
+            path: {stage: min(samples) for stage, samples in by_stage.items()}
+            for path, by_stage in stages.items()
+        },
         "reused_vs_cold": best["reused"] / best["cold"] if best["cold"] else 0.0,
         "bit_identical": True,
     }

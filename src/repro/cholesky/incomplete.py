@@ -13,10 +13,10 @@ the same scheme as MATLAB's ``ichol(..., 'ict')``:
   contributions ``L(j:n, k) · L(j, k)`` of every earlier column ``k`` with
   ``L(j, k) ≠ 0``;
 * entries smaller in magnitude than ``drop_tol · ‖A(j:n, j)‖₁`` are dropped;
-* the Jones–Plassmann linked-list device finds the contributing columns in
-  O(1) per contribution: each finished column keeps a cursor to its next
-  untouched row index and is filed under that row's to-do list (stored as
-  flat FIFO-linked arrays, so the sweep allocates nothing per column).
+* the Jones–Plassmann linked-list device finds the contributing columns:
+  each finished column keeps a cursor to its next untouched row index and
+  is filed under that row's to-do list (stored as flat FIFO-linked
+  arrays, so the sweep allocates nothing per column).
 
 The sweep is engineered as the serial front-end of the parallel
 engine-build pipeline (it feeds the level-parallel Alg. 2 kernel, so its
@@ -25,9 +25,12 @@ wall-clock is on the build critical path):
 * the computed factor grows in one flat row/value arena instead of one
   pair of arrays per column — no per-column ``np.concatenate``, and the
   final CSC assembly is a pair of slices;
-* touched row indices merge through a boolean marker plus one sort of the
-  *unique* indices, replacing the former ``np.concatenate`` +
-  ``np.unique`` (sort of a multiset) per column;
+* the linked-list walk is pure-Python bookkeeping that only records the
+  arena span ``(base, stop)`` of each contributing column; the column's
+  arithmetic then runs in a few bulk calls — one gather of every span,
+  one ``np.subtract.at`` scatter of the scaled values and one sort of the
+  gathered rows for the candidate pattern — instead of one numpy
+  round-trip per contribution ``L(j, k) ≠ 0``;
 * *dependency-free leaf columns* — nodes with no lower-numbered neighbour
   in ``A``, whose row of ``L`` is structurally empty, so no earlier column
   can ever update them — are factored for the whole matrix at once in a
@@ -198,6 +201,18 @@ def _ict_factor(
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Core ICT sweep over already-permuted (and shifted) tril CSC arrays.
 
+    Column ``j`` scatters ``A(j:n, j)`` into a dense scratch column, walks
+    its Jones–Plassmann FIFO chain to collect the arena span
+    ``L(j:n, k)`` of every contributing column ``k`` (re-filing each ``k``
+    under its next row), and then applies all of them at once: the spans
+    are gathered by one ``np.repeat`` + ``arange`` position array, scaled
+    by their leading entries ``L(j, k)`` and subtracted with one
+    ``np.subtract.at``.  ``ufunc.at`` applies its elements in array order,
+    and the gathered array lists the spans in FIFO order, so every scratch
+    entry receives the same subtractions in the same order as a per-column
+    ``w[rows] -= L(j, k) · L(rows, k)`` loop — the factor is bit-identical
+    to that loop, rounding included.
+
     Returns the factor as CSC ``(indptr, rows, vals)`` — every column
     stores its diagonal first, then the kept below-diagonal entries in
     ascending row order, so the arrays are a valid sorted CSC matrix as
@@ -270,17 +285,18 @@ def _ict_factor(
             vals_a = a_data[start:end]
             w[rows_a] = vals_a
             col_norm = float(np.abs(vals_a).sum())
-            touched = [rows_a]
 
+            # Jones–Plassmann walk: pure bookkeeping — record each
+            # contributing column's live arena span and re-file its cursor
+            bases = []
+            stops = []
             k = head[j]
             head[j] = -1
             while k != -1:
                 base = out_start[k] + cursor[k]
                 stop = out_end[k]
-                seg_rows = out_rows[base:stop]
-                seg_vals = out_vals[base:stop]
-                w[seg_rows] -= seg_vals[0] * seg_vals
-                touched.append(seg_rows)
+                bases.append(base)
+                stops.append(stop)
                 nxt = link[k]
                 if base + 1 < stop:
                     cursor[k] += 1
@@ -293,22 +309,42 @@ def _ict_factor(
                     tail[r] = k
                 k = nxt
 
-            pivot = w[j]
+            if bases:
+                # one gather of every span, one scaled scatter-subtract:
+                # subtract.at applies its elements in array order, so each
+                # w[r] sees the spans' subtractions in FIFO order
+                span_base = np.array(bases, dtype=np.int64)
+                span_len = np.array(stops, dtype=np.int64) - span_base
+                span_end = span_len.cumsum()
+                pos = np.arange(span_end[-1], dtype=np.int64)
+                pos += (span_base + span_len - span_end).repeat(span_len)
+                rows = out_rows[pos]
+                np.subtract.at(
+                    w, rows, out_vals[span_base].repeat(span_len) * out_vals[pos]
+                )
+                # candidate pattern: one sort of the gathered rows, then
+                # drop repeats (cheaper than np.unique at these sizes)
+                idx = np.concatenate((rows_a, rows))
+                idx.sort()
+                fresh = np.empty(idx.shape[0], dtype=bool)
+                fresh[0] = True
+                np.not_equal(idx[1:], idx[:-1], out=fresh[1:])
+                idx = idx[fresh]
+            else:
+                idx = rows_a
+
+            # every candidate row is >= j and the diagonal is stored, so
+            # the sorted pattern starts with the pivot row j
+            vals = w[idx]
+            w[idx] = 0.0
+            pivot = vals[0]
             if pivot <= 0.0:
                 raise CholeskyBreakdownError(
                     f"nonpositive pivot {pivot:g} at column {j}"
                 )
             diag = np.sqrt(pivot)
-
-            # candidate pattern: one sort of the gathered segment rows.  At
-            # ~tens of sorted segments per column an elementwise in-place
-            # merge costs more numpy dispatch than this single small sort.
-            idx = np.unique(np.concatenate(touched)) if len(touched) > 1 else rows_a
-            vals = w[idx]
-            w[idx] = 0.0
-            below_mask = idx > j
-            below = idx[below_mask]
-            vals_below = vals[below_mask]
+            below = idx[1:]
+            vals_below = vals[1:]
 
             keep = np.abs(vals_below) > drop_tol * col_norm
             below = below[keep]

@@ -27,12 +27,29 @@ from repro.utils.validation import check_square_sparse
 
 
 def permute_symmetric(matrix: sp.spmatrix, perm: np.ndarray) -> sp.csc_matrix:
-    """Symmetric permutation ``(P A Pᵀ)[i, j] = A[perm[i], perm[j]]``."""
+    """Symmetric permutation ``(P A Pᵀ)[i, j] = A[perm[i], perm[j]]``.
+
+    Raises ``ValueError`` naming the first out-of-range or repeated entry
+    when ``perm`` is not a permutation of ``0..n-1``.
+    """
     check_square_sparse(matrix, "matrix")
     perm = np.asarray(perm, dtype=np.int64)
     n = matrix.shape[0]
     if perm.shape != (n,):
         raise ValueError(f"permutation has wrong length {perm.shape}, expected ({n},)")
+    outside = np.flatnonzero((perm < 0) | (perm >= n))
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(f"perm[{i}] = {int(perm[i])} is out of range 0..{n - 1}")
+    seen = np.zeros(n, dtype=bool)
+    seen[perm] = True
+    if not seen.all():
+        # n in-range entries that miss a value must repeat one: report the
+        # first position holding a value already seen earlier
+        order = np.argsort(perm, kind="stable")
+        repeats = order[1:][perm[order[1:]] == perm[order[:-1]]]
+        i = int(repeats.min())
+        raise ValueError(f"perm[{i}] = {int(perm[i])} repeats an earlier entry")
     csr = sp.csr_matrix(matrix)
     return csr[perm, :][:, perm].tocsc()
 

@@ -594,7 +594,15 @@ def _raw_matmat(
     within each major slice.  Interpreting the operands as CSC transposes,
     this evaluates a CSC ``Z_sub @ W`` product column-major.  ``nnz_bound``
     must upper-bound the product's nnz; passing it skips the symbolic pass.
+    Raises ``OverflowError`` before allocating when the bound exceeds what
+    the int32 output indices can address.
     """
+    if nnz_bound > _MAX_POOL_ENTRIES:
+        raise OverflowError(
+            f"Alg. 2 cannot multiply out a chunk of up to {nnz_bound} entries: "
+            f"the int32 product indices address at most {_MAX_POOL_ENTRIES}; "
+            f'use a larger epsilon or shard_strategy="separator" to split the graph'
+        )
     if _CSR_MATMAT is None:  # pragma: no cover - scipy internals moved
         a = sp.csr_matrix((a_val, a_idx, a_ptr), shape=(k, b_ptr.shape[0] - 1))
         b = sp.csr_matrix((b_val, b_idx, b_ptr), shape=(b_ptr.shape[0] - 1, n))

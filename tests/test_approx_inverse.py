@@ -226,3 +226,21 @@ class TestIndexRange:
         monkeypatch.setattr(approx_inverse_module, "_MAX_POOL_ENTRIES", z.nnz)
         z_at_limit, _ = approximate_inverse(lower, epsilon=1e-3)
         assert z_at_limit.nnz == z.nnz
+
+    def test_matmat_refuses_a_bound_past_int32_before_allocating(self, monkeypatch):
+        # a 2x2 identity times itself: the bound sizes the int32 output
+        ptr = np.array([0, 1, 2], dtype=np.int32)
+        idx = np.array([0, 1], dtype=np.int32)
+        val = np.array([2.0, 3.0])
+        monkeypatch.setattr(approx_inverse_module, "_MAX_POOL_ENTRIES", 4)
+        with pytest.raises(OverflowError, match=r"up to 5 entries") as info:
+            approx_inverse_module._raw_matmat(2, 2, ptr, idx, val, ptr, idx, val, 5)
+        assert "epsilon" in str(info.value)
+        assert 'shard_strategy="separator"' in str(info.value)
+        # the limit itself is still allowed
+        out_ptr, out_idx, out_val = approx_inverse_module._raw_matmat(
+            2, 2, ptr, idx, val, ptr, idx, val, 4
+        )
+        assert out_ptr.tolist() == [0, 1, 2]
+        assert out_idx.tolist() == [0, 1]
+        assert out_val.tolist() == [4.0, 9.0]
