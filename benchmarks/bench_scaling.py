@@ -8,8 +8,9 @@ and overall complexity O(n log n · log log n) — the basis of the paper's
 * runtime grows sub-quadratically (doubling n far less than 4X time).
 
 Besides the rendered table, the run writes ``BENCH_scaling.json`` (one row
-per size: n, m, nnz, per-stage wall time, workers) so CI artifacts record
-the scaling trajectory machine-readably across commits.
+per size: n, m, nnz(Z̃), nnz(L̃) of the ICT factor, per-stage wall time,
+workers) so CI artifacts record the scaling and fill trajectory
+machine-readably across commits.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ def test_nnz_and_time_scale_like_nlogn(benchmark, bench_out_dir):
                 "nodes": n,
                 "edges": int(graph.num_edges),
                 "nnz_z": int(est.stats.nnz),
+                "nnz_l": int(est.ichol_result.nnz),
                 "nnz_per_nlogn": float(est.stats.nnz_per_nlogn),
                 "max_depth": int(est.max_depth),
                 "workers": int(est.build_workers),
