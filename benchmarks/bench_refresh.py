@@ -14,7 +14,10 @@ build the ordering dominates, and a Barabási–Albert graph) this records:
 Timings are best-of-``--repeat`` with cold builds and refreshes
 interleaved, for each path as a whole and for each of its build stages
 (``ordering``, ``ichol``, ``approx_inverse``) separately, so the stage
-shares in ``stage_seconds`` compare across commits.  Every reused refresh must report ``reused_ordering`` and be
+shares in ``stage_seconds`` compare across commits.  ``alg2_levels`` (the
+filled-graph depth of the cold build's factor, plus one) is the number of
+Alg. 2 levels, each paying one batched matmul and truncation, so the
+``approx_inverse`` stage reads as a per-level cost too.  Every reused refresh must report ``reused_ordering`` and be
 bit-identical to the cold build (``perm``, ``Z̃``, column norms, answers);
 every new-edge refresh must order afresh and match its own cold build.
 Results print as JSON and, with ``--output``, are written as
@@ -124,6 +127,7 @@ def run_case(name: str, graph: Graph, repeat: int, seed: int) -> dict:
         "repeat": repeat,
         "best_seconds": best,
         "samples_seconds": times,
+        "alg2_levels": int(cold.depths.max()) + 1,
         "stage_seconds": {
             path: {stage: min(samples) for stage, samples in by_stage.items()}
             for path, by_stage in stages.items()

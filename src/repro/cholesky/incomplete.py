@@ -54,7 +54,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.cholesky.ordering import compute_ordering, permute_symmetric
-from repro.utils.validation import check_positive, check_square_sparse
+from repro.utils.validation import (
+    check_finite_nonnegative,
+    check_positive,
+    check_square_sparse,
+)
 
 
 class CholeskyBreakdownError(np.linalg.LinAlgError):
@@ -419,8 +423,7 @@ def ichol(
         only bumps the stored diagonal values.
     """
     check_square_sparse(matrix, "matrix")
-    if drop_tol < 0:
-        raise ValueError(f"drop_tol must be >= 0, got {drop_tol}")
+    check_finite_nonnegative(drop_tol, "drop_tol")
     if max_fill is not None:
         check_positive(max_fill, "max_fill")
 

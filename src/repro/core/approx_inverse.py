@@ -20,48 +20,39 @@ Kernels (the ``mode=`` knob)
     :func:`repro.cholesky.depth.filled_graph_depth`) is strictly smaller
     than ``depth(j)`` — so all columns sharing a depth value are mutually
     independent.  The kernel walks the levels from the etree roots
-    (depth 0) upward; each level computes every column at once as one
-    sparse matrix product ``Z[:, deps] @ W`` (``W`` holds the
-    ``−L_ij/L_jj`` coefficients), adds the ``e_j/L_jj`` terms, and applies
-    the Eq. (10) truncation to the whole block with one vectorised
-    sort/scan.  The per-level work is a handful of numpy/scipy C calls, so
-    the Python overhead is O(#levels) instead of O(n).
+    (depth 0) upward, and every level, from a one-column level near the
+    roots to the widest one, takes the same path: one sparse matrix
+    product ``Z[:, deps] @ W`` (``W`` holds the ``−L_ij/L_jj``
+    coefficients), the ``e_j/L_jj`` terms prepended, the Eq. (10)
+    truncation of the whole block in one vectorised scan, and a commit
+    into the :class:`_ColumnPool`.  The per-level work is a handful of
+    numpy/scipy C calls, so the Python overhead is O(#levels) instead of
+    O(n).
 
 ``mode="blocked"`` + ``build_workers > 1``
-    Level-parallel variant of the blocked kernel.  Every large level is
-    split into contiguous *column chunks* whose boundaries depend only on
-    the level itself (target ``_CHUNK_TARGET_NNZ`` accumulated entries per
-    chunk, never on the worker count), and the chunks run on a thread pool
-    — scipy's sparsetools matmul releases the GIL, so chunks of one level
-    genuinely overlap.  Because serial and parallel runs execute the *same*
-    chunk list through the *same* floating-point code and commit chunks
-    into the :class:`_ColumnPool` in ascending column order, the result is
-    **bit-identical** for every worker count.
+    Only large levels are chunked: a level whose dependency entry bound
+    exceeds ``2 × _CHUNK_TARGET_NNZ`` splits into contiguous *column
+    chunks* of about ``_CHUNK_TARGET_NNZ`` accumulated entries each (a
+    smaller chunk would pay the per-chunk dispatch without enough work to
+    amortise it).  The boundaries depend only on the level itself, never
+    on the worker count, and the chunks run on a thread pool — scipy's
+    sparsetools matmul releases the GIL, so chunks of one level genuinely
+    overlap.  Because serial and parallel runs execute the *same* chunk
+    list through the *same* floating-point code and commit chunks into
+    the pool in ascending column order, the result is **bit-identical**
+    for every worker count.
 
 ``mode="reference"``
     The original column-at-a-time loop, kept as the executable
-    specification.  The regression suite cross-checks that both kernels
-    produce the same ``Z̃`` (same pattern, values to rounding) on complete
-    and incomplete factors.  ``build_workers`` is ignored here.
+    specification.  ``build_workers`` is ignored here.
 
-Both kernels produce the same truncation decisions: the blocked path sorts
-magnitudes within each column with a stable key, exactly like
-:func:`repro.core.truncation.truncation_keep_mask` does per column, and
-the ``e_j/L_jj`` diagonal term is one more entry of that scan (a tiny
-``1/L_jj`` under a heavy column drops like any other small entry).
-
-Cost model of the parallel path
--------------------------------
-Three regimes, chosen per level: (1) tiny near-root levels run the scalar
-recurrence (the batched path's ~1 ms fixed cost dwarfs the work); (2)
-mid-size levels run as one batched chunk (chunking below
-``_CHUNK_TARGET_NNZ`` accumulated entries would pay the per-chunk matmul /
-truncation dispatch, ~0.3 ms, without enough work to amortise it); (3)
-levels whose dependency entry bound exceeds ``2 × _CHUNK_TARGET_NNZ``
-split into ``bound // _CHUNK_TARGET_NNZ`` chunks that a pool of
-``build_workers`` threads drains.  Only regime (3) fans out, so
-single-worker builds pay at most the (sub-percent) chunking overhead on
-the very largest levels and nothing anywhere else.
+The two kernels agree byte for byte.  ``csr_matmat`` accumulates each
+column's contributions from zero in dependency order and stores only the
+nonzero sums — the reference's scatter-add, operation for operation.  The
+blocked truncation sorts magnitudes within each column with a stable key,
+exactly like :func:`repro.core.truncation.truncation_keep_mask` does per
+column, and the ``e_j/L_jj`` diagonal term is one more entry of that scan
+(a tiny ``1/L_jj`` under a heavy column drops like any other small entry).
 
 Implementation notes
 --------------------
@@ -84,7 +75,7 @@ import scipy.sparse as sp
 
 from repro.cholesky.depth import filled_graph_depth
 from repro.core.truncation import truncation_keep_mask
-from repro.utils.validation import check_square_sparse
+from repro.utils.validation import check_finite_nonnegative, check_square_sparse
 
 _MODES = ("blocked", "reference")
 
@@ -111,7 +102,8 @@ class ApproxInverseStats:
 
 
 def _validate_factor(csc: sp.csc_matrix) -> np.ndarray:
-    """Check diagonal-first storage and positive pivots; return the diagonal.
+    """Check diagonal-first storage, finite entries and positive pivots;
+    return the diagonal.
 
     An empty column is reported explicitly: indexing ``indices[indptr[j]]``
     for an empty column ``j`` would silently read the *next* column's first
@@ -128,6 +120,14 @@ def _validate_factor(csc: sp.csc_matrix) -> np.ndarray:
     diag_first = indices[indptr[:-1]] == np.arange(n)
     if not bool(np.all(diag_first)):
         raise ValueError("factor must store the diagonal as first entry of each column")
+    finite = np.isfinite(data)
+    if not bool(finite.all()):
+        position = int(np.argmin(finite))
+        j = int(np.searchsorted(indptr, position, side="right")) - 1
+        raise ValueError(
+            f"factor has a non-finite entry {float(data[position])} at row "
+            f"{int(indices[position])} of column {j}"
+        )
     diag = data[indptr[:-1]]
     if bool(np.any(diag <= 0)):
         j = int(np.argmax(diag <= 0))
@@ -174,8 +174,7 @@ def approximate_inverse(
         for M-matrix inputs) and run statistics.
     """
     check_square_sparse(lower, "lower")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    check_finite_nonnegative(epsilon, "epsilon")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     workers = 1 if build_workers is None else int(build_workers)
@@ -328,17 +327,7 @@ class _ColumnPool:
         return indptr, self.rows[positions], self.vals[positions]
 
 
-# cost model for choosing the per-level execution path: the scalar
-# recurrence pays ~tens of µs per column and ~100 ns per accumulated entry
-# (numpy fancy indexing), the batched path a ~1 ms fixed level cost (a few
-# dozen numpy/scipy calls) plus ~15 ns per entry inside sparsetools.  Tiny
-# near-root levels therefore run scalar, everything else batched.
-_SCALAR_COLUMN_COST = 25e-6
-_SCALAR_ENTRY_COST = 60e-9
-_BATCH_LEVEL_COST = 1.2e-3
-_BATCH_ENTRY_COST = 15e-9
-
-# target accumulated-entry bound per column chunk of a batched level.  The
+# target accumulated-entry bound per column chunk of a level.  The
 # boundaries are a pure function of the level (NOT of build_workers), so a
 # serial run executes the exact chunk list a parallel run fans out — which
 # is what makes the parallel kernel bit-identical to the serial one.  The
@@ -366,63 +355,6 @@ def _level_chunks(k: int, col_bound_prefix: np.ndarray) -> "list[tuple[int, int]
     cuts = np.searchsorted(col_bound_prefix[1:], targets, side="left") + 1
     cuts = np.unique(np.concatenate([[0], cuts, [k]]))
     return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
-
-
-def _scalar_level(
-    pool: "_ColumnPool",
-    scratch: np.ndarray,
-    cols: np.ndarray,
-    rows_g: np.ndarray,
-    cols_g: np.ndarray,
-    coeffs_g: np.ndarray,
-    inv_diag: np.ndarray,
-    epsilon: float,
-    keep_whole_nnz: float,
-) -> "tuple[int, int]":
-    """Reference recurrence for one (small) level, reading/writing the pool.
-
-    Performs exactly the same floating-point operations as the reference
-    kernel, so hybrid runs stay entry-for-entry identical to it.
-    """
-    truncated_count = 0
-    kept_whole = 0
-    level_rows: list[np.ndarray] = []
-    level_vals: list[np.ndarray] = []
-    ptr = np.zeros(cols.shape[0] + 1, dtype=np.int64)
-    bounds = np.searchsorted(cols_g, cols, side="left")
-    for c, j in enumerate(cols):
-        j = int(j)
-        lo = bounds[c]
-        hi = bounds[c + 1] if c + 1 < cols.shape[0] else cols_g.shape[0]
-        scratch[j] += inv_diag[j]
-        touched = [np.array([j], dtype=np.int64)]
-        for e in range(lo, hi):
-            i = int(rows_g[e])
-            start = pool.start[i]
-            zi_rows = pool.rows[start:start + pool.length[i]]
-            scratch[zi_rows] += coeffs_g[e] * pool.vals[start:start + pool.length[i]]
-            touched.append(zi_rows)
-        idx = np.unique(np.concatenate(touched)) if len(touched) > 1 else touched[0]
-        vals = scratch[idx]
-        scratch[idx] = 0.0
-        nonzero = vals != 0.0
-        idx, vals = idx[nonzero], vals[nonzero]
-        if idx.shape[0] <= keep_whole_nnz:
-            kept_whole += 1
-        else:
-            mask = truncation_keep_mask(vals, epsilon)
-            idx, vals = idx[mask], vals[mask]
-            truncated_count += 1
-        level_rows.append(idx)
-        level_vals.append(vals)
-        ptr[c + 1] = ptr[c] + idx.shape[0]
-    pool.append_level(
-        cols,
-        ptr,
-        np.concatenate(level_rows) if level_rows else np.empty(0, dtype=np.int32),
-        np.concatenate(level_vals) if level_vals else np.empty(0),
-    )
-    return truncated_count, kept_whole
 
 
 def _blocked_kernel(
@@ -467,7 +399,6 @@ def _blocked_kernel(
     truncated_count = 0
     kept_whole = 0
     inv_diag = 1.0 / diag
-    scratch = np.zeros(n)
     executor: "concurrent.futures.ThreadPoolExecutor | None" = None
 
     try:
@@ -475,24 +406,6 @@ def _blocked_kernel(
             cols = order[level_ptr[level]:level_ptr[level + 1]]  # ascending
             k = cols.shape[0]
             lo, hi = entry_ptr[level], entry_ptr[level + 1]
-
-            # each output column is at most the sum of its dependencies'
-            # sizes — an allocation bound and a flop estimate for the path
-            # choice (the per-column prefix the chunker needs is only
-            # built once a level actually takes the batched path)
-            entry_bound = pool.length[dep_rows[lo:hi]]
-            nnz_bound = int(entry_bound.sum())
-            scalar_cost = _SCALAR_COLUMN_COST * k + _SCALAR_ENTRY_COST * nnz_bound
-            if scalar_cost < _BATCH_LEVEL_COST + _BATCH_ENTRY_COST * nnz_bound:
-                # tiny level (near the etree roots): the fixed cost of the
-                # batched path dwarfs the work — run the scalar recurrence
-                truncated, whole = _scalar_level(
-                    pool, scratch, cols, dep_rows[lo:hi], dep_cols[lo:hi],
-                    dep_coeffs[lo:hi], inv_diag, epsilon, keep_whole_nnz,
-                )
-                truncated_count += truncated
-                kept_whole += whole
-                continue
 
             # W holds the −L_ij/L_jj coefficients with columns = level
             # columns (entries arrive grouped by column, rows ascending —
@@ -506,12 +419,12 @@ def _blocked_kernel(
             w_indices = pool.position[dep_rows[lo:hi]]
             w_data = dep_coeffs[lo:hi]
             b_ptr, b_idx, b_val = pool.csr_of_transpose()
-            if entry_bound.shape[0]:
-                entry_cum = np.concatenate([[0], np.cumsum(entry_bound)])
-            else:
-                entry_cum = np.zeros(1, dtype=np.int64)
+            # each output column is at most the sum of its dependencies'
+            # sizes: the per-column running bound sizes the product buffers
+            # and places the chunk boundaries
+            entry_cum = np.zeros(hi - lo + 1, dtype=np.int64)
+            np.cumsum(pool.length[dep_rows[lo:hi]], out=entry_cum[1:])
             col_bound_prefix = entry_cum[w_indptr]
-            level_cols = cols
             level_inv_diag = inv_diag[cols]
 
             def run_chunk(a: int, b: int):
@@ -529,7 +442,7 @@ def _blocked_kernel(
                 # index than every dependency entry — truncation prepends
                 # it to each column before the Eq. (10) scan
                 return _truncate_block(
-                    level_cols[a:b], block_ptr, block_rows, block_data,
+                    cols[a:b], block_ptr, block_rows, block_data,
                     level_inv_diag[a:b], epsilon, keep_whole_nnz,
                 )
 
@@ -549,7 +462,7 @@ def _blocked_kernel(
             for (a, b), (out_ptr, out_rows, out_vals, num_truncated) in zip(
                 chunks, results
             ):
-                pool.append_level(level_cols[a:b], out_ptr, out_rows, out_vals)
+                pool.append_level(cols[a:b], out_ptr, out_rows, out_vals)
                 truncated_count += num_truncated
                 kept_whole += (b - a) - num_truncated
     finally:

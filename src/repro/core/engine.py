@@ -56,7 +56,7 @@ from numpy.typing import ArrayLike
 
 from repro.graphs.graph import Graph
 from repro.utils.timing import Timer
-from repro.utils.validation import require
+from repro.utils.validation import check_finite_nonnegative, require
 
 
 def as_pair_array(pairs: ArrayLike) -> np.ndarray:
@@ -203,6 +203,8 @@ class EngineConfig:
     tier_rel_tol: float = 0.05
 
     def __post_init__(self) -> None:
+        check_finite_nonnegative(self.epsilon, "epsilon")
+        check_finite_nonnegative(self.drop_tol, "drop_tol")
         require(
             self.build_workers >= 1,
             f"build_workers must be >= 1, got {self.build_workers}",

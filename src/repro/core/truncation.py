@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.validation import check_finite_nonnegative
+
 
 def truncation_keep_mask(values: np.ndarray, epsilon: float) -> np.ndarray:
     """Boolean mask of entries kept by the Eq. (10) rule.
@@ -31,8 +33,7 @@ def truncation_keep_mask(values: np.ndarray, epsilon: float) -> np.ndarray:
         Boolean mask, ``True`` for entries that survive.  With ``ε = 0``
         only exact zeros are dropped.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    check_finite_nonnegative(epsilon, "epsilon")
     magnitudes = np.abs(np.asarray(values, dtype=np.float64))
     total = magnitudes.sum()
     if total == 0.0:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -16,6 +18,17 @@ def check_positive(value: float, name: str) -> None:
     """Raise if ``value`` is not strictly positive."""
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
+def check_finite_nonnegative(value: float, name: str) -> None:
+    """Raise if ``value`` is NaN, infinite or negative.
+
+    A bare ``value < 0`` test lets NaN through (every comparison with NaN
+    is false), and a NaN or infinite tolerance silently drops entries it
+    should keep.
+    """
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def check_square_sparse(matrix, name: str = "matrix") -> None:

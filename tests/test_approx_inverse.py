@@ -5,12 +5,20 @@ import pytest
 import scipy.sparse as sp
 
 import repro.core.approx_inverse as approx_inverse_module
+from repro.cholesky.depth import filled_graph_depth
 from repro.cholesky.incomplete import ichol
 from repro.cholesky.numeric import cholesky
 from repro.core.approx_inverse import approximate_inverse
 from repro.core.error_bounds import column_error_report, theorem1_bound
 from repro.core.truncation import truncation_keep_mask
-from repro.graphs.generators import fe_mesh_2d, grid_2d
+from repro.graphs.generators import (
+    barabasi_albert_graph,
+    fe_mesh_2d,
+    grid_2d,
+    path_graph,
+    star_graph,
+)
+from repro.graphs.graph import Graph
 from repro.graphs.laplacian import grounded_laplacian
 
 
@@ -133,6 +141,33 @@ class TestInterface:
         with pytest.raises(ValueError):
             approximate_inverse(mesh_factor.lower, epsilon=-1.0, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["blocked", "reference"])
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative_epsilon(self, mesh_factor, mode, epsilon):
+        # a NaN budget used to pass the `< 0` check and drop diagonals
+        with pytest.raises(
+            ValueError, match=f"epsilon must be a finite number >= 0, got {epsilon}"
+        ):
+            approximate_inverse(mesh_factor.lower, epsilon=epsilon, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["blocked", "reference"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("offset", [0, 1], ids=["diagonal", "below"])
+    def test_rejects_non_finite_factor_entry(self, mesh_factor, mode, bad, offset):
+        # a non-finite entry used to reach the truncation, which dropped
+        # NaN entries silently (a NaN pivot also passed the `<= 0` check);
+        # the first offending column is named
+        lower = sp.csc_matrix(mesh_factor.lower, copy=True)
+        lower.sort_indices()
+        column = 5
+        lower.data[lower.indptr[column] + offset] = bad
+        lower.data[lower.indptr[column + 3] + 1] = bad
+        row = lower.indices[lower.indptr[column] + offset]
+        with pytest.raises(
+            ValueError, match=f"non-finite entry {bad} at row {row} of column {column}$"
+        ):
+            approximate_inverse(lower, epsilon=1e-3, mode=mode)
+
     def test_blocked_is_default_and_matches_reference(self, mesh_factor):
         z_default, _ = approximate_inverse(mesh_factor.lower, epsilon=1e-3)
         z_ref, _ = approximate_inverse(
@@ -209,6 +244,67 @@ class TestDiagonalTruncation:
         first_column = out_rows[out_ptr[0]:out_ptr[1]]
         assert (0 in first_column) == (first_diag == 1.0)
         assert out_rows[out_ptr[1]] == 1, "ordinary diagonal must stay"
+
+
+# graphs spanning the level shapes Alg. 2 meets, with their orderings;
+# natural order on a path gives a chain etree, one column per level
+BYTE_IDENTITY_GRAPHS = {
+    "path": (lambda: path_graph(60), "natural"),
+    "star": (lambda: star_graph(80), "amd"),
+    "ba500": (lambda: barabasi_albert_graph(500, 3, seed=4), "amd"),
+    "grid20": (lambda: grid_2d(20, 20, jitter=0.3, seed=2), "amd"),
+    "union3": (
+        lambda: Graph.disjoint_union([
+            grid_2d(8, 8, jitter=0.3, seed=5),
+            barabasi_albert_graph(80, 2, seed=6),
+            path_graph(20),
+        ]),
+        "amd",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def byte_identity_panel():
+    """Name → ICT factor of every ``BYTE_IDENTITY_GRAPHS`` entry."""
+    panel = {}
+    for name, (make_graph, ordering) in BYTE_IDENTITY_GRAPHS.items():
+        graph = make_graph()
+        matrix, _ = grounded_laplacian(graph, float(graph.weights.mean()))
+        panel[name] = ichol(matrix, drop_tol=1e-3, ordering=ordering).lower
+    return panel
+
+
+class TestBlockedByteIdenticalToReference:
+    """The blocked kernel reproduces the column-at-a-time reference byte
+    for byte: ``csr_matmat`` sums each column's contributions from zero in
+    dependency order and keeps only nonzero sums, exactly like the
+    reference's scatter-add, and the block truncation makes the reference's
+    Eq. (10) decisions.  Chunking is forced small so levels split and, with
+    two workers, fan out."""
+
+    @pytest.fixture(autouse=True)
+    def force_chunking(self, monkeypatch):
+        monkeypatch.setattr(approx_inverse_module, "_CHUNK_TARGET_NNZ", 64)
+
+    def test_path_has_one_column_per_level(self, byte_identity_panel):
+        levels = filled_graph_depth(byte_identity_panel["path"])
+        assert np.array_equal(np.bincount(levels), np.ones(60, dtype=np.int64))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.1])
+    @pytest.mark.parametrize("name", sorted(BYTE_IDENTITY_GRAPHS))
+    def test_same_bytes_and_stats(self, byte_identity_panel, name, epsilon, workers):
+        lower = byte_identity_panel[name]
+        z_blocked, stats_blocked = approximate_inverse(
+            lower, epsilon=epsilon, build_workers=workers
+        )
+        z_ref, stats_ref = approximate_inverse(lower, epsilon=epsilon, mode="reference")
+        for part in ("indptr", "indices", "data"):
+            blocked, ref = getattr(z_blocked, part), getattr(z_ref, part)
+            assert blocked.dtype == ref.dtype, part
+            assert blocked.tobytes() == ref.tobytes(), part
+        assert stats_blocked == stats_ref
 
 
 class TestIndexRange:

@@ -135,6 +135,14 @@ class TestRegistry:
         with pytest.raises(TypeError, match="dropp_tol"):
             EngineConfig().replace(dropp_tol=1e-3)
 
+    @pytest.mark.parametrize("field", ["epsilon", "drop_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_tolerance_rejected(self, field, value):
+        # a NaN or infinite tolerance used to build an engine that answered
+        # silently wrong resistances (diagonals of Z̃ dropped)
+        with pytest.raises(ValueError, match=f"{field} must be a finite number >= 0, got {value}"):
+            EngineConfig(**{field: value})
+
     def test_shard_strategy_is_the_one_sharding_knob(self):
         assert EngineConfig().shard_strategy == "none"
         names = {f.name for f in dataclasses.fields(EngineConfig)}

@@ -67,6 +67,14 @@ class TestDropping:
         with pytest.raises(ValueError):
             ichol(spd_matrix, drop_tol=-1.0)
 
+    @pytest.mark.parametrize("drop_tol", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_droptol_is_named(self, spd_matrix, drop_tol):
+        # NaN used to pass the `< 0` check; +inf dropped every off-diagonal
+        with pytest.raises(
+            ValueError, match=f"drop_tol must be a finite number >= 0, got {drop_tol}"
+        ):
+            ichol(spd_matrix, drop_tol=drop_tol)
+
 
 class TestBreakdownRecovery:
     def test_shift_retry_succeeds(self):

@@ -45,6 +45,14 @@ class TestKeepMask:
         with pytest.raises(ValueError):
             truncation_keep_mask(np.array([1.0]), -0.1)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_eps_raises(self, epsilon):
+        # a NaN or infinite budget used to drop every entry of the column
+        with pytest.raises(
+            ValueError, match=f"epsilon must be a finite number >= 0, got {epsilon}"
+        ):
+            truncation_keep_mask(np.array([1.0, 0.5, 0.01]), epsilon)
+
     def test_all_zero_column(self):
         mask = truncation_keep_mask(np.zeros(4), 0.1)
         assert not mask.any()
