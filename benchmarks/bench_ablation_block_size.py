@@ -32,9 +32,7 @@ def test_block_size_tradeoff(benchmark, bench_out_dir):
             with timed() as elapsed:
                 reducer = PGReducer(
                     grid,
-                    ReductionConfig(
-                        er_method="cholinv", ports_per_block=divisor, seed=1
-                    ),
+                    ReductionConfig(ports_per_block=divisor, seed=1),
                 )
                 reduced = reducer.reduce()
             t_red = elapsed()

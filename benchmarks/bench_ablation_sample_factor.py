@@ -30,9 +30,7 @@ def test_sample_factor_tradeoff(benchmark, bench_out_dir):
         for factor in SAMPLE_FACTORS:
             reducer = PGReducer(
                 grid,
-                ReductionConfig(
-                    er_method="cholinv", sparsify_sample_factor=factor, seed=1
-                ),
+                ReductionConfig(sparsify_sample_factor=factor, seed=1),
             )
             reduced = reducer.reduce()
             solution = dc_analysis(reduced.grid)

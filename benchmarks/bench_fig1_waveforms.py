@@ -24,7 +24,6 @@ def test_fig1_waveforms(benchmark, bench_out_dir):
         return run_fig1(
             case,
             num_steps=steps,
-            er_method="cholinv",
             output_csv=bench_out_dir / "fig1_waveforms.csv",
         )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.incremental import perturb_blocks
+from repro.core.engine import EngineConfig
 from repro.powergrid.dc import dc_analysis
 from repro.powergrid.generators import synthetic_ibmpg_like
 from repro.reduction.pipeline import PGReducer, ReductionConfig
@@ -23,7 +24,7 @@ from repro.utils.timing import timed
 def main() -> None:
     grid = synthetic_ibmpg_like(nx=30, ny=30, pad_pitch=8, seed=3)
     ports = grid.port_nodes()
-    config = ReductionConfig(er_method="cholinv", seed=1)
+    config = ReductionConfig(engine=EngineConfig(method="cholinv"), seed=1)
 
     with timed() as elapsed:
         reducer = PGReducer(grid, config)

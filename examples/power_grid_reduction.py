@@ -11,6 +11,7 @@ Run:  python examples/power_grid_reduction.py
 from __future__ import annotations
 
 from repro.apps.transient_flow import run_transient_flow
+from repro.core.engine import EngineConfig
 from repro.powergrid.generators import synthetic_ibmpg_like
 from repro.reduction.pipeline import ReductionConfig
 
@@ -26,7 +27,7 @@ def main() -> None:
     for method in ("exact", "cholinv"):
         outcome = run_transient_flow(
             grid,
-            ReductionConfig(er_method=method, seed=1),
+            ReductionConfig(engine=EngineConfig(method=method), seed=1),
             step=1e-11,
             num_steps=300,
         )

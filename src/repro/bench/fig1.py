@@ -86,10 +86,10 @@ def ascii_plot(
 def run_fig1(
     case: Table2Case,
     num_steps: int = 1000,
-    er_method: str = "cholinv",
     output_csv: "str | Path | None" = None,
 ) -> Fig1Result:
-    """Reproduce Fig. 1 on a synthetic case (see module docstring)."""
+    """Reproduce Fig. 1 on a synthetic case, reduced with the default Alg. 3
+    engine (see module docstring)."""
     grid = synthetic_ibmpg_like(case.config, seed=case.seed, transient=True)
     ports = grid.port_nodes()
 
@@ -106,7 +106,7 @@ def run_fig1(
         grid, step=case.transient_step, num_steps=num_steps, observe=observe
     )
 
-    reducer = PGReducer(grid, ReductionConfig(er_method=er_method, seed=case.seed))
+    reducer = PGReducer(grid, ReductionConfig(seed=case.seed))
     reduced = reducer.reduce()
     reduced_observe = reduced.reduced_index_of(observe)
     reduced_run = transient_analysis(

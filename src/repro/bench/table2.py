@@ -13,6 +13,7 @@ from repro.apps.incremental import run_incremental_flow
 from repro.apps.transient_flow import run_transient_flow
 from repro.bench.cases import Table2Case
 from repro.bench.reporting import format_table, speedup
+from repro.core.engine import EngineConfig
 from repro.powergrid.generators import synthetic_ibmpg_like
 from repro.powergrid.dc import dc_analysis
 from repro.powergrid.transient import transient_analysis
@@ -50,10 +51,10 @@ class Table2Row:
 
 
 def _method_config(method: str, seed: int) -> ReductionConfig:
-    er_kwargs: dict = {}
+    engine = EngineConfig(method=method)
     if method == "random_projection":
-        er_kwargs = {"c_jl": 25.0}
-    return ReductionConfig(er_method=method, er_kwargs=er_kwargs, seed=seed)
+        engine = engine.replace(c_jl=25.0)
+    return ReductionConfig(engine=engine, seed=seed)
 
 
 def run_table2_transient(

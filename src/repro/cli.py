@@ -372,12 +372,13 @@ def cmd_transient(args) -> int:
 
 def cmd_reduce(args) -> int:
     """Reduce a SPICE power grid with Alg. 1 and write the reduced netlist."""
+    from repro.core.engine import EngineConfig
     from repro.powergrid.spice import read_spice, write_spice
     from repro.reduction.pipeline import PGReducer, ReductionConfig
 
     grid = read_spice(args.netlist)
     config = ReductionConfig(
-        er_method=args.er_method,
+        engine=EngineConfig(method=args.er_method),
         merge_resistance_fraction=args.merge_fraction,
         protect_all_ports=not args.merge_ports,
         seed=args.seed,

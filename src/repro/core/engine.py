@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -56,7 +57,7 @@ from numpy.typing import ArrayLike
 
 from repro.graphs.graph import Graph
 from repro.utils.timing import Timer
-from repro.utils.validation import check_finite_nonnegative, require
+from repro.utils.validation import check_finite_nonnegative, check_positive, require
 
 
 def as_pair_array(pairs: ArrayLike) -> np.ndarray:
@@ -205,32 +206,29 @@ class EngineConfig:
     def __post_init__(self) -> None:
         check_finite_nonnegative(self.epsilon, "epsilon")
         check_finite_nonnegative(self.drop_tol, "drop_tol")
-        require(
-            self.build_workers >= 1,
-            f"build_workers must be >= 1, got {self.build_workers}",
-        )
-        require(
-            self.num_landmarks >= 1,
-            f"num_landmarks must be >= 1, got {self.num_landmarks}",
-        )
+        # a NaN tolerance compares false everywhere: solvers would stop at
+        # once and answer 0 instead of failing
+        for name in ("rtol", "pcg_rtol", "c_jl", "tier_rel_tol"):
+            check_positive(getattr(self, name), name)
+        if self.small_column_threshold is not None:
+            check_finite_nonnegative(self.small_column_threshold, "small_column_threshold")
+        if self.ground_value is not None:
+            check_positive(self.ground_value, "ground_value")
+        if self.num_projections is not None:
+            require(
+                math.isfinite(self.num_projections) and self.num_projections >= 1,
+                f"num_projections must be None or a finite number >= 1, "
+                f"got {self.num_projections!r}",
+            )
+        for name in (
+            "build_workers", "num_landmarks", "num_walks", "walk_length", "num_trees"
+        ):
+            value = getattr(self, name)
+            require(value >= 1, f"{name} must be >= 1, got {value}")
         require(
             self.landmark_strategy in ("degree", "spread", "random"),
             f"landmark_strategy must be 'degree', 'spread' or 'random', "
             f"got {self.landmark_strategy!r}",
-        )
-        require(
-            self.num_walks >= 1, f"num_walks must be >= 1, got {self.num_walks}"
-        )
-        require(
-            self.walk_length >= 1,
-            f"walk_length must be >= 1, got {self.walk_length}",
-        )
-        require(
-            self.num_trees >= 1, f"num_trees must be >= 1, got {self.num_trees}"
-        )
-        require(
-            self.tier_rel_tol > 0.0,
-            f"tier_rel_tol must be > 0, got {self.tier_rel_tol}",
         )
         if self.tiers is not None:
             # JSON persistence round-trips tuples through lists; normalise

@@ -9,9 +9,9 @@ The :class:`PGReducer` runs the five steps of Alg. 1 on a
    complement (interior capacitance and any interior loads are pushed to
    the kept nodes through the current-divider map);
 3. per reduced block: compute effective resistances for every edge with the
-   **pluggable backend** — ``"exact"`` (batched triangular solves per edge,
-   the accurate-but-slow reference), ``"random_projection"`` (WWW'15), or
-   ``"cholinv"`` (the paper's Alg. 3);
+   engine ``ReductionConfig.engine`` describes — Table II compares ``"exact"``
+   (batched triangular solves per edge, the accurate-but-slow reference),
+   ``"random_projection"`` (WWW'15) and ``"cholinv"`` (the paper's Alg. 3);
 4. merge electrically-near non-port nodes, then sparsify the dense block by
    effective-resistance sampling;
 5. stitch the sparsified blocks together with the untouched cross-block
@@ -23,7 +23,7 @@ re-reduce only the blocks a designer modified (Table II lower half).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.reduction.schur import laplacian_to_edges, schur_reduce
 from repro.reduction.sparsify import spielman_srivastava_sparsify
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import Timer
-from repro.utils.validation import require
+from repro.utils.validation import check_finite_nonnegative, check_positive, require
 
 
 @dataclass(frozen=True)
@@ -46,19 +46,16 @@ class ReductionConfig:
 
     Attributes
     ----------
-    er_method:
-        Any registered engine name — ``"exact"``, ``"random_projection"``
-        and ``"cholinv"`` are the three scenarios of Table II.
-    er_kwargs:
-        :class:`~repro.core.engine.EngineConfig` fields for the chosen
-        estimator (e.g. ``epsilon``, ``drop_tol`` for cholinv;
-        ``num_projections`` for the baseline); unknown names are rejected.
+    engine:
+        :class:`~repro.core.engine.EngineConfig` of the step-3 engine, built
+        per reduced block; ``method`` ``"exact"``, ``"random_projection"``
+        or ``"cholinv"`` (default) gives the three scenarios of Table II.
+        An engine ``seed`` of ``None`` draws from the pipeline RNG.
     ports_per_block:
-        Alg. 1 sets ``#blocks = #ports / 50``; this is the 50.
+        Alg. 1 sets ``#blocks = #ports / 50``; this is the 50.  Blocks are
+        cut by multilevel :func:`~repro.partition.interface.partition_graph`.
     num_blocks:
         Explicit override of the block count.
-    partition_method:
-        Passed to :func:`repro.partition.interface.partition_graph`.
     merge_resistance_fraction:
         Merge edges whose effective resistance is below this fraction of
         the block's median edge resistance (0 disables merging).
@@ -74,28 +71,32 @@ class ReductionConfig:
         Seed for partitioning, sampling and the baseline's projections.
     """
 
-    er_method: str = "cholinv"
-    er_kwargs: dict = field(default_factory=dict)
+    engine: EngineConfig = EngineConfig()
     ports_per_block: int = 50
     num_blocks: "int | None" = None
-    partition_method: str = "multilevel"
     merge_resistance_fraction: float = 0.05
     protect_all_ports: bool = True
     sparsify_sample_factor: float = 8.0
     seed: "int | None" = 0
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
+        if not isinstance(self.engine, EngineConfig):
+            raise TypeError(
+                f"engine must be an EngineConfig, got {type(self.engine).__name__}"
+            )
         require(
-            self.er_method in registered_engines(),
-            f"unknown er_method {self.er_method!r}",
+            self.engine.method in registered_engines(),
+            f"unknown engine method {self.engine.method!r}; registered: "
+            f"{sorted(registered_engines())}",
         )
-        valid = {f.name for f in fields(EngineConfig)} - {"method"}
-        unknown = sorted(set(self.er_kwargs) - valid)
+        ports = self.ports_per_block
+        require(ports >= 1, f"ports_per_block must be >= 1, got {ports!r}")
         require(
-            not unknown,
-            f"unknown er_kwargs name(s) {unknown}; valid EngineConfig "
-            f"fields: {sorted(valid)}",
+            self.num_blocks is None or self.num_blocks >= 1,
+            f"num_blocks must be None or >= 1, got {self.num_blocks!r}",
         )
+        check_positive(self.sparsify_sample_factor, "sparsify_sample_factor")
+        check_finite_nonnegative(self.merge_resistance_fraction, "merge_resistance_fraction")
 
 
 @dataclass
@@ -163,11 +164,8 @@ class PGReducer:
     """Run Alg. 1 on a power grid (see module docstring)."""
 
     def __init__(self, grid: PowerGrid, config: "ReductionConfig | None" = None):
-        self.pg = grid
         self.config = config or ReductionConfig()
-        self.graph = grid.to_graph()
-        self.ports = grid.port_nodes()
-        require(self.ports.size > 0, "grid has no ports — nothing to preserve")
+        self._load_grid(grid)
         self.rng = ensure_rng(self.config.seed)
 
         num_blocks = self.config.num_blocks
@@ -176,40 +174,40 @@ class PGReducer:
         self.num_blocks = int(num_blocks)
         self.timer = Timer()
         with self.timer.section("partition"):
-            self.labels = partition_graph(
-                self.graph,
-                self.num_blocks,
-                method=self.config.partition_method,
-                seed=self.rng,
-            )
+            self.labels = partition_graph(self.graph, self.num_blocks, seed=self.rng)
             self.roles = classify_nodes(self.graph, self.labels, self.ports)
         self._block_cache: dict[int, BlockReduction] = {}
-        # per-node shunts / caps of the ORIGINAL grid, for lumping
+
+    def _load_grid(self, grid: PowerGrid) -> None:
+        """Take the resistor graph, ports and per-node caps/shunts of
+        ``grid`` (the element values lumping and Schur reduction read)."""
+        self.pg = grid
+        self.graph = grid.to_graph()
+        self.ports = grid.port_nodes()
+        require(self.ports.size > 0, "grid has no ports — nothing to preserve")
+        # a coupling cap counts at both ends; np.add.at over the interleaved
+        # (a, b) ends keeps a per-capacitor loop's summation order
+        ends = np.column_stack((grid.cap_a, grid.cap_b)).astype(np.int64).ravel()
+        farads = np.repeat(np.asarray(grid.cap_farads, dtype=np.float64), 2)
         self._node_caps = np.zeros(grid.num_nodes)
-        for a, b, farads in zip(grid.cap_a, grid.cap_b, grid.cap_farads):
-            # ground caps dominate PG models; coupling caps contribute to both ends
-            self._node_caps[a] += farads
-            if b >= 0:
-                self._node_caps[b] += farads
+        np.add.at(self._node_caps, ends[ends >= 0], farads[ends >= 0])
         self._node_shunts = np.zeros(grid.num_nodes)
-        for node, siemens in zip(grid.shunt_node, grid.shunt_siemens):
-            self._node_shunts[node] += siemens
+        shunt_nodes = np.asarray(grid.shunt_node, dtype=np.int64)
+        np.add.at(self._node_shunts, shunt_nodes, grid.shunt_siemens)
 
     # ------------------------------------------------------------------
     def _block_nodes(self, block_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == block_id)
 
     def _edge_resistances(self, graph: Graph, timer: Timer) -> np.ndarray:
-        """Dispatch to the configured effective-resistance backend."""
-        kwargs = dict(self.config.er_kwargs)
-        # randomised engines share the pipeline RNG; EngineConfig defaults
-        # already match the paper settings (epsilon/drop_tol 1e-3, amd)
-        kwargs.setdefault("seed", self.rng)
+        """Every edge's effective resistance from the configured engine."""
+        engine = self.config.engine
+        if engine.seed is None:
+            # randomised engines share the pipeline RNG; EngineConfig
+            # defaults already match the paper (epsilon/drop_tol 1e-3, amd)
+            engine = engine.replace(seed=self.rng)
         with timer.section("effective_resistance"):
-            estimator = build_engine(
-                graph, EngineConfig(method=self.config.er_method, **kwargs)
-            )
-            return estimator.all_edge_resistances()
+            return build_engine(graph, engine).all_edge_resistances()
 
     def reduce_block(self, block_id: int) -> BlockReduction:
         """Steps 2–4 of Alg. 1 for one block (cached)."""
@@ -350,10 +348,8 @@ class PGReducer:
             "incremental update requires identical node sets",
         )
         clone = PGReducer.__new__(PGReducer)
-        clone.pg = new_grid
         clone.config = self.config
-        clone.graph = new_grid.to_graph()
-        clone.ports = new_grid.port_nodes()
+        clone._load_grid(new_grid)
         clone.rng = self.rng
         clone.num_blocks = self.num_blocks
         clone.timer = Timer()
@@ -361,14 +357,6 @@ class PGReducer:
         clone.roles = self.roles
         clone._block_cache = dict(self._block_cache)
         clone.invalidate_blocks(modified_blocks)
-        clone._node_caps = np.zeros(new_grid.num_nodes)
-        for a, b, farads in zip(new_grid.cap_a, new_grid.cap_b, new_grid.cap_farads):
-            clone._node_caps[a] += farads
-            if b >= 0:
-                clone._node_caps[b] += farads
-        clone._node_shunts = np.zeros(new_grid.num_nodes)
-        for node, siemens in zip(new_grid.shunt_node, new_grid.shunt_siemens):
-            clone._node_shunts[node] += siemens
         return clone
 
     def reduce(self) -> ReducedGrid:

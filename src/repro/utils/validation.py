@@ -15,9 +15,9 @@ def require(condition: bool, message: str) -> None:
 
 
 def check_positive(value: float, name: str) -> None:
-    """Raise if ``value`` is not strictly positive."""
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
+    """Raise if ``value`` is NaN, infinite, zero or negative."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def check_finite_nonnegative(value: float, name: str) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.incremental import perturb_blocks, run_incremental_flow
 from repro.apps.transient_flow import max_voltage_drop, run_transient_flow
+from repro.core.engine import EngineConfig
 from repro.powergrid.dc import dc_analysis
 from repro.powergrid.generators import synthetic_ibmpg_like
 from repro.reduction.pipeline import PGReducer, ReductionConfig
@@ -38,7 +39,7 @@ class TestTransientFlow:
     def test_outcome_fields(self, transient_grid):
         out = run_transient_flow(
             transient_grid,
-            ReductionConfig(er_method="cholinv", seed=1),
+            ReductionConfig(seed=1),
             step=1e-11,
             num_steps=30,
         )
@@ -55,7 +56,7 @@ class TestTransientFlow:
     def test_accuracy_single_digit_percent(self, transient_grid):
         out = run_transient_flow(
             transient_grid,
-            ReductionConfig(er_method="cholinv", seed=1),
+            ReductionConfig(seed=1),
             step=1e-11,
             num_steps=50,
         )
@@ -68,7 +69,9 @@ class TestTransientFlow:
         original = transient_analysis(
             transient_grid, step=1e-11, num_steps=10, observe=ports
         )
-        reducer = PGReducer(transient_grid, ReductionConfig(er_method="exact", seed=2))
+        reducer = PGReducer(
+            transient_grid, ReductionConfig(engine=EngineConfig(method="exact"), seed=2)
+        )
         out = run_transient_flow(
             transient_grid,
             step=1e-11,
@@ -103,9 +106,7 @@ class TestPerturbBlocks:
 
 class TestIncrementalFlow:
     def test_outcome(self, dc_grid):
-        out = run_incremental_flow(
-            dc_grid, ReductionConfig(er_method="cholinv", seed=1), seed=6
-        )
+        out = run_incremental_flow(dc_grid, ReductionConfig(seed=1), seed=6)
         assert out.rel_pct < 8.0
         assert out.modified_blocks.size >= 1
         assert out.time_incremental_reduction > 0
@@ -117,7 +118,7 @@ class TestIncrementalFlow:
         """Re-reducing ~1 block must beat partitioning + reducing all."""
         from repro.utils.timing import timed
 
-        config = ReductionConfig(er_method="cholinv", seed=1, num_blocks=6)
+        config = ReductionConfig(seed=1, num_blocks=6)
         base = PGReducer(dc_grid, config)
         base.reduce()
         assert base.num_blocks >= 4  # otherwise the comparison is vacuous

@@ -195,6 +195,26 @@ class TestPowerGridCommands:
         assert reduced.num_nodes < original.num_nodes
         assert len(reduced.vsources) == len(original.vsources)
 
+    def test_reduce_er_method_picks_the_engine(self, netlist, tmp_path, monkeypatch):
+        """``--er-method X`` reduces with ``EngineConfig(method=X)``."""
+        from repro.core.engine import EngineConfig
+        from repro.reduction.pipeline import PGReducer
+
+        configs = []
+        init = PGReducer.__init__
+
+        def recording_init(reducer, grid, config=None):
+            configs.append(config)
+            init(reducer, grid, config)
+
+        monkeypatch.setattr(PGReducer, "__init__", recording_init)
+        code = main([
+            "reduce", str(netlist), "--output", str(tmp_path / "reduced.sp"),
+            "--er-method", "exact",
+        ])
+        assert code == 0
+        assert [config.engine for config in configs] == [EngineConfig(method="exact")]
+
 
 class TestBenchCommands:
     def test_fig1(self, tmp_path, capsys):

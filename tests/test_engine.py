@@ -143,6 +143,39 @@ class TestRegistry:
         with pytest.raises(ValueError, match=f"{field} must be a finite number >= 0, got {value}"):
             EngineConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field, out_of_range in (
+                ("rtol", -1.0),
+                ("pcg_rtol", 0.0),
+                ("c_jl", -5.0),
+                ("tier_rel_tol", 0.0),
+                ("ground_value", 0.0),
+                ("small_column_threshold", -1.0),
+                ("num_projections", 0),
+            )
+            for value in (float("nan"), float("inf"), out_of_range)
+        ],
+    )
+    def test_numeric_field_rejected_naming_field_and_value(self, field, value):
+        # these used to build engines that answered 0.0 (naive rtol=nan,
+        # random projection with pcg_rtol=nan or num_projections=0) or failed
+        # deep inside the build with an unrelated message
+        with pytest.raises(ValueError, match=rf"{field} must .*got {value!r}"):
+            EngineConfig(**{field: value})
+
+    def test_numeric_field_boundaries_accepted(self, multi_component):
+        config = EngineConfig(
+            method="random_projection",
+            num_projections=1,
+            ground_value=1e-9,
+            small_column_threshold=0.0,
+            seed=0,
+        )
+        assert np.all(np.isfinite(build_engine(multi_component, config).query_pairs([[0, 1]])))
+
     def test_shard_strategy_is_the_one_sharding_knob(self):
         assert EngineConfig().shard_strategy == "none"
         names = {f.name for f in dataclasses.fields(EngineConfig)}

@@ -12,6 +12,7 @@ from repro.core.effective_resistance import (
     CholInvEffectiveResistance,
     ExactEffectiveResistance,
 )
+from repro.core.engine import EngineConfig
 from repro.graphs.graph import Graph
 from repro.graphs.generators import grid_2d, path_graph
 from repro.powergrid.netlist import PowerGrid
@@ -99,7 +100,8 @@ class TestPipelineRobustness:
         a = grid.node("island_a")
         b = grid.node("island_b")
         grid.add_resistor(a, b, 1.0)
-        reducer = PGReducer(grid, ReductionConfig(er_method="exact", seed=0))
+        config = ReductionConfig(engine=EngineConfig(method="exact"), seed=0)
+        reducer = PGReducer(grid, config)
         reduced = reducer.reduce()
         from repro.powergrid.dc import dc_analysis
 
@@ -117,13 +119,14 @@ class TestPipelineRobustness:
         pg.add_vsource(nodes[0], 1.0)
         for node in nodes[1:]:
             pg.add_isource(node, 1e-3)
-        reducer = PGReducer(pg, ReductionConfig(er_method="exact", num_blocks=2, seed=0))
+        config = ReductionConfig(engine=EngineConfig(method="exact"), num_blocks=2, seed=0)
+        reducer = PGReducer(pg, config)
         reduced = reducer.reduce()
         assert reduced.grid.num_nodes == 6
 
     def test_single_block(self):
         grid = synthetic_ibmpg_like(nx=8, ny=8, pad_pitch=4, seed=1)
-        reducer = PGReducer(grid, ReductionConfig(er_method="cholinv", num_blocks=1, seed=0))
+        reducer = PGReducer(grid, ReductionConfig(num_blocks=1, seed=0))
         reduced = reducer.reduce()
         from repro.powergrid.dc import dc_analysis
 
@@ -137,7 +140,8 @@ class TestPipelineRobustness:
     def test_many_blocks_tiny_grid(self):
         """More blocks than structure: must still produce a valid model."""
         grid = synthetic_ibmpg_like(nx=6, ny=6, pad_pitch=3, seed=2)
-        reducer = PGReducer(grid, ReductionConfig(er_method="exact", num_blocks=8, seed=0))
+        config = ReductionConfig(engine=EngineConfig(method="exact"), num_blocks=8, seed=0)
+        reducer = PGReducer(grid, config)
         reduced = reducer.reduce()
         assert reduced.grid.num_nodes >= grid.port_nodes().size
 

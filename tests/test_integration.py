@@ -14,6 +14,7 @@ from repro.core.effective_resistance import (
     CholInvEffectiveResistance,
     ExactEffectiveResistance,
 )
+from repro.core.engine import EngineConfig
 from repro.graphs.generators import fe_mesh_2d
 from repro.graphs.laplacian import laplacian
 from repro.powergrid.dc import dc_analysis
@@ -32,7 +33,7 @@ def test_spice_file_reduction_workflow(tmp_path):
     loaded = read_spice(source_path)
     original_dc = dc_analysis(loaded)
 
-    reducer = PGReducer(loaded, ReductionConfig(er_method="cholinv", seed=1))
+    reducer = PGReducer(loaded, ReductionConfig(seed=1))
     reduced = reducer.reduce()
     reduced_path = tmp_path / "reduced.sp"
     write_spice(reduced.grid, reduced_path)
@@ -96,7 +97,10 @@ def test_transient_flow_all_methods_run_small():
     grid = synthetic_ibmpg_like(nx=10, ny=10, pad_pitch=5, transient=True, seed=2)
     for method in ("exact", "cholinv"):
         outcome = run_transient_flow(
-            grid, ReductionConfig(er_method=method, seed=0), step=1e-11, num_steps=15
+            grid,
+            ReductionConfig(engine=EngineConfig(method=method), seed=0),
+            step=1e-11,
+            num_steps=15,
         )
         assert outcome.rel_pct < 10.0
 
@@ -106,9 +110,9 @@ def test_reduction_then_second_reduction_is_stable():
     blow up errors — a sanity check for idempotent-ish behaviour."""
     grid = synthetic_ibmpg_like(nx=14, ny=14, pad_pitch=6, seed=3)
     original = dc_analysis(grid)
-    first = PGReducer(grid, ReductionConfig(er_method="cholinv", seed=1)).reduce()
+    first = PGReducer(grid, ReductionConfig(seed=1)).reduce()
     second = PGReducer(
-        first.grid, ReductionConfig(er_method="cholinv", seed=2)
+        first.grid, ReductionConfig(seed=2)
     ).reduce()
     solution = dc_analysis(second.grid)
 

@@ -1,11 +1,20 @@
 """Tests for the end-to-end Alg. 1 reduction pipeline."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
+from repro.apps.incremental import perturb_blocks
+from repro.core.engine import EngineConfig
+from repro.partition.interface import partition_graph
 from repro.powergrid.dc import dc_analysis
 from repro.powergrid.generators import synthetic_ibmpg_like
+from repro.powergrid.netlist import GROUND
 from repro.reduction.pipeline import PGReducer, ReductionConfig
+from repro.utils.rng import ensure_rng
+from repro.utils.timing import Timer
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +32,7 @@ def run_reduction(grid, **config_kwargs):
 class TestInvariants:
     def test_all_ports_preserved(self, pg_case):
         grid, _ = pg_case
-        _, reduced = run_reduction(grid, er_method="cholinv")
+        _, reduced = run_reduction(grid, engine=EngineConfig(method="cholinv"))
         ports = grid.port_nodes()
         assert np.all(reduced.node_map[ports] >= 0)
         # sources present with unchanged values
@@ -35,19 +44,19 @@ class TestInvariants:
 
     def test_node_count_shrinks(self, pg_case):
         grid, _ = pg_case
-        _, reduced = run_reduction(grid, er_method="cholinv")
+        _, reduced = run_reduction(grid, engine=EngineConfig(method="cholinv"))
         assert reduced.grid.num_nodes < grid.num_nodes
 
     def test_node_names_survive(self, pg_case):
         grid, _ = pg_case
-        _, reduced = run_reduction(grid, er_method="cholinv")
+        _, reduced = run_reduction(grid, engine=EngineConfig(method="cholinv"))
         for port in grid.port_nodes():
             name = grid.name_of(int(port))
             assert reduced.grid.name_of(int(reduced.node_map[port])) == name
 
     def test_block_cache_populated(self, pg_case):
         grid, _ = pg_case
-        reducer, _ = run_reduction(grid, er_method="cholinv")
+        reducer, _ = run_reduction(grid, engine=EngineConfig(method="cholinv"))
         assert len(reducer._block_cache) == reducer.num_blocks
 
     def test_requires_ports(self):
@@ -66,7 +75,7 @@ class TestExactnessLimit:
         grid, original = pg_case
         _, reduced = run_reduction(
             grid,
-            er_method="exact",
+            engine=EngineConfig(method="exact"),
             merge_resistance_fraction=0.0,
             sparsify_sample_factor=1e9,
         )
@@ -82,10 +91,10 @@ class TestAccuracy:
     @pytest.mark.parametrize("method", ["exact", "cholinv", "random_projection"])
     def test_port_errors_small(self, pg_case, method):
         grid, original = pg_case
-        kwargs = {}
+        engine = EngineConfig(method=method)
         if method == "random_projection":
-            kwargs = {"er_kwargs": {"num_projections": 400}}
-        _, reduced = run_reduction(grid, er_method=method, **kwargs)
+            engine = engine.replace(num_projections=400)
+        _, reduced = run_reduction(grid, engine=engine)
         solution = dc_analysis(reduced.grid)
         ports = grid.port_nodes()
         errors = reduced.port_voltage_errors(
@@ -101,7 +110,7 @@ class TestAccuracy:
         ports = grid.port_nodes()
         rels = {}
         for method in ("exact", "cholinv"):
-            _, reduced = run_reduction(grid, er_method=method)
+            _, reduced = run_reduction(grid, engine=EngineConfig(method=method))
             solution = dc_analysis(reduced.grid)
             errors = reduced.port_voltage_errors(
                 original.voltages, solution.voltages, ports
@@ -113,9 +122,7 @@ class TestAccuracy:
 class TestIncrementalMachinery:
     def test_rebuild_reuses_cache(self, pg_case):
         grid, _ = pg_case
-        reducer, _ = run_reduction(grid, er_method="cholinv")
-        import copy
-
+        reducer, _ = run_reduction(grid, engine=EngineConfig(method="cholinv"))
         modified = copy.deepcopy(grid)
         clone = reducer.rebuild_for(modified, modified_blocks=[0])
         assert 0 not in clone._block_cache
@@ -124,11 +131,9 @@ class TestIncrementalMachinery:
 
     def test_rebuild_identical_grid_gives_same_result(self, pg_case):
         grid, _ = pg_case
-        reducer, reduced = run_reduction(grid, er_method="exact",
+        reducer, reduced = run_reduction(grid, engine=EngineConfig(method="exact"),
                                          merge_resistance_fraction=0.0,
                                          sparsify_sample_factor=1e9)
-        import copy
-
         clone = reducer.rebuild_for(copy.deepcopy(grid), modified_blocks=[0])
         reduced2 = clone.reduce()
         a = dc_analysis(reduced.grid)
@@ -140,26 +145,100 @@ class TestIncrementalMachinery:
 
     def test_rebuild_rejects_different_topology(self, pg_case):
         grid, _ = pg_case
-        reducer, _ = run_reduction(grid, er_method="cholinv")
+        reducer, _ = run_reduction(grid, engine=EngineConfig(method="cholinv"))
         other = synthetic_ibmpg_like(nx=8, ny=8, seed=3)
         with pytest.raises(ValueError):
             reducer.rebuild_for(other, modified_blocks=[0])
 
 
+    def test_rebuild_loads_caps_and_shunts_like_a_fresh_reducer(self):
+        """The clone's per-node capacitance and shunt sums are the fresh
+        reducer's byte for byte, and both keep a per-element loop's
+        summation order (repeated nodes, coupling caps counted twice)."""
+        grid = synthetic_ibmpg_like(nx=12, ny=12, pad_pitch=6, transient=True, seed=4)
+        for node, ohms in ((3, 50.0), (3, 70.0), (11, 90.0), (40, 30.0)):
+            grid.add_resistor(node, GROUND, ohms)
+        grid.add_capacitor(5, 3e-15, b=6)
+        grid.add_capacitor(6, 1e-15, b=3)
+        config = ReductionConfig(num_blocks=3, seed=0)
+        reducer = PGReducer(grid, config)
+        edited = perturb_blocks(grid, reducer.labels, [1], seed=2)
+        clone = reducer.rebuild_for(edited, [1])
+        fresh = PGReducer(edited, config)
+        assert clone._node_caps.tobytes() == fresh._node_caps.tobytes()
+        assert clone._node_shunts.tobytes() == fresh._node_shunts.tobytes()
+
+        caps = np.zeros(edited.num_nodes)
+        for a, b, farads in zip(edited.cap_a, edited.cap_b, edited.cap_farads):
+            caps[a] += farads
+            if b >= 0:
+                caps[b] += farads
+        shunts = np.zeros(edited.num_nodes)
+        for node, siemens in zip(edited.shunt_node, edited.shunt_siemens):
+            shunts[node] += siemens
+        assert clone._node_caps.tobytes() == caps.tobytes()
+        assert clone._node_shunts.tobytes() == shunts.tobytes()
+
+
 class TestConfig:
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            ReductionConfig(er_method="bogus")
+        with pytest.raises(ValueError, match="unknown engine method 'bogus'"):
+            ReductionConfig(engine=EngineConfig(method="bogus"))
 
-    def test_unknown_er_kwargs_rejected_at_construction(self):
-        # a typo fails here, listing the valid names, not mid-reduction
-        with pytest.raises(ValueError, match=r"\['dropp_tol'\].*'drop_tol'"):
-            ReductionConfig(er_kwargs={"dropp_tol": 1e-3})
-        # the method is er_method's job, not an er_kwargs entry
-        with pytest.raises(ValueError, match="unknown er_kwargs"):
-            ReductionConfig(er_kwargs={"method": "exact"})
-        ReductionConfig(er_method="random_projection",
-                        er_kwargs={"num_projections": 50})
+    @pytest.mark.parametrize("engine", ["exact", {"method": "exact"}, None])
+    def test_engine_must_be_an_engine_config(self, engine):
+        with pytest.raises(TypeError, match="engine must be an EngineConfig"):
+            ReductionConfig(engine=engine)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ports_per_block", 0),
+            ("ports_per_block", -3),
+            ("num_blocks", 0),
+            ("sparsify_sample_factor", math.nan),
+            ("sparsify_sample_factor", math.inf),
+            ("sparsify_sample_factor", 0.0),
+            ("merge_resistance_fraction", math.nan),
+            ("merge_resistance_fraction", math.inf),
+            ("merge_resistance_fraction", -1.0),
+        ],
+    )
+    def test_numeric_fields_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must .*got {value!r}"):
+            ReductionConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        ReductionConfig(
+            ports_per_block=1,
+            num_blocks=1,
+            sparsify_sample_factor=1e-3,
+            merge_resistance_fraction=0.0,
+        )
+
+    def test_engine_seed_none_draws_from_the_pipeline_rng(self, pg_case):
+        """An unseeded randomised engine takes fresh projections from the
+        pipeline RNG on every call; an explicit engine seed repeats them."""
+        grid, _ = pg_case
+        graph = grid.to_graph()
+        engine = EngineConfig(method="random_projection", num_projections=20)
+        shared = PGReducer(grid, ReductionConfig(engine=engine, seed=3))
+        first = shared._edge_resistances(graph, Timer())
+        second = shared._edge_resistances(graph, Timer())
+        assert not np.array_equal(first, second)
+        seeded = PGReducer(grid, ReductionConfig(engine=engine.replace(seed=9), seed=3))
+        assert np.array_equal(
+            seeded._edge_resistances(graph, Timer()),
+            seeded._edge_resistances(graph, Timer()),
+        )
+
+    def test_partitions_with_the_multilevel_method(self, pg_case):
+        grid, _ = pg_case
+        reducer = PGReducer(grid, ReductionConfig(num_blocks=4, seed=5))
+        expected = partition_graph(
+            grid.to_graph(), 4, method="multilevel", seed=ensure_rng(5)
+        )
+        assert np.array_equal(reducer.labels, expected)
 
     def test_block_count_from_ports(self, pg_case):
         grid, _ = pg_case

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import EngineConfig
 from repro.powergrid.dc import dc_analysis
 from repro.powergrid.generators import synthetic_ibmpg_like
 from repro.reduction.pipeline import PGReducer, ReductionConfig
@@ -18,7 +19,7 @@ def dense_port_grid():
 
 def reduce_with(grid, protect_all_ports, merge_fraction=0.3):
     config = ReductionConfig(
-        er_method="exact",
+        engine=EngineConfig(method="exact"),
         protect_all_ports=protect_all_ports,
         merge_resistance_fraction=merge_fraction,
         seed=2,

@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.bench.fig1 import Fig1Result
 from repro.bench.table2 import Table2Row, _method_config, render_table2
+from repro.core.engine import EngineConfig
 
 
 def make_row(method: str, tred: float) -> Table2Row:
@@ -37,11 +38,11 @@ def test_total_time_property():
 
 def test_method_config_variants():
     exact = _method_config("exact", seed=1)
-    assert exact.er_method == "exact"
-    assert exact.er_kwargs == {}
+    assert exact.engine == EngineConfig(method="exact")
     rp = _method_config("random_projection", seed=1)
-    assert rp.er_kwargs.get("c_jl") == 25.0
+    assert rp.engine == EngineConfig(method="random_projection", c_jl=25.0)
     alg3 = _method_config("cholinv", seed=1)
+    assert alg3.engine == EngineConfig()
     assert alg3.seed == 1
 
 

@@ -72,8 +72,9 @@ class TestValidation:
 
     def test_check_positive(self):
         check_positive(1.0, "x")
-        with pytest.raises(ValueError):
-            check_positive(0.0, "x")
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="x must be a finite number > 0"):
+                check_positive(bad, "x")
 
     def test_check_square_sparse(self):
         check_square_sparse(sp.identity(3))

@@ -76,7 +76,7 @@ class TestQualityReport:
     @pytest.fixture(scope="class")
     def reduced_case(self):
         grid = synthetic_ibmpg_like(nx=14, ny=14, pad_pitch=6, seed=2)
-        reducer = PGReducer(grid, ReductionConfig(er_method="cholinv", seed=1))
+        reducer = PGReducer(grid, ReductionConfig(seed=1))
         return grid, reducer.reduce()
 
     def test_quality_across_corners(self, reduced_case):
@@ -128,7 +128,7 @@ class TestMultiLayer:
         config = PGConfig(nx=12, ny=12, num_layers=2, strap_pitch=4, pad_pitch=6)
         grid = synthetic_ibmpg_like(config, seed=8)
         original = dc_analysis(grid)
-        reducer = PGReducer(grid, ReductionConfig(er_method="cholinv", seed=0))
+        reducer = PGReducer(grid, ReductionConfig(seed=0))
         reduced = reducer.reduce()
         solution = dc_analysis(reduced.grid)
         errors = reduced.port_voltage_errors(
