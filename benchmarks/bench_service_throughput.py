@@ -7,8 +7,8 @@ Two claims back the serving layer:
   (cross-checked here entry-for-entry);
 * a :class:`repro.service.ResistanceService` answering a skewed query
   stream (hot pairs dominate, as in production traffic) serves repeat
-  traffic much faster than engine-only evaluation thanks to its LRU result
-  cache.
+  traffic much faster than engine-only evaluation thanks to its
+  direct-mapped, epoch-stamped result table.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks both cases to CI-smoke size;
 ``REPRO_BENCH_FULL=1`` grows the kernel case beyond the paper scale.
@@ -125,7 +125,7 @@ def test_service_query_throughput(benchmark, bench_out_dir):
         return service
 
     service = benchmark.pedantic(run, iterations=1, rounds=1)
-    assert service.stats.hit_rate > 0.5  # repeats + duplicates hit the LRU
+    assert service.stats.hit_rate > 0.5  # repeats + duplicates hit the result table
     assert rows[0][4] > rows[0][3]  # warm pass beats cold pass
 
     table = format_table(

@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     batch = rng.integers(0, graph.num_nodes, size=(args.queries, 2))
 
     # cache disabled throughout: the bench measures engine/tier wall-clock,
-    # not LRU hits (bench_service_throughput covers the cache)
+    # not result-table hits (bench_service_throughput covers the cache)
     t0 = time.perf_counter()
     service = ResistanceService(
         graph,

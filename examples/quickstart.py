@@ -108,7 +108,7 @@ def main() -> None:
     )
     hot_pairs = [(0, 1), (0, graph.num_nodes - 1), (1, 0)]
     service.query_pairs(hot_pairs)
-    service.query_pairs(hot_pairs)  # answered from the LRU result cache
+    service.query_pairs(hot_pairs)  # answered from the result table
     # a scalar query is bit-identical to the batch answer it shares a
     # cache entry with
     same = service.query(0, 1) == service.query_pairs([(0, 1)])[0]

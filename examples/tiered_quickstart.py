@@ -33,7 +33,8 @@ def main() -> None:
     graph = barabasi_albert_graph(3000, attachments=4, seed=0)
     print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges")
 
-    # cache off so the three passes below measure engines, not the LRU
+    # cache off so the three passes below measure engines, not the
+    # result table
     service = ResistanceService(
         graph,
         config=EngineConfig(num_landmarks=64, seed=0),

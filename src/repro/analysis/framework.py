@@ -1,7 +1,7 @@
 """Core of the ``repro.analysis`` invariant checker.
 
 The serving stack that PRs 3–5 grew (registry-built engines, per-shard
-build locks, thread-pooled Alg. 2 levels, locked LRUs, async
+build locks, thread-pooled Alg. 2 levels, locked result tables, async
 micro-batching) is held together by *structural* invariants — "engine
 state is only mutated under a lock", "engines are constructed through the
 registry", "every persisted config field round-trips" — that unit tests

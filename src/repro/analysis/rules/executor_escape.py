@@ -121,18 +121,6 @@ def _collect_locals(stmts: "tuple[ast.AST, ...]") -> "set[str]":
     return out
 
 
-def _callable_locals(
-    node: "ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda",
-) -> "set[str]":
-    args = node.args
-    out = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
-    if args.vararg is not None:
-        out.add(args.vararg.arg)
-    if args.kwarg is not None:
-        out.add(args.kwarg.arg)
-    return out
-
-
 @register_rule
 class ExecutorEscapeRule(Rule):
     rule_id = "executor-escape"

@@ -45,7 +45,6 @@ from repro.utils.timing import Timer
 from repro.utils.validation import require
 
 _QUERY_CHUNK = 65536
-_TINY = 1e-12
 
 
 def _spread_landmarks(graph: Graph, count: int, start: int) -> np.ndarray:
@@ -359,8 +358,3 @@ class LandmarkEffectiveResistance(BoundedResistanceEngine):
         # midpoint width instead would shrink the certified interval on
         # one side and break containment
         return estimate, np.maximum(estimate - lower, upper - estimate)
-
-    def relative_scores(self, pairs: ArrayLike) -> np.ndarray:
-        """Per-pair ``half_width / estimate`` — the router's routing score."""
-        values, half_widths = self.query_pairs_with_bounds(pairs)
-        return half_widths / np.maximum(np.abs(values), _TINY)

@@ -35,11 +35,6 @@ class SparsifyResult:
     num_samples: int
     kept_tree_edges: int
 
-    @property
-    def edge_reduction(self) -> float:
-        """Output edges / input edges (only meaningful to the caller)."""
-        return self.graph.num_edges
-
 
 def _spanning_tree_edges(graph: Graph) -> np.ndarray:
     """Edge indices of a maximum-conductance spanning forest.

@@ -15,7 +15,8 @@ each usable on its own:
   over a thread pool, with results bit-identical either way;
 * :class:`~repro.service.resistance_service.ResistanceService` owns an
   engine built from one :class:`~repro.core.engine.EngineConfig` plus a
-  locked pair-result LRU, drives plan → execute → scatter for
+  locked, direct-mapped, epoch-stamped pair-result table (24 B a slot),
+  drives plan → execute → scatter for
   ``query_pairs`` (a scalar ``query`` goes straight to the engine's
   bit-identical ``query``), ranks edges by spanning-edge centrality,
   refreshes in place after graph edits,

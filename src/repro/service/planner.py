@@ -8,7 +8,9 @@ different costs, and the planner separates them *before* any engine work:
 2. **duplicate** — the batch is canonicalised (``p <= q``) and deduplicated
    with one ``np.unique`` over packed pair codes, so a skewed stream pays
    the engine for each *distinct* pair once;
-3. **cached** — distinct pairs found in the service's result LRU;
+3. **cached** — distinct pairs found in the service's result table, a
+   direct-mapped array cache probed with the same packed codes in one
+   vectorised pass;
 4. **sub-batches** — the remaining distinct misses, grouped by shard for a
    component-sharded engine (one :class:`SubBatch` per touched shard,
    translated to shard-local ids) or kept whole for a monolithic engine,
@@ -65,12 +67,13 @@ class QueryPlan:
 
     engine: ResistanceEngine
     inverse: np.ndarray            # request row -> unique-pair index
+    codes: np.ndarray              # packed distinct pairs lo·n + hi (sorted)
     unique_lo: np.ndarray          # canonical distinct pairs (lo <= hi)
     unique_hi: np.ndarray
     values: np.ndarray             # per-unique answers, filled as slices resolve
     resolved: np.ndarray           # bool mask over uniques
     trivial_rows: int = 0          # request rows answered structurally
-    cache_hit_rows: int = 0        # request rows answered from the LRU
+    cache_hit_rows: int = 0        # request rows answered from the result table
     subbatches: "list[SubBatch]" = field(default_factory=list)
 
     @property
@@ -87,30 +90,25 @@ class QueryPlan:
         return int(np.count_nonzero(~self.resolved))
 
     # ------------------------------------------------------------------
-    def resolve_from_cache(self, get_many) -> int:
-        """Fill unresolved uniques from a bulk cache probe.
+    def resolve_from_cache(self, probe) -> int:
+        """Fill unresolved uniques from one bulk cache probe.
 
-        ``get_many(keys)`` returns a value (or ``None``) per ``(lo, hi)``
-        key in one locked pass, so a cold 20k-pair batch costs one lock
-        acquisition, not 20k.  Returns the number of *request rows*
+        ``probe(codes)`` takes the packed codes of the unresolved uniques
+        and returns ``(hit mask, values)`` aligned with them, in one
+        locked, vectorised pass.  Returns the number of *request rows*
         answered (the service's hit-counting unit).
         """
         pending = np.flatnonzero(~self.resolved)
         if pending.size == 0:
             return 0
-        keys = [
-            (int(self.unique_lo[u]), int(self.unique_hi[u])) for u in pending
-        ]
-        hit_unique = []
-        for u, value in zip(pending, get_many(keys)):
-            if value is not None:
-                self.values[u] = value
-                self.resolved[u] = True
-                hit_unique.append(u)
-        if not hit_unique:
+        hit, values = probe(self.codes[pending])
+        rows = pending[hit]
+        if rows.size == 0:
             return 0
+        self.values[rows] = values[hit]
+        self.resolved[rows] = True
         hits = np.zeros(self.num_unique, dtype=bool)
-        hits[hit_unique] = True
+        hits[rows] = True
         self.cache_hit_rows = int(np.count_nonzero(hits[self.inverse]))
         return self.cache_hit_rows
 
@@ -163,14 +161,6 @@ class QueryPlan:
         self.values[subbatch.unique_rows] = values
         self.resolved[subbatch.unique_rows] = True
 
-    def miss_items(self, subbatch: SubBatch):
-        """Yield ``((lo, hi), value)`` for a scattered sub-batch (cache fill)."""
-        for u in subbatch.unique_rows:
-            yield (
-                (int(self.unique_lo[u]), int(self.unique_hi[u])),
-                float(self.values[u]),
-            )
-
     def gather(self) -> np.ndarray:
         """Caller-ordered answers (every unique must be resolved)."""
         return self.values[self.inverse]
@@ -192,7 +182,8 @@ class QueryPlanner:
 
         The cache pass (:meth:`QueryPlan.resolve_from_cache`) and sub-batch
         construction (:meth:`QueryPlan.build_subbatches`) are separate steps
-        so the caller controls locking around its LRU.
+        so the caller controls locking around its result cache, which it
+        probes and fills with the plan's packed ``codes``.
         """
         arr = as_pair_array(pairs)
         n = self.engine.n
@@ -214,6 +205,7 @@ class QueryPlanner:
         plan = QueryPlan(
             engine=self.engine,
             inverse=inverse,
+            codes=unique_codes,
             unique_lo=unique_lo,
             unique_hi=unique_hi,
             values=values,

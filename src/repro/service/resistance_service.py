@@ -10,7 +10,7 @@ redesign, every batch flows through the same three stages:
 1. :class:`~repro.service.planner.QueryPlanner` canonicalises and
    deduplicates the batch (one ``np.unique`` over packed pair codes),
    resolves the trivial slices (``p == q`` → 0.0, cross-component → ``inf``)
-   from the component labels, and probes the locked result LRU;
+   from the component labels, and probes the locked result table;
 2. an :class:`~repro.service.executor.Executor` runs the remaining
    sub-batches — per shard for a component-sharded engine — serially by
    default or concurrently with :class:`~repro.service.executor.ThreadedExecutor`;
@@ -22,7 +22,10 @@ A scalar :meth:`ResistanceService.query` skips the planner: after the same
 validation, ``p == q`` case and result-cache probe it asks the engine's own
 ``query(p, q)``, which every engine keeps bit-identical to a one-pair
 ``query_pairs`` — so a cached answer is the same whichever call filled it.
-The result cache and stats are lock-protected so many threads (or the
+The result cache is a direct-mapped table of numpy arrays (24 B per slot)
+keyed by the packed pair code; a new pair overwrites the one sharing its
+slot, and a refresh retires every entry by bumping the epoch stamped on
+it.  The result table and stats are lock-protected so many threads (or the
 micro-batching loop of
 :class:`~repro.service.async_service.AsyncResistanceService`) can share one
 service.  One :class:`~repro.core.engine.EngineConfig` picks and tunes the
@@ -36,9 +39,9 @@ arrays are memory-mapped so many workers on one host share pages.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +67,7 @@ from repro.utils.validation import require
 class ServiceStats:
     """Counters a service accumulates over its lifetime.
 
-    ``result_hits`` counts request rows answered from the result LRU;
+    ``result_hits`` counts request rows answered from the result table;
     ``result_misses`` counts *distinct* pairs sent to the engine (a
     deduplicated batch of 100 copies of one cold pair is 1 miss).  All
     counters are updated under the service lock, so they stay consistent
@@ -133,62 +136,90 @@ class BatchReport:
         return len({t.shard_id for t in self.subbatch_timings})
 
 
-@dataclass
-class _LRU:
-    """Ordered-dict LRU; thread-safe, values opaque to the service.
+_SLOT_MIX = 0x9E3779B97F4A7C15  # 2^64 / golden ratio: Fibonacci hashing
+_SLOT_BYTES = 24  # int64 key + int64 epoch + float64 value
 
-    Batch traffic goes through :meth:`get_many`/:meth:`put_many` — one
-    lock acquisition per batch instead of one per pair.  ``put_many``
-    takes an optional ``still_valid`` predicate evaluated *under the
-    lock*, which is how the service fences in-flight results out of a
-    cache that a concurrent refresh has invalidated (the refresh bumps
-    its epoch before clearing, and clearing acquires this same lock, so
-    a stale writer either inserts before the clear — and is wiped by it
-    — or observes the bumped epoch and backs off).
+
+class _ResultTable:
+    """Direct-mapped, epoch-stamped pair-result cache; thread-safe.
+
+    Slot ``s`` holds a packed pair code ``keys[s] = lo·n + hi``, the service
+    epoch its value was computed under, and the value (24 B per slot).  A
+    code's slot is the top bits of ``code·_SLOT_MIX mod 2^64`` scaled to the
+    capacity; a new pair overwrites the pair that held its slot.  An entry
+    answers only a probe for the same code *and* epoch, so a refresh retires
+    every entry by bumping the epoch.  Epochs start at 1: zeroed slots are
+    empty, and untouched pages cost no RSS.  Every access holds :attr:`lock`;
+    fills take a ``still_valid`` predicate, checked under it, that fences
+    out writers whose epoch a concurrent refresh has retired.
     """
 
-    capacity: int
-    data: "OrderedDict" = field(default_factory=OrderedDict)
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    def __init__(self, capacity: int):
+        nbytes = _SLOT_BYTES * capacity
+        try:
+            # past the host's RAM a lazily mapped table would allocate now
+            # and be OOM-killed later, as its slots fill
+            if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+                raise MemoryError
+            # capacity 0 keeps one slot that no fill writes, so its epoch
+            # 0 misses every probe
+            self.keys = np.zeros(max(capacity, 1), dtype=np.int64)
+            self.epochs = np.zeros(max(capacity, 1), dtype=np.int64)
+            self.values = np.zeros(max(capacity, 1))
+        except MemoryError:
+            raise MemoryError(
+                f"result_cache_size={capacity} needs a {nbytes:,} B result "
+                f"table ({_SLOT_BYTES} B/slot), more than this host can allocate"
+            ) from None
+        self.capacity = capacity
+        # keeps top·capacity inside 64 bits for any capacity
+        self._shift = max(32, capacity.bit_length())
+        self.lock = threading.Lock()
 
-    def get(self, key):
+    def _slot(self, code):
+        """Slot of a Python-int code, or of each code in a uint64 array."""
+        top = ((code * _SLOT_MIX) & 0xFFFFFFFFFFFFFFFF) >> self._shift
+        return (top * self.capacity) >> (64 - self._shift)
+
+    def probe(self, codes: np.ndarray, epoch: int) -> "tuple[np.ndarray, np.ndarray]":
+        """``(hit mask, values)`` aligned with ``codes``, one lock hold."""
+        slots = self._slot(codes.astype(np.uint64))
         with self.lock:
-            value = self.data.get(key)
-            if value is not None or key in self.data:
-                self.data.move_to_end(key)
-            return value
+            hit = (self.keys[slots] == codes) & (self.epochs[slots] == epoch)
+            return hit, self.values[slots]
 
-    def get_many(self, keys) -> list:
-        """Values for ``keys`` (``None`` where missing), one lock hold."""
-        out = []
+    def fill(self, codes: np.ndarray, values: np.ndarray, epoch: int, still_valid) -> None:
+        """Store distinct ``codes`` with their ``values``, one lock hold."""
+        slots = self._slot(codes.astype(np.uint64))
         with self.lock:
-            for key in keys:
-                value = self.data.get(key)
-                if value is not None or key in self.data:
-                    self.data.move_to_end(key)
-                out.append(value)
-        return out
-
-    def put(self, key, value, still_valid=None) -> None:
-        self.put_many([(key, value)], still_valid)
-
-    def put_many(self, items, still_valid=None) -> None:
-        with self.lock:
-            if still_valid is not None and not still_valid():
+            if not self.capacity or not still_valid():
                 return
-            for key, value in items:
-                self.data[key] = value
-                self.data.move_to_end(key)
-            while len(self.data) > self.capacity:
-                self.data.popitem(last=False)
+            self.keys[slots] = codes
+            # codes sharing a slot leave one of them in it; only that
+            # code's row stamps the slot, whatever order numpy wrote in
+            won = self.keys[slots] == codes
+            self.epochs[slots[won]] = epoch
+            self.values[slots[won]] = values[won]
 
-    def __len__(self) -> int:
+    def probe_one(self, code: int, epoch: int) -> "float | None":
+        slot = self._slot(code)
         with self.lock:
-            return len(self.data)
+            if self.keys[slot] == code and self.epochs[slot] == epoch:
+                return float(self.values[slot])
+        return None
 
-    def clear(self) -> None:
+    def fill_one(self, code: int, value: float, epoch: int, still_valid) -> None:
+        slot = self._slot(code)
         with self.lock:
-            self.data.clear()
+            if self.capacity and still_valid():
+                self.keys[slot] = code
+                self.epochs[slot] = epoch
+                self.values[slot] = value
+
+    def count(self, epoch: int) -> int:
+        """Entries stamped with ``epoch``."""
+        with self.lock:
+            return int(np.count_nonzero(self.epochs == epoch))
 
 
 class ResistanceService:
@@ -203,7 +234,8 @@ class ResistanceService:
         tunables, used on every (re)build (default: Alg. 3 with the
         paper's settings); see :func:`repro.core.engine.registered_engines`.
     result_cache_size:
-        Maximum cached pair results (LRU, default 65536).
+        Slots of the direct-mapped, epoch-stamped result table (24 B
+        each, default 65536; 0 disables caching).
     executor:
         :class:`~repro.service.executor.Executor` running the planned
         sub-batches; default :class:`~repro.service.executor.SerialExecutor`.
@@ -235,11 +267,16 @@ class ResistanceService:
         executor: "Executor | None" = None,
         max_task_pairs: "int | None" = None,
     ) -> None:
-        require(result_cache_size >= 0, "result_cache_size must be >= 0")
-        require(
-            max_task_pairs is None or max_task_pairs >= 1,
-            "max_task_pairs must be >= 1",
-        )
+        for name, value, low in (
+            ("result_cache_size", result_cache_size, 0),
+            ("max_task_pairs", 1 if max_task_pairs is None else max_task_pairs, 1),
+        ):
+            require(  # a bool is an int, but never a count
+                isinstance(value, (int, np.integer))
+                and not isinstance(value, bool)
+                and value >= low,
+                f"{name} must be an integer >= {low}, got {value!r}",
+            )
         # constructor helper: runs on a not-yet-shared instance, before the
         # locks it creates below even exist, so the lock-discipline rule's
         # once-locked-always-locked invariant cannot apply yet
@@ -248,17 +285,17 @@ class ResistanceService:
         self.executor = executor if executor is not None else SerialExecutor()
         self.max_task_pairs = max_task_pairs
         self.last_report: "BatchReport | None" = None
-        self._results = _LRU(result_cache_size)
+        self._results = _ResultTable(int(result_cache_size))
         self._edge_resistances: "tuple[np.ndarray, np.ndarray] | None" = None  # repro: ignore[lock-discipline] — constructing
         self._router: "QueryRouter | None" = None  # repro: ignore[lock-discipline] — constructing
         self._lock = threading.Lock()          # stats + engine swap
         self._refresh_lock = threading.Lock()  # serialises rebuilds
         self._edge_lock = threading.Lock()     # all_edge_resistances memo
-        # bumped on every refresh; cache writes carry the epoch they were
-        # computed under and are dropped if a refresh intervened, so an
-        # in-flight query can never poison a freshly invalidated cache
-        # with old-engine values
-        self._epoch = 0  # repro: ignore[lock-discipline] — constructing
+        # bumped on every refresh; cache entries only answer probes of the
+        # epoch they were computed under, and writes are dropped if a
+        # refresh intervened, so an in-flight query can never poison a
+        # freshly invalidated cache; 0 marks an empty table slot
+        self._epoch = 1  # repro: ignore[lock-discipline] — constructing
 
     @property
     def method(self) -> str:
@@ -312,7 +349,8 @@ class ResistanceService:
         later :meth:`refresh_after_edge_update` calls rebuild with the
         saved configuration.  With ``mmap=True`` the large arrays are
         memory-mapped read-only, so many worker processes on one host share
-        the physical pages instead of each loading a private copy.
+        the physical pages instead of each loading a private copy.  Its
+        result table starts empty; untouched pages cost no resident memory.
         """
         from repro.core.persistence import load_engine
 
@@ -425,9 +463,8 @@ class ResistanceService:
                 self.engine = new_engine
                 self.graph = graph
                 self._router = None  # tier engines belong to the old graph
-                self._epoch += 1
-                invalidated_results = len(self._results)
-                self._results.clear()
+                invalidated_results = self._results.count(self._epoch)
+                self._epoch += 1  # retires every cached entry at once
                 self.stats.refreshes += 1
             with self._edge_lock:
                 self._edge_resistances = None
@@ -535,17 +572,18 @@ class ResistanceService:
             self.stats.queries += 1
         if p == q:
             return 0.0
-        key = (p, q) if p < q else (q, p)
-        entry = self._results.get(key)
-        if entry is not None and entry[0] == epoch:
+        lo, hi = (p, q) if p < q else (q, p)
+        code = lo * engine.n + hi  # the planner's packed pair code
+        cached = self._results.probe_one(code, epoch)
+        if cached is not None:
             with self._lock:
                 self.stats.result_hits += 1
-            return entry[1]
+            return cached
         with self._lock:
             self.stats.result_misses += 1
-        value = engine.query(key[0], key[1])
-        self._results.put(
-            key, (epoch, value), still_valid=lambda: self._epoch == epoch
+        value = engine.query(lo, hi)
+        self._results.fill_one(
+            code, value, epoch, still_valid=lambda: self._epoch == epoch
         )
         return value
 
@@ -616,14 +654,9 @@ class ResistanceService:
             self.last_report = report
             return np.empty(0), report
         plan = QueryPlanner(engine).plan(arr)
-        # cached entries are (epoch, value); only same-epoch values may
-        # resolve this batch, so one batch never mixes two engines
-        plan.resolve_from_cache(
-            lambda keys: [
-                entry[1] if entry is not None and entry[0] == epoch else None
-                for entry in self._results.get_many(keys)
-            ]
-        )
+        # only same-epoch entries may resolve this batch, so one batch
+        # never mixes two engines
+        plan.resolve_from_cache(lambda codes: self._results.probe(codes, epoch))
         routed_rows = 0
         if sla is not None and router is not None:
             pending = np.flatnonzero(~plan.resolved)
@@ -636,7 +669,7 @@ class ResistanceService:
                 )
                 kept = pending[routed.served]
                 # approximate answers resolve the plan directly and are
-                # NEVER written to the exact result LRU
+                # NEVER written to the exact result table
                 plan.values[kept] = routed.values[routed.served]
                 plan.resolved[kept] = True
                 routed_rows = int(kept.shape[0])
@@ -673,18 +706,15 @@ class ResistanceService:
 
             results = self.executor.map(run, subbatches)
             report.execute_seconds = time.perf_counter() - t_exec
-            cache_fill = []
             for subbatch, (values, seconds) in zip(subbatches, results):
                 plan.scatter(subbatch, values)
                 report.subbatch_timings.append(
                     SubBatchTiming(subbatch.shard_id, subbatch.num_pairs, seconds)
                 )
-                cache_fill.extend(
-                    (key, (epoch, value))
-                    for key, value in plan.miss_items(subbatch)
-                )
-            self._results.put_many(
-                cache_fill, still_valid=lambda: self._epoch == epoch
+            rows = np.concatenate([s.unique_rows for s in subbatches])
+            self._results.fill(
+                plan.codes[rows], plan.values[rows], epoch,
+                still_valid=lambda: self._epoch == epoch,
             )
         out = plan.gather()
         report.total_seconds = time.perf_counter() - t_start

@@ -118,6 +118,30 @@ class TestAccuracy:
             rels[method] = errors.mean() / original.max_drop()
         assert rels["cholinv"] < 2.5 * rels["exact"] + 1e-4
 
+    def test_cholinv_matches_exact_reduction_quality_when_sampling(self, pg_case):
+        """The same Table II bound on blocks that are really sparsified.
+
+        At the default ``sparsify_sample_factor`` every 16² block has
+        m <= 8·n·ln n edges and is returned unsampled, so both backends
+        give byte-identical reductions; at 2.0 the sampling uses each
+        backend's resistances and the two reductions differ.
+        """
+        grid, original = pg_case
+        ports = grid.port_nodes()
+        rels, ohms = {}, {}
+        for method in ("exact", "cholinv"):
+            _, reduced = run_reduction(
+                grid, engine=EngineConfig(method=method), sparsify_sample_factor=2.0
+            )
+            ohms[method] = np.asarray(reduced.grid.res_ohms)
+            solution = dc_analysis(reduced.grid)
+            errors = reduced.port_voltage_errors(
+                original.voltages, solution.voltages, ports
+            )
+            rels[method] = errors.mean() / original.max_drop()
+        assert not np.array_equal(ohms["exact"], ohms["cholinv"])
+        assert rels["cholinv"] < 2.5 * rels["exact"] + 1e-4
+
 
 class TestIncrementalMachinery:
     def test_rebuild_reuses_cache(self, pg_case):

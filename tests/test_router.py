@@ -8,7 +8,7 @@ The four router-semantics guarantees:
   ``rel_tol`` flow through the normal exact path;
 * mixed-SLA traffic splits per tier: the async front-end groups requests
   by SLA, and each batch's report records who served what;
-* cached exact results short-circuit — a warm result LRU answers before
+* cached exact results short-circuit — a warm result table answers before
   any tier runs, and tier answers never enter that cache.
 """
 
@@ -149,7 +149,7 @@ def test_refresh_drops_the_router(service, mesh, pairs):
 
 def test_cached_exact_results_short_circuit(service, pairs):
     service.enable_tiers(tiers=("landmark",), calibration_pairs=256)
-    exact = service.query_pairs(pairs)            # warms the result LRU
+    exact = service.query_pairs(pairs)            # warms the result table
     values, report = service.query_pairs_with_report(pairs, rel_tol=0.25)
     # every non-trivial pair came from the cache: nothing routed, nothing
     # escalated, and the answers are the cached exact ones bit-for-bit

@@ -7,6 +7,8 @@ answers — ``inf`` across components, ``0.0`` on the diagonal — and the two
 Alg. 2 kernels must produce the *identical* ``Z̃``.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,46 @@ class TestServiceCaching:
         service.query(0, 5)
         service.query(0, 5)
         assert service.stats.result_hits == 0
+        pairs = [(0, 5), (1, 7), (5, 0)]
+        first = service.query_pairs(pairs)
+        second, report = service.query_pairs_with_report(pairs)
+        assert np.array_equal(first, second)
+        assert report.cache_hit_rows == 0
+        assert service.stats.result_hits == 0
+
+    @pytest.mark.parametrize("capacity", [1, 3])
+    def test_tiny_table_answers_bit_identical_to_engine(self, capacity):
+        # far more distinct pairs than slots: every batch writes some slot
+        # several times, and every probe may find another pair in its slot
+        graph = grid_2d(12, 12, jitter=0.3, seed=3)
+        engine = build_engine(graph, EngineConfig())
+        service = ResistanceService.from_engine(engine, result_cache_size=capacity)
+        rng = np.random.default_rng(capacity)
+        hot = rng.integers(0, graph.num_nodes, size=(4, 2))
+        for step in range(30):
+            batch = np.vstack([hot, rng.integers(0, graph.num_nodes, size=(20, 2))])
+            assert np.array_equal(service.query_pairs(batch), engine.query_pairs(batch))
+            for p, q in batch[step % 3::7]:
+                assert service.query(p, q) == engine.query_pairs([(p, q)])[0]
+        assert service.stats.result_hits > 0
+        # every filled slot holds its own pair's value
+        table = service._results
+        filled = np.flatnonzero(table.epochs)
+        lo, hi = np.divmod(table.keys[filled], engine.n)
+        assert np.array_equal(
+            table.values[filled], engine.query_pairs(np.column_stack([lo, hi]))
+        )
+
+    def test_hot_pairs_survive_a_flood_smaller_than_capacity(self):
+        graph = grid_2d(24, 24, jitter=0.3, seed=0)
+        service = ResistanceService(graph)  # 65536 slots
+        rng = np.random.default_rng(5)
+        hot = rng.integers(0, graph.num_nodes, size=(200, 2))
+        hot = hot[hot[:, 0] != hot[:, 1]]
+        service.query_pairs(hot)
+        service.query_pairs(rng.integers(0, graph.num_nodes, size=(8192, 2)))
+        _, report = service.query_pairs_with_report(hot)
+        assert report.cache_hit_rows >= 0.8 * hot.shape[0]
 
     def test_top_k_central_edges(self, weighted_mesh):
         service = ResistanceService(weighted_mesh)
@@ -177,6 +219,23 @@ class TestServiceRefresh:
         assert after == pytest.approx(truth, rel=2e-2)
         assert after != before
         assert service.stats.refreshes == 1
+
+    def test_refresh_invalidates_by_epoch_without_clearing(self, weighted_mesh):
+        service = ResistanceService(weighted_mesh)
+        pairs = [(0, 5), (1, 7), (2, 30), (3, 3)]
+        service.query_pairs(pairs)
+        service.query(4, 9)
+        table = service._results
+        current = int(np.count_nonzero(table.epochs == service._epoch))
+        keys, values = table.keys.copy(), table.values.copy()
+        stats = service.refresh_after_edge_update(weighted_mesh)
+        assert current == 4 and stats.invalidated_results == current
+        # the slots are left in place; only the epoch retired them
+        assert np.array_equal(table.keys, keys)
+        assert np.array_equal(table.values, values)
+        assert np.count_nonzero(table.epochs == service._epoch) == 0
+        _, report = service.query_pairs_with_report(pairs)
+        assert report.cache_hit_rows == 0
 
     def test_refresh_with_edge_list_adds_conductance(self, tiny_path):
         service = ResistanceService(tiny_path, config=EngineConfig(method="exact"))
@@ -211,6 +270,31 @@ class TestServiceValidation:
     def test_unknown_method(self, tiny_path):
         with pytest.raises(ValueError):
             ResistanceService(tiny_path, config=EngineConfig(method="voodoo"))
+
+    @pytest.mark.parametrize(
+        "value", [2.5, True, float("inf"), "8", -1, None, np.float64(8.0)]
+    )
+    def test_bad_result_cache_size_names_field_and_value(self, tiny_path, value):
+        engine = build_engine(tiny_path, EngineConfig(method="exact"))
+        with pytest.raises(ValueError, match=rf"result_cache_size .*{re.escape(repr(value))}"):
+            ResistanceService.from_engine(engine, result_cache_size=value)
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, float("inf"), "8"])
+    def test_bad_max_task_pairs_names_field_and_value(self, tiny_path, value):
+        engine = build_engine(tiny_path, EngineConfig(method="exact"))
+        with pytest.raises(ValueError, match=rf"max_task_pairs .*{re.escape(repr(value))}"):
+            ResistanceService.from_engine(engine, max_task_pairs=value)
+
+    def test_unallocatable_table_fails_at_construction_with_byte_cost(self, tiny_path):
+        with pytest.raises(MemoryError, match=r"24,000,000,000,000 B"):
+            ResistanceService(tiny_path, result_cache_size=10**12)
+
+    def test_numpy_integer_knobs_accepted(self, tiny_path):
+        engine = build_engine(tiny_path, EngineConfig(method="exact"))
+        service = ResistanceService.from_engine(
+            engine, result_cache_size=np.int64(4), max_task_pairs=np.int32(2)
+        )
+        assert service.query(0, 4) == service.query_pairs([(4, 0)])[0]
 
     def test_bad_pairs_shape(self, tiny_path):
         service = ResistanceService(tiny_path)

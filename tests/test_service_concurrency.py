@@ -109,6 +109,23 @@ def test_hammer_mixed_traffic_bit_identical(multi_component, executor):
     assert np.array_equal(service.query_pairs(pairs), reference)
 
 
+@pytest.mark.parametrize("capacity", [1, 3])
+def test_hammer_tiny_result_table_never_crosses_pairs(multi_component, capacity):
+    # a few slots shared by 64 pairs: concurrent fills keep overwriting
+    # each other's slots, and no probe may return another pair's value
+    service = ResistanceService(multi_component, result_cache_size=capacity)
+    rng = np.random.default_rng(capacity)
+    n = multi_component.num_nodes
+    pairs = np.column_stack([
+        rng.integers(0, n, size=64),
+        rng.integers(0, n, size=64),
+    ])
+    reference = build_engine(multi_component, EngineConfig()).query_pairs(pairs)
+    errors = _hammer(service, multi_component, reference, pairs, threads=6, reps=8)
+    assert errors == []
+    assert np.array_equal(service.query_pairs(pairs), reference)
+
+
 def test_lazy_shards_build_once_under_concurrency(multi_component):
     engine = build_engine(
         multi_component,
@@ -140,9 +157,9 @@ def test_refresh_during_inflight_query_does_not_poison_cache(tiny_path):
     """An old-engine result computed across a refresh must not be cached.
 
     The in-flight query holds its (old) engine while a refresh with a
-    *changed* graph swaps engine and clears the caches; the stale value
-    is returned to its own caller but the epoch fence must keep it out
-    of the post-refresh result cache.
+    *changed* graph swaps engine and retires the cached entries; the
+    stale value is returned to its own caller but the epoch fence must
+    keep it out of the post-refresh result cache.
     """
     service = ResistanceService(tiny_path, config=EXACT)
     entered = threading.Event()
@@ -171,6 +188,9 @@ def test_refresh_during_inflight_query_does_not_poison_cache(tiny_path):
     worker.join(timeout=30)
 
     assert inflight["value"] == pytest.approx(before)  # stale but honest
+    # the fence kept the stale write out of the table altogether: its old
+    # epoch could never answer a probe, but it would evict a live entry
+    assert not service._results.epochs.any()
     after = service.query_pairs([(0, 4)])[0]  # must re-answer, not hit cache
     assert after == pytest.approx(before - 0.5)
     assert service.query(0, 4) == pytest.approx(before - 0.5)

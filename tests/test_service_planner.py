@@ -100,9 +100,12 @@ class TestQueryPlanner:
     def test_cache_pass_resolves_and_counts_rows(self, weighted_mesh):
         engine = build_engine(weighted_mesh, EngineConfig())
         plan = QueryPlanner(engine).plan([(0, 5), (5, 0), (1, 7)])
-        cache = {(0, 5): 2.5}
+        cache = {0 * engine.n + 5: 2.5}  # keyed by the packed code lo·n + hi
         hits = plan.resolve_from_cache(
-            lambda keys: [cache.get(k) for k in keys]
+            lambda codes: (
+                np.isin(codes, list(cache)),
+                np.array([cache.get(int(c), np.nan) for c in codes]),
+            )
         )
         assert hits == 2  # both rows of the cached unique pair
         assert plan.num_misses == 1
