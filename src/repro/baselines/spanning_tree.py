@@ -17,8 +17,8 @@ rough all-edge estimates and serves as an independent cross-check of the
 exact engine in tests.  It registers with the engine registry as
 ``"spanning_tree"`` and reports binomial confidence intervals through the
 :class:`~repro.estimators.base.BoundedResistanceEngine` protocol, so the
-adaptive ladder and the SLA router can use it as an optional coarse tier
-for edge-heavy workloads (non-edge pairs report an infinite half-width
+SLA router can use it as an optional coarse tier for edge-heavy
+workloads (non-edge pairs report an infinite half-width
 and simply escalate).
 """
 

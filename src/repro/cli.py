@@ -84,6 +84,15 @@ def _parse_tiers(args) -> "tuple[str, ...]":
     )
 
 
+def _enable_tiers(args, service, profile=None):
+    """Install the SLA router; a ladder the service cannot route (an
+    unknown tier name, a sharded service) is a usage error."""
+    try:
+        return service.enable_tiers(tiers=_parse_tiers(args), profile=profile)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def _sla_requested(args) -> bool:
     return (
         args.rel_tol is not None
@@ -209,7 +218,7 @@ def cmd_er(args) -> int:
         from repro.service import ResistanceService
 
         service = ResistanceService.from_engine(engine)
-        service.enable_tiers(tiers=_parse_tiers(args))
+        _enable_tiers(args, service)
         values, report = service.query_pairs_with_report(
             pairs, rel_tol=args.rel_tol, latency_budget=args.latency_budget
         )
@@ -268,9 +277,7 @@ def cmd_service(args) -> int:
                 if sidecar.exists():
                     profile = CalibrationProfile.load(sidecar)
                     print(f"calibration loaded from {sidecar}", file=sys.stderr)
-            profile = service.enable_tiers(
-                tiers=_parse_tiers(args), profile=profile
-            )
+            profile = _enable_tiers(args, service, profile)
             if args.save_engine:
                 saved = profile.save(
                     CalibrationProfile.default_path(args.save_engine)

@@ -55,6 +55,8 @@ from typing import Any, Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
+from repro.cholesky.ordering import ORDERING_METHODS
+from repro.core.approx_inverse import _MODES
 from repro.graphs.graph import Graph
 from repro.utils.timing import Timer
 from repro.utils.validation import check_finite_nonnegative, check_positive, require
@@ -168,13 +170,6 @@ class EngineConfig:
         walks per endpoint and the (lazy) walk truncation length.
     num_trees:
         Wilson samples of the ``"spanning_tree"`` coarse tier.
-    tiers:
-        Escalation ladder of the ``"adaptive"`` engine, cheapest first
-        (default ``None`` = ``("landmark", "cholinv")``).  Lists normalise
-        to tuples so configs stay hashable and JSON round-trips exactly.
-    tier_rel_tol:
-        Relative error tolerance the ``"adaptive"`` engine enforces before
-        escalating a pair to the next tier.
     """
 
     method: str = "cholinv"
@@ -200,15 +195,13 @@ class EngineConfig:
     num_walks: int = 512
     walk_length: int = 32
     num_trees: int = 200
-    tiers: "tuple[str, ...] | None" = None
-    tier_rel_tol: float = 0.05
 
     def __post_init__(self) -> None:
         check_finite_nonnegative(self.epsilon, "epsilon")
         check_finite_nonnegative(self.drop_tol, "drop_tol")
         # a NaN tolerance compares false everywhere: solvers would stop at
         # once and answer 0 instead of failing
-        for name in ("rtol", "pcg_rtol", "c_jl", "tier_rel_tol"):
+        for name in ("rtol", "pcg_rtol", "c_jl"):
             check_positive(getattr(self, name), name)
         if self.small_column_threshold is not None:
             check_finite_nonnegative(self.small_column_threshold, "small_column_threshold")
@@ -225,30 +218,22 @@ class EngineConfig:
         ):
             value = getattr(self, name)
             require(value >= 1, f"{name} must be >= 1, got {value}")
-        require(
-            self.landmark_strategy in ("degree", "spread", "random"),
-            f"landmark_strategy must be 'degree', 'spread' or 'random', "
-            f"got {self.landmark_strategy!r}",
-        )
-        if self.tiers is not None:
-            # JSON persistence round-trips tuples through lists; normalise
-            # back so configs stay hashable and compare equal after reload
-            tiers = tuple(self.tiers)
-            require(
-                len(tiers) >= 1 and all(isinstance(t, str) for t in tiers),
-                f"tiers must be a non-empty sequence of engine names, "
-                f"got {self.tiers!r}",
-            )
-            object.__setattr__(self, "tiers", tiers)
-        require(
-            self.shard_strategy in ("none", "component", "separator"),
-            f"shard_strategy must be 'none', 'component' or 'separator', "
-            f"got {self.shard_strategy!r}",
-        )
-        require(
-            self.separator in ("bisection", "kway"),
-            f"separator must be 'bisection' or 'kway', got {self.separator!r}",
-        )
+        # a misspelt name would otherwise surface only inside build_engine,
+        # possibly after costly work (PGReducer partitions first)
+        for name, allowed in (
+            ("ordering", ORDERING_METHODS),
+            ("mode", _MODES),
+            ("solver", ("pcg", "splu")),
+            ("landmark_strategy", ("degree", "spread", "random")),
+            ("shard_strategy", ("none", "component", "separator")),
+            ("separator", ("bisection", "kway")),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"{name} must be one of {', '.join(map(repr, allowed))}, "
+                    f"got {value!r}"
+                )
         require(
             self.max_shard_nodes is None or self.max_shard_nodes >= 2,
             f"max_shard_nodes must be None or >= 2, got {self.max_shard_nodes}",

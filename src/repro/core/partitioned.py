@@ -429,12 +429,7 @@ class PartitionedEngine(ResistanceEngine):
         self._systems_lock = threading.Lock()
         self._rim_lock = threading.Lock()
         if not self.lazy:
-            for comp in self._split_components.tolist():
-                self._system(int(comp))
-            eager = [
-                s for s in range(self.num_shards) if self._shard_graph_size(s) > 1
-            ]
-            self._build_shards(eager, self.config.build_workers)
+            self.warm_up()
 
     # ------------------------------------------------------------------
     # plan indexing (pure derivation from the plan — no factorisation)

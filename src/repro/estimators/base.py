@@ -5,9 +5,9 @@ per-pair **absolute half-width**: the caller is promised the exact-grade
 answer lies within ``[value - half, value + half]`` (a certified interval
 for the landmark projection, a ~99% confidence interval for the Monte
 Carlo tiers).  ``query_pairs`` stays the plain protocol method —
-estimators are drop-in engines — while routers and the adaptive wrapper
-use :meth:`BoundedResistanceEngine.query_pairs_with_bounds` to decide
-which answers are good enough for a requested tolerance.
+estimators are drop-in engines — while the service's router uses
+:meth:`BoundedResistanceEngine.query_pairs_with_bounds` to decide which
+answers are good enough for a requested tolerance.
 
 Two structural facts are shared across tiers and resolved here once:
 

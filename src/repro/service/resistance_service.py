@@ -297,13 +297,6 @@ class ResistanceService:
         # freshly invalidated cache; 0 marks an empty table slot
         self._epoch = 1  # repro: ignore[lock-discipline] — constructing
 
-    @property
-    def method(self) -> str:
-        """Name of the served engine (back-compat accessor)."""
-        # a refresh may swap configs concurrently, but the method name is
-        # identical in every config this service ever holds
-        return self.config.method  # repro: ignore[atomicity] — method is refresh-invariant
-
     @classmethod
     def from_engine(
         cls,
@@ -499,7 +492,9 @@ class ResistanceService:
         Tier builds and calibration run *outside* the service locks; the
         router is installed only if no refresh intervened.  After
         :meth:`refresh_after_edge_update` the router is dropped and this
-        method must be called again.
+        method must be called again.  A sharded service
+        (``shard_strategy != "none"``) has no tiers: each tier would be a
+        sharded composite without error bounds.
         """
         require(len(tiers) >= 1, "need at least one tier")
         with self._lock:  # engine + graph + config swap together
@@ -507,6 +502,12 @@ class ResistanceService:
             graph = self.graph
             config = self.config
             epoch = self._epoch
+        require(
+            config.shard_strategy == "none",
+            f"SLA tiers need an unsharded service, got "
+            f"shard_strategy={config.shard_strategy!r}; serve with "
+            f"shard_strategy='none' to route queries across tiers",
+        )
         engines: "dict[str, BoundedResistanceEngine]" = {}
         for name in tiers:
             require(

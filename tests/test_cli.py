@@ -113,6 +113,17 @@ class TestER:
         assert f"repro {command}: error: --pairs" in err
         assert message in err
 
+    @pytest.mark.parametrize("command", ["er", "service"])
+    @pytest.mark.parametrize("strategy", ["component", "separator"])
+    def test_sla_on_sharded_engine_is_a_usage_error(self, command, strategy, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--generator", "mesh2d:8x8", "--pairs", "0,63",
+                  "--rel-tol", "0.05", "--shard-strategy", strategy])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: error: " in err
+        assert f"shard_strategy={strategy!r}" in err
+
 
 class TestService:
     def test_pairs_and_top_k(self, capsys):

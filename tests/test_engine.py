@@ -44,7 +44,6 @@ CONFIGS = {
     "local_walk": EngineConfig(
         method="local_walk", num_walks=256, walk_length=32, seed=0
     ),
-    "adaptive": EngineConfig(method="adaptive", num_landmarks=4, seed=0),
     "sharded-cholinv": EngineConfig(shard_strategy="component"),
     "sharded-exact": EngineConfig(
         method="exact", shard_strategy="component", lazy_shards=True
@@ -130,8 +129,11 @@ class TestRegistry:
             build_engine(multi_component, EngineConfig(method="bogus"))
 
     def test_unknown_kwarg_raises(self):
-        with pytest.raises(TypeError, match="dropp_tol"):
-            EngineConfig(dropp_tol=1e-3)
+        # tiers / tier_rel_tol are gone: the service's SLA router is the
+        # one tier ladder
+        for name in ("dropp_tol", "tiers", "tier_rel_tol"):
+            with pytest.raises(TypeError, match=name):
+                EngineConfig(**{name: 1e-3})
         with pytest.raises(TypeError, match="dropp_tol"):
             EngineConfig().replace(dropp_tol=1e-3)
 
@@ -151,7 +153,6 @@ class TestRegistry:
                 ("rtol", -1.0),
                 ("pcg_rtol", 0.0),
                 ("c_jl", -5.0),
-                ("tier_rel_tol", 0.0),
                 ("ground_value", 0.0),
                 ("small_column_threshold", -1.0),
                 ("num_projections", 0),
@@ -165,6 +166,29 @@ class TestRegistry:
         # deep inside the build with an unrelated message
         with pytest.raises(ValueError, match=rf"{field} must .*got {value!r}"):
             EngineConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"ordering": "bogus"}, "ordering"),
+            ({"ordering": "mindeg"}, "ordering"),
+            ({"mode": "bogus"}, "mode"),
+            ({"method": "random_projection", "solver": "bogus"}, "solver"),
+            ({"landmark_strategy": "bogus"}, "landmark_strategy"),
+            ({"shard_strategy": "bogus"}, "shard_strategy"),
+            ({"separator": "bogus"}, "separator"),
+        ],
+    )
+    def test_unknown_name_rejected_listing_the_allowed_ones(self, overrides, field):
+        # ordering, mode and solver used to fail only inside build_engine,
+        # e.g. after PGReducer had already partitioned the grid
+        value = overrides[field]
+        with pytest.raises(ValueError) as info:
+            EngineConfig(**overrides)
+        message = str(info.value)
+        assert message.startswith(f"{field} must be one of ")
+        assert message.endswith(f"got {value!r}")
+        assert repr(getattr(EngineConfig(), field)) in message
 
     def test_numeric_field_boundaries_accepted(self, multi_component):
         config = EngineConfig(
@@ -348,7 +372,7 @@ class TestPersistence:
         assert np.array_equal(
             original.query_pairs(pairs), warm.query_pairs(pairs)
         )
-        assert warm.method == "cholinv"
+        assert warm.config.method == "cholinv"
         assert warm.config.epsilon == 1e-4
         # refresh rebuilds with the saved configuration (corner-to-corner
         # edge is new, so it survives coalescing)
@@ -382,7 +406,7 @@ class TestServiceEngineIntegration:
         service = ResistanceService(
             weighted_mesh, config=EngineConfig(method="exact")
         )
-        assert service.method == "exact"
+        assert service.config.method == "exact"
         assert np.isfinite(service.query(0, 5))
 
     def test_service_serves_sharded_engine(self, multi_component):

@@ -8,10 +8,11 @@ Covers the three subsystem guarantees:
   batch-order independent, its RNG being keyed per pair);
 * **bound containment** — the landmark tier's certified interval contains
   the cholinv-grade reference it is calibrated against;
-* **escalation** — the adaptive wrapper serves from the cheapest tier
-  whose bound meets the tolerance and falls through to the exact-grade
-  tier otherwise, sharing one factorisation between the landmark tier
-  and its cholinv fallback.
+* **cut floor** — Monte-Carlo answers never fall below the singleton-cut
+  lower bound.
+
+Escalation across tiers is the service router's job; its guarantees are
+tested in ``tests/test_router.py``.
 """
 
 import numpy as np
@@ -19,12 +20,11 @@ import pytest
 
 from repro.core.engine import EngineConfig, build_engine
 from repro.estimators import (
-    AdaptiveEffectiveResistance,
     LandmarkEffectiveResistance,
     LocalWalkEffectiveResistance,
 )
 from repro.estimators.landmark import select_landmarks
-from repro.graphs.generators import fe_mesh_2d, grid_2d
+from repro.graphs.generators import fe_mesh_2d
 
 
 @pytest.fixture(scope="module")
@@ -192,94 +192,3 @@ def test_local_walk_respects_cut_floor(mesh):
     floor = resistance_floor(wdeg, pairs[:, 0], pairs[:, 1])
     active = pairs[:, 0] != pairs[:, 1]
     assert np.all(values[active] >= floor[active] - 1e-15)
-
-
-# ----------------------------------------------------------------------
-# adaptive ladder: escalation, authority, factor sharing
-# ----------------------------------------------------------------------
-
-def test_adaptive_shares_the_factorisation(mesh):
-    engine = build_engine(
-        mesh, EngineConfig(method="adaptive", num_landmarks=4, seed=0)
-    )
-    assert isinstance(engine, AdaptiveEffectiveResistance)
-    landmark = engine.tier_engines["landmark"]
-    assert isinstance(landmark, LandmarkEffectiveResistance)
-    assert engine.tier_engines["cholinv"] is landmark.base_engine
-
-
-def test_adaptive_tight_tolerance_matches_exact_tier(mesh):
-    engine = build_engine(
-        mesh,
-        EngineConfig(method="adaptive", num_landmarks=4, seed=0,
-                     tier_rel_tol=1e-9),
-    )
-    pairs = np.random.default_rng(8).integers(0, mesh.num_nodes, size=(120, 2))
-    values = engine.query_pairs(pairs)
-    truth = engine.tier_engines["cholinv"].query_pairs(pairs)
-    finite = np.isfinite(truth)
-    # almost everything escalates at this tolerance, and whatever the
-    # landmark tier kept was certified to relative error 1e-9
-    assert engine.last_tier_counts.get("cholinv", 0) > 0
-    np.testing.assert_allclose(values[finite], truth[finite], rtol=2e-9)
-
-
-def test_adaptive_loose_tolerance_serves_from_cheap_tier(mesh):
-    engine = build_engine(
-        mesh,
-        EngineConfig(method="adaptive", num_landmarks=24, seed=0,
-                     tier_rel_tol=0.5),
-    )
-    pairs = np.random.default_rng(8).integers(0, mesh.num_nodes, size=(120, 2))
-    engine.query_pairs(pairs)
-    assert engine.last_tier_counts.get("landmark", 0) > 0
-
-
-def test_adaptive_bounds_respect_tier_tolerance(mesh):
-    tolerance = 0.05
-    engine = build_engine(
-        mesh,
-        EngineConfig(method="adaptive", num_landmarks=16, seed=0,
-                     tier_rel_tol=tolerance),
-    )
-    pairs = np.random.default_rng(9).integers(0, mesh.num_nodes, size=(200, 2))
-    values = engine.query_pairs(pairs)
-    truth = engine.tier_engines["cholinv"].query_pairs(pairs)
-    finite = np.isfinite(truth) & (truth > 0)
-    rel = np.abs(values[finite] - truth[finite]) / truth[finite]
-    # certified acceptance: served answers stay within the ladder tolerance
-    assert rel.max() <= tolerance
-
-
-def test_adaptive_rejects_unknown_and_self_referential_tiers(mesh):
-    with pytest.raises(ValueError, match="not a usable engine"):
-        build_engine(mesh, EngineConfig(method="adaptive", tiers=("bogus",)))
-    with pytest.raises(ValueError, match="adaptive"):
-        build_engine(mesh, EngineConfig(method="adaptive", tiers=("adaptive",)))
-
-
-def test_adaptive_with_spanning_tree_coarse_tier():
-    """The spanning-tree baseline rides along as an optional coarse tier:
-    edges it certifies are served, everything else escalates."""
-    graph = grid_2d(6, 6, seed=0)
-    engine = build_engine(
-        graph,
-        EngineConfig(
-            method="adaptive",
-            tiers=("spanning_tree", "cholinv"),
-            num_trees=1500,
-            seed=0,
-            tier_rel_tol=0.2,
-        ),
-    )
-    edges = graph.edge_array()[:20]
-    rng = np.random.default_rng(1)
-    non_edges = rng.integers(0, graph.num_nodes, size=(20, 2))
-    values = engine.query_pairs(np.concatenate([edges, non_edges]))
-    truth = engine.tier_engines["cholinv"].query_pairs(
-        np.concatenate([edges, non_edges])
-    )
-    finite = np.isfinite(truth) & (truth > 0)
-    rel = np.abs(values[finite] - truth[finite]) / truth[finite]
-    assert rel.max() <= 0.2
-    assert engine.last_tier_counts.get("spanning_tree", 0) > 0

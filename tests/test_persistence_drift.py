@@ -11,6 +11,7 @@ default — exactly the bug this test (and the rule) exists to catch.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -73,6 +74,23 @@ def test_round_tripped_engine_answers_identically(mesh, tmp_path):
     np.testing.assert_array_equal(
         engine.query_pairs(pairs), restored.query_pairs(pairs)
     )
+
+
+def test_archive_with_removed_config_keys_loads_identically(mesh, tmp_path):
+    # archives saved before the tier-ladder fields were removed still carry
+    # them in config_json; from_dict ignores unknown keys
+    engine = build_engine(mesh, EngineConfig(method="cholinv", **NON_DEFAULTS))
+    path = save_engine(engine, tmp_path / "engine.npz")
+    data = dict(np.load(path, allow_pickle=False))
+    fields = json.loads(str(data["config_json"]))
+    fields.update(tiers=["landmark", "cholinv"], tier_rel_tol=0.05)
+    data["config_json"] = np.asarray(json.dumps(fields))
+    old = tmp_path / "old.npz"
+    np.savez(old, **data)
+    restored = load_engine(old)
+    assert restored.config == engine.config
+    pairs = np.random.default_rng(11).integers(0, mesh.num_nodes, size=(32, 2))
+    assert engine.query_pairs(pairs).tobytes() == restored.query_pairs(pairs).tobytes()
 
 
 def test_config_fields_are_a_superset_of_every_registration():

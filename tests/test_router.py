@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.engine import EngineConfig, build_engine
 from repro.estimators.landmark import LandmarkEffectiveResistance
-from repro.graphs.generators import fe_mesh_2d
+from repro.graphs.generators import fe_mesh_2d, grid_2d
 from repro.service import (
     SLA,
     AsyncResistanceService,
@@ -133,6 +133,73 @@ def test_sla_within_tolerance_and_violations_escalate(mesh, pairs):
 def test_sla_without_tiers_raises(service, pairs):
     with pytest.raises(ValueError, match="enable_tiers"):
         service.query_pairs(pairs, rel_tol=0.1)
+
+
+# ----------------------------------------------------------------------
+# tier ladders: shared factor, coarse first tier, exact escalation
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def grid():
+    return grid_2d(6, 6, seed=0)
+
+
+@pytest.fixture(scope="module")
+def grid_pairs(grid):
+    # edges the spanning-tree tier can certify, then random pairs it cannot
+    rng = np.random.default_rng(1)
+    non_edges = rng.integers(0, grid.num_nodes, size=(20, 2))
+    return np.concatenate([grid.edge_array()[:20], non_edges])
+
+
+@pytest.fixture(scope="module")
+def ladder(grid):
+    # no result cache: exact answers of one test never pre-answer another
+    service = ResistanceService(
+        grid,
+        config=EngineConfig(num_trees=1500, num_landmarks=4, seed=0),
+        result_cache_size=0,
+    )
+    service.enable_tiers(tiers=("spanning_tree", "landmark"))
+    return service
+
+
+def _max_rel_error(values, truth):
+    finite = np.isfinite(truth) & (truth > 0)
+    return np.max(np.abs(values[finite] - truth[finite]) / truth[finite])
+
+
+def test_landmark_tier_shares_the_served_factor(grid):
+    service = ResistanceService(grid, config=EngineConfig(num_landmarks=4, seed=0))
+    service.enable_tiers(tiers=("landmark",))
+    tier = service._router.engines["landmark"]
+    assert isinstance(tier, LandmarkEffectiveResistance)
+    assert tier.base_engine is service.engine
+
+
+def test_coarse_tier_serves_first_within_tolerance(ladder, grid_pairs):
+    values, report = ladder.query_pairs_with_report(grid_pairs, rel_tol=0.2)
+    truth = ladder.engine.query_pairs(grid_pairs)
+    assert report.tier_rows.get("spanning_tree", 0) > 0
+    assert _max_rel_error(values, truth) <= 0.2
+
+
+def test_tight_tolerance_matches_the_exact_engine(ladder, grid_pairs):
+    values, report = ladder.query_pairs_with_report(grid_pairs, rel_tol=1e-9)
+    truth = ladder.engine.query_pairs(grid_pairs)
+    finite = np.isfinite(truth)
+    np.testing.assert_allclose(values[finite], truth[finite], rtol=2e-9)
+    assert report.tier_rows.get("exact", 0) > 0  # uncertifiable pairs escalated
+
+
+@pytest.mark.parametrize("strategy", ["component", "separator"])
+def test_sharded_service_rejects_tiers_naming_the_strategy(grid, strategy):
+    # the tier would be a sharded composite without error bounds; the
+    # message must point at the sharding, not at the tier
+    service = ResistanceService(grid, config=EngineConfig(shard_strategy=strategy))
+    with pytest.raises(ValueError, match=f"shard_strategy='{strategy}'"):
+        service.enable_tiers(tiers=("landmark",))
+    assert service._router is None
 
 
 def test_refresh_drops_the_router(service, mesh, pairs):
