@@ -101,6 +101,19 @@ def _sla_requested(args) -> bool:
     )
 
 
+def _reject_sharded_sla(args) -> None:
+    """SLA flags on a sharded engine are a usage error, reported before
+    the (possibly long) engine build rather than after it."""
+    if not _sla_requested(args):
+        return
+    from repro.service.resistance_service import require_unsharded_tiers
+
+    try:
+        require_unsharded_tiers(args.shard_strategy)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def _print_tier_summary(report) -> None:
     if report is None or not report.tier_rows:
         return
@@ -203,6 +216,7 @@ def cmd_er(args) -> int:
         graph = engine.graph
         print(f"engine loaded from {args.load_engine}", file=sys.stderr)
     else:
+        _reject_sharded_sla(args)
         graph = _load_graph(args)
         engine = build_engine(graph, _engine_config(args))
     print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges", file=sys.stderr)
@@ -255,6 +269,7 @@ def cmd_service(args) -> int:
             graph = service.graph
             print(f"engine loaded from {args.load_engine}", file=sys.stderr)
         else:
+            _reject_sharded_sla(args)
             graph = _load_graph(args)
             service = ResistanceService(
                 graph, config=_engine_config(args), executor=executor
@@ -394,7 +409,10 @@ def cmd_reduce(args) -> int:
     reduced = reducer.reduce()
     print(f"original: {grid}")
     print(f"reduced:  {reduced.grid}")
-    print(f"Tred: {reducer.timer.total:.2f}s ({reducer.num_blocks} blocks)")
+    stages = ", ".join(
+        f"{name} {reducer.timer[name]:.2f}s" for name in ("partition", "blocks", "stitch")
+    )
+    print(f"Tred: {reducer.timer.total:.2f}s ({reducer.num_blocks} blocks; {stages})")
     write_spice(reduced.grid, args.output, title=f"reduced from {args.netlist}")
     print(f"wrote {args.output}")
     return 0

@@ -15,6 +15,8 @@ masses, so any ``k`` (not only powers of two) is supported — Alg. 1 sets
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from repro.graphs.graph import Graph
@@ -27,14 +29,22 @@ from repro.utils.validation import require
 def _bfs_grow_initial(
     graph: Graph, node_weights: np.ndarray, target_mass: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Grow one side by weighted BFS until it holds ``target_mass``."""
+    """Grow one side by weighted BFS until it holds ``target_mass``.
+
+    The growth starts at a pseudo-peripheral node and pops a
+    ``collections.deque`` in FIFO order.  When a component is exhausted
+    before the target is reached, it restarts at the smallest unvisited
+    node, found by a pointer that only moves forward.  The walk runs on
+    Python lists, like :func:`repro.partition.coarsen.heavy_edge_matching`.
+    """
     n = graph.num_nodes
     side = np.zeros(n, dtype=bool)
     if n == 0:
         return side
     adj = graph.adjacency().tocsr()
-    visited = np.zeros(n, dtype=bool)
-    mass = 0.0
+    indptr = adj.indptr.tolist()
+    indices = adj.indices.tolist()
+    weights = node_weights.tolist()
     # pseudo-peripheral start: BFS twice from a random node
     start = int(rng.integers(n))
     for _ in range(2):
@@ -45,30 +55,33 @@ def _bfs_grow_initial(
             nxt = []
             for v in frontier:
                 last = v
-                for u in adj.indices[adj.indptr[v] : adj.indptr[v + 1]]:
-                    if int(u) not in seen:
-                        seen.add(int(u))
-                        nxt.append(int(u))
+                for u in indices[indptr[v] : indptr[v + 1]]:
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
             frontier = nxt
         start = last
 
-    queue = [start]
+    visited = [False] * n
+    mass = 0.0
+    queue = deque([start])
     visited[start] = True
+    unvisited = 0  # every node below this index is visited
     while queue and mass < target_mass:
-        v = queue.pop(0)
+        v = queue.popleft()
         side[v] = True
-        mass += node_weights[v]
-        for u in adj.indices[adj.indptr[v] : adj.indptr[v + 1]]:
+        mass += weights[v]
+        for u in indices[indptr[v] : indptr[v + 1]]:
             if not visited[u]:
                 visited[u] = True
-                queue.append(int(u))
+                queue.append(u)
         if not queue and mass < target_mass:
-            remaining = np.flatnonzero(~visited)
-            if remaining.size == 0:
+            while unvisited < n and visited[unvisited]:
+                unvisited += 1
+            if unvisited == n:
                 break
-            seed2 = int(remaining[0])
-            visited[seed2] = True
-            queue.append(seed2)
+            visited[unvisited] = True
+            queue.append(unvisited)
     return side
 
 
@@ -82,13 +95,16 @@ def multilevel_bisection(
 ) -> np.ndarray:
     """Bisect ``graph``; returns a boolean side array.
 
-    ``target_fraction`` is the mass share of side *True* — recursive k-way
-    calls use uneven splits like 2/5.
+    ``node_weights`` are the vertex masses to balance (``None``: every node
+    weighs 1).  They are summed through the coarsening hierarchy, so the
+    initial cut, every refinement level and the balance tolerance all see
+    the same total.  ``target_fraction`` is the mass share of side *True* —
+    recursive k-way calls use uneven splits like 2/5.
     """
     rng = ensure_rng(seed)
     if node_weights is None:
         node_weights = np.ones(graph.num_nodes)
-    levels = coarsen_to(graph, coarse_target, seed=rng)
+    levels = coarsen_to(graph, coarse_target, seed=rng, node_weights=node_weights)
     coarse_graph = levels[-1].graph if levels else graph
     coarse_weights = levels[-1].node_weights if levels else node_weights
 

@@ -63,6 +63,20 @@ from repro.service.router import SLA, CalibrationProfile, QueryRouter, calibrate
 from repro.utils.validation import require
 
 
+def require_unsharded_tiers(shard_strategy: str) -> None:
+    """Reject SLA tiers over a sharded engine (``ValueError``).
+
+    A sharded service has no tiers: each tier would be a sharded
+    composite without error bounds.
+    """
+    require(
+        shard_strategy == "none",
+        f"SLA tiers need an unsharded service, got "
+        f"shard_strategy={shard_strategy!r}; serve with "
+        f"shard_strategy='none' to route queries across tiers",
+    )
+
+
 @dataclass
 class ServiceStats:
     """Counters a service accumulates over its lifetime.
@@ -502,12 +516,7 @@ class ResistanceService:
             graph = self.graph
             config = self.config
             epoch = self._epoch
-        require(
-            config.shard_strategy == "none",
-            f"SLA tiers need an unsharded service, got "
-            f"shard_strategy={config.shard_strategy!r}; serve with "
-            f"shard_strategy='none' to route queries across tiers",
-        )
+        require_unsharded_tiers(config.shard_strategy)
         engines: "dict[str, BoundedResistanceEngine]" = {}
         for name in tiers:
             require(

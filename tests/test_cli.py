@@ -115,7 +115,16 @@ class TestER:
 
     @pytest.mark.parametrize("command", ["er", "service"])
     @pytest.mark.parametrize("strategy", ["component", "separator"])
-    def test_sla_on_sharded_engine_is_a_usage_error(self, command, strategy, capsys):
+    def test_sla_on_sharded_engine_is_a_usage_error(
+        self, command, strategy, capsys, monkeypatch
+    ):
+        """Rejected before any engine is built."""
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built an engine before rejecting the SLA flags")
+
+        monkeypatch.setattr("repro.core.engine.build_engine", no_build)
+        monkeypatch.setattr("repro.service.resistance_service.build_engine", no_build)
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--generator", "mesh2d:8x8", "--pairs", "0,63",
                   "--rel-tol", "0.05", "--shard-strategy", strategy])
@@ -201,6 +210,9 @@ class TestPowerGridCommands:
             "--er-method", "cholinv",
         ])
         assert code == 0
+        tred = next(line for line in capsys.readouterr().out.splitlines() if "Tred" in line)
+        for stage in ("partition", "blocks", "stitch"):
+            assert f"{stage} " in tred
         reduced = read_spice(out_path)
         original = read_spice(netlist)
         assert reduced.num_nodes < original.num_nodes

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graphs.generators import barabasi_albert_graph, grid_2d, path_graph
+from repro.cholesky.ordering import compute_ordering
+from repro.graphs.generators import barabasi_albert_graph, grid_2d, path_graph, star_graph
+from repro.graphs.graph import Graph
+from repro.graphs.laplacian import laplacian
+from repro.partition import coarsen, multilevel
 from repro.partition.coarsen import coarsen_once, coarsen_to, heavy_edge_matching
 from repro.partition.interface import (
     NodeRole,
@@ -12,9 +18,121 @@ from repro.partition.interface import (
     partition_graph,
     partition_quality,
 )
-from repro.partition.multilevel import multilevel_bisection, multilevel_kway
+from repro.partition.multilevel import _bfs_grow_initial, multilevel_bisection, multilevel_kway
 from repro.partition.refine import bisection_gains, refine_bisection
+from repro.powergrid.generators import synthetic_ibmpg_like
+from repro.reduction.pipeline import PGReducer, ReductionConfig
 from repro.utils.rng import ensure_rng
+
+
+# ----------------------------------------------------------------------
+# Executable specifications: the partitioner's hot loops written plainly
+# over numpy scalars.  The shipped list/deque/vectorised versions must
+# reproduce them exactly (same rng draws, same ties, same outputs).
+# ----------------------------------------------------------------------
+def _reference_heavy_edge_matching(graph, node_weights, rng):
+    n = graph.num_nodes
+    adj = graph.adjacency().tocsr()
+    match = -np.ones(n, dtype=np.int64)
+    for v in rng.permutation(n):
+        if match[v] != -1:
+            continue
+        start, end = adj.indptr[v], adj.indptr[v + 1]
+        best, best_weight = -1, -1.0
+        for u, w in zip(adj.indices[start:end], adj.data[start:end]):
+            if match[u] == -1 and u != v and w > best_weight:
+                best, best_weight = int(u), float(w)
+        if best == -1:
+            match[v] = v
+        else:
+            match[v] = best
+            match[best] = v
+    return match
+
+
+def _reference_relabel(match):
+    n = match.size
+    fine_to_coarse = -np.ones(n, dtype=np.int64)
+    next_id = 0
+    for v in range(n):
+        if fine_to_coarse[v] != -1:
+            continue
+        partner = int(match[v])
+        fine_to_coarse[v] = next_id
+        if partner != v:
+            fine_to_coarse[partner] = next_id
+        next_id += 1
+    return fine_to_coarse, next_id
+
+
+def _reference_bfs_grow_initial(graph, node_weights, target_mass, rng):
+    n = graph.num_nodes
+    side = np.zeros(n, dtype=bool)
+    if n == 0:
+        return side
+    adj = graph.adjacency().tocsr()
+    visited = np.zeros(n, dtype=bool)
+    mass = 0.0
+    start = int(rng.integers(n))
+    for _ in range(2):
+        frontier = [start]
+        seen = {start}
+        last = start
+        while frontier:
+            nxt = []
+            for v in frontier:
+                last = v
+                for u in adj.indices[adj.indptr[v] : adj.indptr[v + 1]]:
+                    if int(u) not in seen:
+                        seen.add(int(u))
+                        nxt.append(int(u))
+            frontier = nxt
+        start = last
+
+    queue = [start]
+    visited[start] = True
+    while queue and mass < target_mass:
+        v = queue.pop(0)
+        side[v] = True
+        mass += node_weights[v]
+        for u in adj.indices[adj.indptr[v] : adj.indptr[v + 1]]:
+            if not visited[u]:
+                visited[u] = True
+                queue.append(int(u))
+        if not queue and mass < target_mass:
+            remaining = np.flatnonzero(~visited)
+            if remaining.size == 0:
+                break
+            seed2 = int(remaining[0])
+            visited[seed2] = True
+            queue.append(seed2)
+    return side
+
+
+def _family_graph(family: str, size: int, seed: int) -> Graph:
+    if family == "jittered_grid":
+        return grid_2d(size, size + 3, jitter=0.3, seed=seed)
+    if family == "uniform_grid":  # every weight tied
+        return grid_2d(size, size + 3)
+    if family == "ba":
+        return barabasi_albert_graph(8 * size, 3, seed=seed)
+    if family == "path":
+        return path_graph(4 * size)
+    if family == "star":
+        return star_graph(4 * size)
+    if family == "union":  # disconnected: restarts the BFS growth
+        return Graph.disjoint_union(
+            [grid_2d(size, size, jitter=0.3, seed=seed), path_graph(size), star_graph(size)]
+        )
+    # a jittered grid and a BA graph with weights spread over 1e-6 .. 1e6
+    graph = Graph.disjoint_union(
+        [grid_2d(size, size, seed=seed), barabasi_albert_graph(4 * size, 2, seed=seed)]
+    )
+    rng = np.random.default_rng(seed)
+    return graph.with_weights(10.0 ** rng.uniform(-6.0, 6.0, size=graph.num_edges))
+
+
+FAMILIES = ["jittered_grid", "uniform_grid", "ba", "path", "star", "union", "wide_weights"]
 
 
 class TestCoarsening:
@@ -43,6 +161,62 @@ class TestCoarsening:
         for level in levels:
             mapping = level.fine_to_coarse[mapping]
         assert mapping.max() < levels[-1].graph.num_nodes
+
+
+class TestShippedLoopsMatchTheReference:
+    @given(
+        family=st.sampled_from(FAMILIES),
+        size=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**31),
+        fraction=st.floats(min_value=0.05, max_value=0.95),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matching_relabel_and_bfs_are_identical(self, family, size, seed, fraction):
+        graph = _family_graph(family, size, seed)
+        weights = np.random.default_rng(seed + 1).uniform(0.5, 3.0, size=graph.num_nodes)
+        match = heavy_edge_matching(graph, weights, ensure_rng(seed))
+        expected = _reference_heavy_edge_matching(graph, weights, ensure_rng(seed))
+        assert match.dtype == expected.dtype
+        assert match.tobytes() == expected.tobytes()
+
+        fine_to_coarse, num_coarse = coarsen._relabel(match)
+        expected_map, expected_num = _reference_relabel(match)
+        assert num_coarse == expected_num
+        assert fine_to_coarse.dtype == expected_map.dtype
+        assert fine_to_coarse.tobytes() == expected_map.tobytes()
+
+        target = fraction * float(weights.sum())
+        rng, reference_rng = ensure_rng(seed), ensure_rng(seed)
+        side = _bfs_grow_initial(graph, weights, target, rng)
+        expected_side = _reference_bfs_grow_initial(graph, weights, target, reference_rng)
+        assert side.tobytes() == expected_side.tobytes()
+        # both consumed the same draws, so later levels see the same stream
+        assert rng.integers(2**62) == reference_rng.integers(2**62)
+
+    @pytest.fixture
+    def reference_loops(self, monkeypatch):
+        def install():
+            monkeypatch.setattr(coarsen, "heavy_edge_matching", _reference_heavy_edge_matching)
+            monkeypatch.setattr(coarsen, "_relabel", _reference_relabel)
+            monkeypatch.setattr(multilevel, "_bfs_grow_initial", _reference_bfs_grow_initial)
+
+        return install
+
+    def test_pg_labels_identical(self, reference_loops):
+        grid = synthetic_ibmpg_like(nx=24, ny=24, pad_pitch=6, seed=3)
+        config = ReductionConfig(ports_per_block=10, seed=5)
+        labels = PGReducer(grid, config).labels
+        reference_loops()
+        expected = PGReducer(grid, config).labels
+        assert np.unique(labels).size > 2
+        assert labels.tobytes() == expected.tobytes()
+
+    def test_nested_dissection_permutation_identical(self, reference_loops):
+        matrix = laplacian(grid_2d(24, 24, jitter=0.3, seed=4))
+        perm = compute_ordering(matrix, method="nested_dissection")
+        reference_loops()
+        expected = compute_ordering(matrix, method="nested_dissection")
+        assert perm.tobytes() == expected.tobytes()
 
 
 class TestRefinement:
@@ -112,6 +286,16 @@ class TestKway:
         labels = multilevel_kway(g, 4, seed=8)
         sizes = np.bincount(labels, minlength=4)
         assert sizes.min() > 0
+
+    def test_bisection_balances_node_weights(self):
+        """Regression: coarsening used to start from unit masses, so a
+        weighted bisection put all the mass on one side."""
+        g = grid_2d(40, 40, seed=0)
+        weights = np.ones(g.num_nodes)
+        weights[:400] = 20.0
+        side = multilevel_bisection(g, node_weights=weights, seed=0)
+        share = weights[side].sum() / weights.sum()
+        assert 0.4 <= share <= 0.6
 
     def test_bisection_target_fraction(self):
         g = grid_2d(12, 12)
