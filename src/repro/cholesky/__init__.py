@@ -10,7 +10,7 @@ The paper needs two factorisations of the grounded Laplacian:
 Neither scipy nor numpy provides a *sparse* Cholesky, so this package
 implements the standard toolchain from Davis, "Direct Methods for Sparse
 Linear Systems" (the paper's reference [19]): elimination trees, symbolic
-analysis, an up-looking numeric factorisation, fill-reducing orderings, a
+analysis, a numeric factorisation (via SuperLU), fill-reducing orderings, a
 threshold incomplete factorisation, triangular solves, and the filled-graph
 depth of Eq. (11).
 """
@@ -18,7 +18,7 @@ depth of Eq. (11).
 from repro.cholesky.depth import filled_graph_depth, max_depth
 from repro.cholesky.etree import column_counts, elimination_tree, postorder, tree_depths
 from repro.cholesky.incomplete import ICholResult, ichol
-from repro.cholesky.numeric import CholeskyFactor, cholesky, cholesky_uplooking
+from repro.cholesky.numeric import CholeskyFactor, cholesky
 from repro.cholesky.ordering import compute_ordering, minimum_degree_ordering, permute_symmetric
 from repro.cholesky.symbolic import symbolic_factorization
 from repro.cholesky.triangular import solve_lower, solve_lower_transpose, spd_solve
@@ -30,7 +30,6 @@ __all__ = [
     "tree_depths",
     "symbolic_factorization",
     "cholesky",
-    "cholesky_uplooking",
     "CholeskyFactor",
     "ichol",
     "ICholResult",

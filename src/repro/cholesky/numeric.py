@@ -1,20 +1,12 @@
 """Numeric sparse Cholesky factorisation.
 
-Two interchangeable engines produce the same factor:
-
-* :func:`cholesky_uplooking` — a pure-Python/numpy up-looking factorisation
-  (Davis, ch. 4) driven by the symbolic pattern.  It is the *reference*
-  implementation: transparent, exact, and independent of any third-party
-  solver, but with a per-row Python loop.
-* :func:`cholesky` with ``engine="superlu"`` (default) — a fast path that
-  obtains ``L`` from SuperLU's unpivoted LDU factorisation of the permuted
-  SPD matrix: for SPD ``A = L_u · U`` with unit-diagonal ``L_u`` and
-  ``U = D·L_uᵀ``, the Cholesky factor is ``L = L_u · D^{1/2}``.
-
-Both paths honour a caller-supplied fill-reducing permutation and return a
+:func:`cholesky` obtains ``L`` from SuperLU's unpivoted LDU factorisation
+of the permuted SPD matrix: for SPD ``A = L_u · U`` with unit-diagonal
+``L_u`` and ``U = D·L_uᵀ``, the Cholesky factor is ``L = L_u · D^{1/2}``.
+It honours a caller-supplied fill-reducing permutation and returns a
 :class:`CholeskyFactor` carrying the factor, the permutation and solve
-helpers.  Tests cross-check the two engines against each other and against
-dense ``numpy.linalg.cholesky``.
+helpers.  Tests cross-check it against a pure-Python up-looking
+factorisation (Davis, ch. 4) and against dense ``numpy.linalg.cholesky``.
 """
 
 from __future__ import annotations
@@ -26,7 +18,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.cholesky.ordering import compute_ordering, permute_symmetric
-from repro.cholesky.symbolic import symbolic_factorization
 from repro.cholesky.triangular import solve_lower, solve_lower_transpose
 from repro.utils.validation import check_square_sparse
 
@@ -82,81 +73,10 @@ class CholeskyFactor:
         return float(2.0 * np.sum(np.log(self.lower.diagonal())))
 
 
-def cholesky_uplooking(
-    matrix: sp.spmatrix, perm: "np.ndarray | None" = None
-) -> CholeskyFactor:
-    """Reference up-looking sparse Cholesky of an SPD matrix.
-
-    Row ``i`` of ``L`` solves ``L[0:i, 0:i] · L[i, 0:i]ᵀ = A[0:i, i]``
-    restricted to the symbolic pattern; the diagonal entry absorbs the
-    remaining mass.  Raises :class:`numpy.linalg.LinAlgError` when the
-    matrix is not positive definite.
-    """
-    check_square_sparse(matrix, "matrix")
-    csc = sp.csc_matrix(matrix).astype(np.float64)
-    n = csc.shape[0]
-    if perm is None:
-        perm = np.arange(n, dtype=np.int64)
-    else:
-        perm = np.asarray(perm, dtype=np.int64)
-        csc = permute_symmetric(csc, perm).tocsc()
-
-    sym = symbolic_factorization(csc)
-    indptr, indices = sym.indptr, sym.indices
-    values = np.zeros(indices.shape[0])
-
-    # CSR view of the symbolic pattern: row i lists its column pattern in
-    # ascending order, which is a valid topological order for the row solve.
-    pattern = sp.csc_matrix(
-        (np.arange(indices.shape[0], dtype=np.int64), indices, indptr), shape=(n, n)
-    )
-    rows_csr = pattern.tocsr()
-
-    a_upper = sp.csc_matrix(sp.triu(csc))  # column i holds A[0:i+1, i]
-    fill = np.zeros(n, dtype=np.int64)  # stored entries per column of L
-    x = np.zeros(n)  # dense scratch for the sparse row solve
-
-    for i in range(n):
-        a_start, a_end = a_upper.indptr[i], a_upper.indptr[i + 1]
-        scatter_rows = a_upper.indices[a_start:a_end]
-        x[scatter_rows] = a_upper.data[a_start:a_end]
-        diag_val = x[i]
-        x[i] = 0.0
-
-        r_start, r_end = rows_csr.indptr[i], rows_csr.indptr[i + 1]
-        cols_j = rows_csr.indices[r_start:r_end]  # ascending; last one is i itself
-        sumsq = 0.0
-        for j in cols_j[:-1]:
-            col_start = indptr[j]
-            lij = x[j] / values[col_start]  # diagonal of column j stored first
-            x[j] = 0.0
-            if lij != 0.0:
-                upd_start = col_start + 1
-                upd_end = col_start + fill[j]
-                ks = indices[upd_start:upd_end]
-                x[ks] -= values[upd_start:upd_end] * lij
-            values[col_start + fill[j]] = lij  # symbolic slot for row i
-            fill[j] += 1
-            sumsq += lij * lij
-
-        remaining = diag_val - sumsq
-        if remaining <= 0.0:
-            raise np.linalg.LinAlgError(
-                f"matrix is not positive definite (pivot {remaining:g} at step {i})"
-            )
-        values[indptr[i]] = np.sqrt(remaining)
-        fill[i] = 1
-
-    lower = sp.csc_matrix((values, indices.copy(), indptr.copy()), shape=(n, n))
-    lower.sort_indices()
-    return CholeskyFactor(lower=lower, perm=perm)
-
-
 def cholesky(
     matrix: sp.spmatrix,
     ordering: str = "amd",
     perm: "np.ndarray | None" = None,
-    engine: str = "superlu",
 ) -> CholeskyFactor:
     """Sparse Cholesky factorisation with fill-reducing ordering.
 
@@ -169,9 +89,6 @@ def cholesky(
         default) — ignored when an explicit ``perm`` is given.
     perm:
         Explicit permutation vector overriding ``ordering``.
-    engine:
-        ``"superlu"`` (fast path, default) or ``"uplooking"`` (pure-Python
-        reference implementation).
     """
     check_square_sparse(matrix, "matrix")
     csc = sp.csc_matrix(matrix)
@@ -179,10 +96,6 @@ def cholesky(
         perm = compute_ordering(csc, method=ordering)
     else:
         perm = np.asarray(perm, dtype=np.int64)
-    if engine == "uplooking":
-        return cholesky_uplooking(csc, perm=perm)
-    if engine != "superlu":
-        raise ValueError(f"unknown engine {engine!r}")
     permuted = permute_symmetric(csc, perm).tocsc()
     lu = spla.splu(
         permuted,

@@ -69,36 +69,22 @@ def _engine_config(args):
         separator=args.separator,
         num_landmarks=args.num_landmarks,
         landmark_strategy=args.landmark_strategy,
-        num_walks=args.num_walks,
-        walk_length=args.walk_length,
-        num_trees=args.num_trees,
     )
 
 
-def _parse_tiers(args) -> "tuple[str, ...]":
-    """The SLA tier ladder from --engine-tiers (default: landmark only)."""
-    return tuple(
-        name.strip()
-        for name in (args.engine_tiers or "landmark").split(",")
-        if name.strip()
-    )
-
-
-def _enable_tiers(args, service, profile=None):
-    """Install the SLA router; a ladder the service cannot route (an
-    unknown tier name, a sharded service) is a usage error."""
+def _enable_tiers(args, service, profile=None, sidecar=None):
+    """Install the landmark SLA tier; a service it cannot route (a sharded
+    one) or a loaded ``sidecar`` profile that does not calibrate it is a
+    usage error."""
     try:
-        return service.enable_tiers(tiers=_parse_tiers(args), profile=profile)
+        return service.enable_tiers(tiers=("landmark",), profile=profile)
     except ValueError as exc:
-        args.parser.error(str(exc))
+        prefix = "" if sidecar is None else f"calibration sidecar {sidecar}: "
+        args.parser.error(f"{prefix}{exc}")
 
 
 def _sla_requested(args) -> bool:
-    return (
-        args.rel_tol is not None
-        or args.latency_budget is not None
-        or args.engine_tiers is not None
-    )
+    return args.rel_tol is not None or args.latency_budget is not None
 
 
 def _reject_sharded_sla(args) -> None:
@@ -286,13 +272,14 @@ def cmd_service(args) -> int:
 
             # reuse a calibration sidecar saved next to a loaded engine;
             # otherwise calibrate now (and persist next to --save-engine)
-            profile = None
+            profile = sidecar = None
             if args.load_engine:
-                sidecar = CalibrationProfile.default_path(args.load_engine)
-                if sidecar.exists():
+                path = CalibrationProfile.default_path(args.load_engine)
+                if path.exists():
+                    sidecar = path
                     profile = CalibrationProfile.load(sidecar)
                     print(f"calibration loaded from {sidecar}", file=sys.stderr)
-            profile = _enable_tiers(args, service, profile)
+            profile = _enable_tiers(args, service, profile, sidecar)
             if args.save_engine:
                 saved = profile.save(
                     CalibrationProfile.default_path(args.save_engine)
@@ -537,30 +524,18 @@ def _add_graph_engine_arguments(parser) -> None:
     parser.add_argument("--landmark-strategy", dest="landmark_strategy",
                         default="degree", choices=["degree", "random", "spread"],
                         help="how the landmark tier picks its landmarks")
-    parser.add_argument("--num-walks", dest="num_walks", type=int, default=512,
-                        help="walks per pair for the local_walk estimator")
-    parser.add_argument("--walk-length", dest="walk_length", type=int,
-                        default=32,
-                        help="truncation length for the local_walk estimator")
-    parser.add_argument("--num-trees", dest="num_trees", type=int, default=200,
-                        help="Wilson samples for the spanning_tree estimator")
     parser.add_argument("--rel-tol", dest="rel_tol", type=float, default=None,
                         metavar="TOL",
-                        help="serve with an SLA: accept answers from cheaper "
-                             "calibrated tiers while the relative error stays "
-                             "within TOL (pairs the tiers cannot certify "
-                             "escalate to the exact engine)")
+                        help="serve with an SLA: accept answers from the "
+                             "calibrated landmark tier while the relative "
+                             "error stays within TOL (pairs it cannot "
+                             "certify escalate to the exact engine)")
     parser.add_argument("--latency-budget", dest="latency_budget", type=float,
                         default=None, metavar="SECONDS",
-                        help="SLA latency target for the whole batch; tiers "
-                             "too slow to fit are skipped, and an exact "
-                             "request that cannot fit downgrades to the most "
-                             "accurate tier that does")
-    parser.add_argument("--engine-tiers", dest="engine_tiers", metavar="T1,T2",
-                        default=None,
-                        help="comma-separated approximate tier ladder for "
-                             "SLA routing, cheapest first "
-                             "(default: landmark)")
+                        help="SLA latency target for the whole batch; the "
+                             "landmark tier is skipped when too slow to fit, "
+                             "and an exact request that cannot fit "
+                             "downgrades to it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -165,11 +165,6 @@ class EngineConfig:
         how many landmark nodes to index and how to pick them
         (``"degree"`` — top weighted degree, default; ``"spread"`` — BFS
         farthest-point; ``"random"`` — seeded uniform sample).
-    num_walks, walk_length:
-        Tiered-estimator knobs of the ``"local_walk"`` engine: Monte-Carlo
-        walks per endpoint and the (lazy) walk truncation length.
-    num_trees:
-        Wilson samples of the ``"spanning_tree"`` coarse tier.
     """
 
     method: str = "cholinv"
@@ -192,9 +187,6 @@ class EngineConfig:
     build_workers: int = 1
     num_landmarks: int = 32
     landmark_strategy: str = "degree"
-    num_walks: int = 512
-    walk_length: int = 32
-    num_trees: int = 200
 
     def __post_init__(self) -> None:
         check_finite_nonnegative(self.epsilon, "epsilon")
@@ -213,9 +205,7 @@ class EngineConfig:
                 f"num_projections must be None or a finite number >= 1, "
                 f"got {self.num_projections!r}",
             )
-        for name in (
-            "build_workers", "num_landmarks", "num_walks", "walk_length", "num_trees"
-        ):
+        for name in ("build_workers", "num_landmarks"):
             value = getattr(self, name)
             require(value >= 1, f"{name} must be >= 1, got {value}")
         # a misspelt name would otherwise surface only inside build_engine,
@@ -358,7 +348,6 @@ def _ensure_builtins_registered() -> None:
         return
     import repro.baselines.naive  # noqa: F401
     import repro.baselines.random_projection  # noqa: F401
-    import repro.baselines.spanning_tree  # noqa: F401
     import repro.core.effective_resistance  # noqa: F401
     import repro.estimators  # noqa: F401
 

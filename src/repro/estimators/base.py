@@ -3,21 +3,14 @@
 Every estimator in this package answers a pair batch together with a
 per-pair **absolute half-width**: the caller is promised the exact-grade
 answer lies within ``[value - half, value + half]`` (a certified interval
-for the landmark projection, a ~99% confidence interval for the Monte
-Carlo tiers).  ``query_pairs`` stays the plain protocol method —
-estimators are drop-in engines — while the service's router uses
+for the landmark projection).  ``query_pairs`` stays the plain protocol
+method — estimators are drop-in engines — while the service's router uses
 :meth:`BoundedResistanceEngine.query_pairs_with_bounds` to decide which
 answers are good enough for a requested tolerance.
 
-Two structural facts are shared across tiers and resolved here once:
-
-* trivial pairs — ``p == q`` answers 0 and cross-component pairs answer
-  ``inf``, both with half-width 0 (they are exact);
-* the cut bound — the effective conductance between distinct nodes is at
-  most the weighted degree of either endpoint (all current must cross the
-  singleton cut), so ``R(p, q) >= max(1/wdeg(p), 1/wdeg(q))``.  Clamping
-  Monte-Carlo estimates to this floor keeps every connected answer
-  strictly positive without biasing converged estimates.
+Trivial pairs are resolved here once: ``p == q`` answers 0 and
+cross-component pairs answer ``inf``, both with half-width 0 (they are
+exact).
 """
 
 from __future__ import annotations
@@ -58,19 +51,6 @@ def weighted_degrees(graph: Graph) -> np.ndarray:
     np.add.at(degrees, graph.heads, graph.weights)
     np.add.at(degrees, graph.tails, graph.weights)
     return degrees
-
-
-def resistance_floor(
-    weighted_degree: np.ndarray, ps: np.ndarray, qs: np.ndarray
-) -> np.ndarray:
-    """Cut lower bound ``R(p, q) >= max(1/wdeg(p), 1/wdeg(q))`` per pair.
-
-    Isolated endpoints (degree 0) yield ``inf`` — consistent with the
-    cross-component answer the caller resolves structurally anyway.
-    """
-    with np.errstate(divide="ignore"):
-        inv = np.where(weighted_degree > 0.0, 1.0 / weighted_degree, np.inf)
-    return np.maximum(inv[ps], inv[qs])
 
 
 def split_trivial(

@@ -118,8 +118,8 @@ class SubBatchTiming:
     """How long one engine-bound sub-batch of a planned batch took.
 
     ``tier`` names who answered it: ``"exact"`` for the service's own
-    engine, otherwise the router tier (``"landmark"``, ``"local_walk"``,
-    …) that served it under an SLA.
+    engine, otherwise the router tier (``"landmark"``) that served it
+    under an SLA.
     """
 
     shard_id: "int | None"
@@ -495,13 +495,17 @@ class ResistanceService:
     ) -> CalibrationProfile:
         """Build approximate tier engines and install the SLA router.
 
-        ``tiers`` lists bounded estimator names cheapest-first (e.g.
-        ``("spanning_tree", "landmark")``); each is built with this
-        service's config (``num_landmarks``, ``num_walks``, … knobs apply)
-        and — unless a previously saved ``profile`` is passed — calibrated
-        against the exact engine on ``calibration_pairs`` sampled pairs.
-        Returns the profile so callers can persist it next to a saved
-        engine (:meth:`~repro.service.router.CalibrationProfile.default_path`).
+        ``tiers`` lists bounded estimator names cheapest-first (the
+        shipped one is ``"landmark"``, which shares the served cholinv
+        factorisation); each is built with this service's config
+        (``num_landmarks`` and ``landmark_strategy`` apply) and — unless a
+        previously saved ``profile`` is passed — calibrated against the
+        exact engine on ``calibration_pairs`` sampled pairs.  A passed
+        ``profile`` must calibrate every requested tier; otherwise this
+        raises ``ValueError`` instead of installing a router that would
+        silently escalate every pair.  Returns the profile so callers can
+        persist it next to a saved engine
+        (:meth:`~repro.service.router.CalibrationProfile.default_path`).
 
         Tier builds and calibration run *outside* the service locks; the
         router is installed only if no refresh intervened.  After
@@ -511,6 +515,14 @@ class ResistanceService:
         sharded composite without error bounds.
         """
         require(len(tiers) >= 1, "need at least one tier")
+        if profile is not None:
+            missing = [name for name in tiers if name not in profile.tiers]
+            require(
+                not missing,
+                f"the calibration profile does not cover tier(s) "
+                f"{', '.join(map(repr, missing))}; it calibrates "
+                f"{', '.join(map(repr, profile.tiers)) or 'no tier'}",
+            )
         with self._lock:  # engine + graph + config swap together
             engine = self.engine
             graph = self.graph

@@ -1,5 +1,6 @@
-"""Tests for the numeric Cholesky engines (uplooking reference + SuperLU)
-and the fill-reducing orderings they run on."""
+"""Tests for the numeric Cholesky factorisation (SuperLU, checked against
+an up-looking reference kept here) and the fill-reducing orderings it runs
+on."""
 
 import heapq
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.cholesky.numeric import cholesky, cholesky_uplooking
+from repro.cholesky.numeric import CholeskyFactor, cholesky
 from repro.cholesky.ordering import (
     ORDERING_METHODS,
     compute_ordering,
@@ -16,6 +17,7 @@ from repro.cholesky.ordering import (
     permute_symmetric,
     rcm_ordering,
 )
+from repro.cholesky.symbolic import symbolic_factorization
 from repro.graphs.generators import (
     barabasi_albert_graph,
     fe_mesh_2d,
@@ -27,6 +29,79 @@ from repro.graphs.graph import Graph
 from repro.graphs.laplacian import grounded_laplacian
 from repro.utils.validation import check_square_sparse
 from tests.conftest import random_spd
+
+
+# Pure-Python up-looking factorisation (Davis, ch. 4) driven by the
+# symbolic pattern, kept as the transparent specification the SuperLU
+# path of `cholesky` is checked against.
+def _reference_uplooking(
+    matrix: sp.spmatrix, perm: "np.ndarray | None" = None
+) -> CholeskyFactor:
+    """Reference up-looking sparse Cholesky of an SPD matrix.
+
+    Row ``i`` of ``L`` solves ``L[0:i, 0:i] · L[i, 0:i]ᵀ = A[0:i, i]``
+    restricted to the symbolic pattern; the diagonal entry absorbs the
+    remaining mass.  Raises :class:`numpy.linalg.LinAlgError` when the
+    matrix is not positive definite.
+    """
+    check_square_sparse(matrix, "matrix")
+    csc = sp.csc_matrix(matrix).astype(np.float64)
+    n = csc.shape[0]
+    if perm is None:
+        perm = np.arange(n, dtype=np.int64)
+    else:
+        perm = np.asarray(perm, dtype=np.int64)
+        csc = permute_symmetric(csc, perm).tocsc()
+
+    sym = symbolic_factorization(csc)
+    indptr, indices = sym.indptr, sym.indices
+    values = np.zeros(indices.shape[0])
+
+    # CSR view of the symbolic pattern: row i lists its column pattern in
+    # ascending order, which is a valid topological order for the row solve.
+    pattern = sp.csc_matrix(
+        (np.arange(indices.shape[0], dtype=np.int64), indices, indptr), shape=(n, n)
+    )
+    rows_csr = pattern.tocsr()
+
+    a_upper = sp.csc_matrix(sp.triu(csc))  # column i holds A[0:i+1, i]
+    fill = np.zeros(n, dtype=np.int64)  # stored entries per column of L
+    x = np.zeros(n)  # dense scratch for the sparse row solve
+
+    for i in range(n):
+        a_start, a_end = a_upper.indptr[i], a_upper.indptr[i + 1]
+        scatter_rows = a_upper.indices[a_start:a_end]
+        x[scatter_rows] = a_upper.data[a_start:a_end]
+        diag_val = x[i]
+        x[i] = 0.0
+
+        r_start, r_end = rows_csr.indptr[i], rows_csr.indptr[i + 1]
+        cols_j = rows_csr.indices[r_start:r_end]  # ascending; last one is i itself
+        sumsq = 0.0
+        for j in cols_j[:-1]:
+            col_start = indptr[j]
+            lij = x[j] / values[col_start]  # diagonal of column j stored first
+            x[j] = 0.0
+            if lij != 0.0:
+                upd_start = col_start + 1
+                upd_end = col_start + fill[j]
+                ks = indices[upd_start:upd_end]
+                x[ks] -= values[upd_start:upd_end] * lij
+            values[col_start + fill[j]] = lij  # symbolic slot for row i
+            fill[j] += 1
+            sumsq += lij * lij
+
+        remaining = diag_val - sumsq
+        if remaining <= 0.0:
+            raise np.linalg.LinAlgError(
+                f"matrix is not positive definite (pivot {remaining:g} at step {i})"
+            )
+        values[indptr[i]] = np.sqrt(remaining)
+        fill[i] = 1
+
+    lower = sp.csc_matrix((values, indices.copy(), indptr.copy()), shape=(n, n))
+    lower.sort_indices()
+    return CholeskyFactor(lower=lower, perm=perm)
 
 
 # Plain quotient-graph minimum degree without supervariables, kept verbatim
@@ -178,18 +253,18 @@ def _count_pops(monkeypatch) -> list:
 class TestUplooking:
     def test_matches_dense_cholesky(self):
         matrix = random_spd(30, 0.15, seed=0)
-        factor = cholesky_uplooking(matrix)
+        factor = _reference_uplooking(matrix)
         dense = np.linalg.cholesky(matrix.toarray())
         assert np.allclose(factor.lower.toarray(), dense, atol=1e-10)
 
     def test_matches_dense_on_grounded_laplacian(self, spd_matrix):
-        factor = cholesky_uplooking(spd_matrix)
+        factor = _reference_uplooking(spd_matrix)
         dense = np.linalg.cholesky(spd_matrix.toarray())
         assert np.allclose(factor.lower.toarray(), dense, atol=1e-10)
 
     def test_with_permutation(self, spd_matrix):
         perm = rcm_ordering(spd_matrix)
-        factor = cholesky_uplooking(spd_matrix, perm=perm)
+        factor = _reference_uplooking(spd_matrix, perm=perm)
         permuted = permute_symmetric(spd_matrix, perm)
         reconstruction = (factor.lower @ factor.lower.T).toarray()
         assert np.allclose(reconstruction, permuted.toarray(), atol=1e-10)
@@ -197,10 +272,10 @@ class TestUplooking:
     def test_rejects_indefinite(self):
         matrix = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(np.linalg.LinAlgError):
-            cholesky_uplooking(matrix)
+            _reference_uplooking(matrix)
 
     def test_solve(self, spd_matrix):
-        factor = cholesky_uplooking(spd_matrix)
+        factor = _reference_uplooking(spd_matrix)
         rng = np.random.default_rng(1)
         b = rng.normal(size=spd_matrix.shape[0])
         x = factor.solve(b)
@@ -210,8 +285,8 @@ class TestUplooking:
 class TestSuperluEngine:
     def test_agrees_with_uplooking(self, spd_matrix):
         perm = compute_ordering(spd_matrix, "rcm")
-        fast = cholesky(spd_matrix, perm=perm, engine="superlu")
-        slow = cholesky(spd_matrix, perm=perm, engine="uplooking")
+        fast = cholesky(spd_matrix, perm=perm)
+        slow = _reference_uplooking(spd_matrix, perm=perm)
         assert np.allclose(fast.lower.toarray(), slow.lower.toarray(), atol=1e-9)
 
     def test_solve_matches_direct(self, spd_matrix):
@@ -234,10 +309,6 @@ class TestSuperluEngine:
         sign, expected = np.linalg.slogdet(matrix.toarray())
         assert sign > 0
         assert np.isclose(factor.logdet(), expected)
-
-    def test_unknown_engine(self, spd_matrix):
-        with pytest.raises(ValueError, match="unknown engine"):
-            cholesky(spd_matrix, engine="nope")
 
     def test_half_solve_norm_gives_quadratic_form(self, spd_matrix):
         """||L^{-1} P b||^2 must equal b^T A^{-1} b (basis of Eq. 7)."""

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,71 @@ class TestService:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1] == cold
         assert "top 2 central edges" in captured.out
+
+
+class TestServiceSLA:
+    PAIRS = ["--pairs", "0,255", "0,1", "3,200"]
+
+    def test_rel_tol_reports_the_tier_split_with_the_exact_answers(self, capsys):
+        main(["service", "--generator", "mesh2d:16x16", *self.PAIRS])
+        plain = capsys.readouterr().out.splitlines()[1:4]
+        code = main(["service", "--generator", "mesh2d:16x16", *self.PAIRS,
+                     "--rel-tol", "0.05"])
+        assert code == 0
+        captured = capsys.readouterr()
+        split = [line for line in captured.err.splitlines()
+                 if line.startswith("tier split")]
+        assert len(split) == 1
+        assert "landmark=" in split[0] and "exact=" in split[0]
+        assert captured.out.splitlines()[1:4] == plain
+
+    def test_calibration_sidecar_is_saved_and_reloaded(self, tmp_path, capsys):
+        engine_path = tmp_path / "engine.npz"
+        sidecar = tmp_path / "engine.npz.calibration.json"
+        main(["service", "--generator", "mesh2d:16x16", *self.PAIRS,
+              "--rel-tol", "0.05", "--save-engine", str(engine_path)])
+        first = capsys.readouterr()
+        assert sidecar.exists()
+        assert f"calibration saved to {sidecar}" in first.err
+        code = main(["service", "--load-engine", str(engine_path), *self.PAIRS,
+                     "--rel-tol", "0.05"])
+        assert code == 0
+        second = capsys.readouterr()
+        assert f"calibration loaded from {sidecar}" in second.err
+        assert second.out.splitlines()[1:4] == first.out.splitlines()[1:4]
+
+    def test_sidecar_without_the_landmark_tier_names_the_file(
+        self, tmp_path, capsys
+    ):
+        engine_path = tmp_path / "engine.npz"
+        sidecar = tmp_path / "engine.npz.calibration.json"
+        main(["service", "--generator", "mesh2d:16x16", *self.PAIRS,
+              "--rel-tol", "0.05", "--save-engine", str(engine_path)])
+        capsys.readouterr()
+        # a sidecar calibrated for another ladder
+        data = json.loads(sidecar.read_text())
+        data["tiers"] = {"spanning_tree": dict(
+            data["tiers"]["landmark"], tier="spanning_tree"
+        )}
+        sidecar.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["service", "--load-engine", str(engine_path), *self.PAIRS,
+                  "--rel-tol", "0.05"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro service: error: calibration sidecar {sidecar}" in err
+        assert "'landmark'" in err and "'spanning_tree'" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--engine-tiers", "--num-trees", "--num-walks", "--walk-length"]
+    )
+    def test_removed_tier_flags_are_rejected(self, flag, capsys):
+        # er and service share one option builder
+        with pytest.raises(SystemExit) as exit_info:
+            main(["service", "--generator", "mesh2d:4x4", "--pairs", "0,1",
+                  flag, "1"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestPowerGridCommands:

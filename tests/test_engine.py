@@ -30,8 +30,8 @@ from repro.service import ResistanceService
 
 # Conformance configurations: one per registered engine, plus sharded
 # composites.  random_projection gets enough projections to keep its
-# structural answers stable on tiny graphs; the estimator tiers get seeds
-# (determinism) and sample counts sized for the tiny fixture.
+# structural answers stable on tiny graphs; the landmark tier gets a seed
+# (determinism) and a landmark count sized for the tiny fixture.
 CONFIGS = {
     "cholinv": EngineConfig(),
     "exact": EngineConfig(method="exact"),
@@ -39,11 +39,7 @@ CONFIGS = {
     "random_projection": EngineConfig(
         method="random_projection", num_projections=64, solver="splu", seed=0
     ),
-    "spanning_tree": EngineConfig(method="spanning_tree", num_trees=300, seed=0),
     "landmark": EngineConfig(method="landmark", num_landmarks=4, seed=0),
-    "local_walk": EngineConfig(
-        method="local_walk", num_walks=256, walk_length=32, seed=0
-    ),
     "sharded-cholinv": EngineConfig(shard_strategy="component"),
     "sharded-exact": EngineConfig(
         method="exact", shard_strategy="component", lazy_shards=True
@@ -129,9 +125,13 @@ class TestRegistry:
             build_engine(multi_component, EngineConfig(method="bogus"))
 
     def test_unknown_kwarg_raises(self):
-        # tiers / tier_rel_tol are gone: the service's SLA router is the
-        # one tier ladder
-        for name in ("dropp_tol", "tiers", "tier_rel_tol"):
+        # tiers / tier_rel_tol are gone (the service's SLA router is the
+        # one tier ladder), and so are the knobs of the deleted walk and
+        # sampled-tree tiers
+        for name in (
+            "dropp_tol", "tiers", "tier_rel_tol",
+            "num_walks", "walk_length", "num_trees",
+        ):
             with pytest.raises(TypeError, match=name):
                 EngineConfig(**{name: 1e-3})
         with pytest.raises(TypeError, match="dropp_tol"):

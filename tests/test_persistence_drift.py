@@ -77,13 +77,16 @@ def test_round_tripped_engine_answers_identically(mesh, tmp_path):
 
 
 def test_archive_with_removed_config_keys_loads_identically(mesh, tmp_path):
-    # archives saved before the tier-ladder fields were removed still carry
-    # them in config_json; from_dict ignores unknown keys
+    # archives saved before the tier-ladder and walk/tree-tier fields were
+    # removed still carry them in config_json; from_dict ignores unknown keys
     engine = build_engine(mesh, EngineConfig(method="cholinv", **NON_DEFAULTS))
     path = save_engine(engine, tmp_path / "engine.npz")
     data = dict(np.load(path, allow_pickle=False))
     fields = json.loads(str(data["config_json"]))
-    fields.update(tiers=["landmark", "cholinv"], tier_rel_tol=0.05)
+    fields.update(
+        tiers=["landmark", "cholinv"], tier_rel_tol=0.05,
+        num_walks=512, walk_length=32, num_trees=200,
+    )
     data["config_json"] = np.asarray(json.dumps(fields))
     old = tmp_path / "old.npz"
     np.savez(old, **data)

@@ -12,6 +12,8 @@ The four router-semantics guarantees:
   any tier runs, and tier answers never enter that cache.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,27 +148,38 @@ def grid():
 
 @pytest.fixture(scope="module")
 def grid_pairs(grid):
-    # edges the spanning-tree tier can certify, then random pairs it cannot
+    # edge pairs, then random pairs (some with p == q)
     rng = np.random.default_rng(1)
     non_edges = rng.integers(0, grid.num_nodes, size=(20, 2))
     return np.concatenate([grid.edge_array()[:20], non_edges])
 
 
 @pytest.fixture(scope="module")
-def ladder(grid):
+def landmark_service(grid):
     # no result cache: exact answers of one test never pre-answer another
     service = ResistanceService(
         grid,
-        config=EngineConfig(num_trees=1500, num_landmarks=4, seed=0),
+        config=EngineConfig(num_landmarks=4, seed=0),
         result_cache_size=0,
     )
-    service.enable_tiers(tiers=("spanning_tree", "landmark"))
+    service.enable_tiers(tiers=("landmark",))
     return service
 
 
 def _max_rel_error(values, truth):
     finite = np.isfinite(truth) & (truth > 0)
     return np.max(np.abs(values[finite] - truth[finite]) / truth[finite])
+
+
+def _certify_only(name):
+    """A calibration too short to vouch for anything: the router keeps
+    exactly the rows the tier's own bound certifies."""
+    return TierCalibration(
+        tier=name,
+        scores=np.array([0.0, 1.0]),
+        prefix_max_error=np.array([0.0, 1.0]),
+        seconds_per_pair=1e-9,
+    )
 
 
 def test_landmark_tier_shares_the_served_factor(grid):
@@ -177,19 +190,77 @@ def test_landmark_tier_shares_the_served_factor(grid):
     assert tier.base_engine is service.engine
 
 
-def test_coarse_tier_serves_first_within_tolerance(ladder, grid_pairs):
-    values, report = ladder.query_pairs_with_report(grid_pairs, rel_tol=0.2)
-    truth = ladder.engine.query_pairs(grid_pairs)
-    assert report.tier_rows.get("spanning_tree", 0) > 0
-    assert _max_rel_error(values, truth) <= 0.2
+def test_coarse_tier_serves_first_within_tolerance(grid, grid_pairs):
+    engine = build_engine(grid, EngineConfig())
+    coarse = LandmarkEffectiveResistance.from_base_engine(engine, num_landmarks=4)
+    fine = LandmarkEffectiveResistance.from_base_engine(
+        engine, num_landmarks=grid.num_nodes
+    )
+    seen = []
+    fine_bounds = fine.query_pairs_with_bounds
+
+    def recording(pairs):
+        seen.append(np.array(pairs))
+        return fine_bounds(pairs)
+
+    fine.query_pairs_with_bounds = recording
+    profile = CalibrationProfile(
+        tiers={"coarse": _certify_only("coarse"), "fine": _certify_only("fine")},
+        exact_seconds_per_pair=1e-6,
+        num_samples=2,
+    )
+    router = QueryRouter(
+        profile, {"coarse": coarse, "fine": fine}, order=("coarse", "fine")
+    )
+    rel_tol = 0.2
+    result = router.serve(grid_pairs, SLA(rel_tol=rel_tol))
+    values, halves = coarse.query_pairs_with_bounds(grid_pairs)
+    certified = halves <= rel_tol * np.maximum(np.abs(values), 1e-300)
+    kept = int(np.count_nonzero(certified))
+    assert 0 < kept < grid_pairs.shape[0]
+    # the first tier keeps exactly what it certifies, bit for bit ...
+    assert result.values[certified].tobytes() == values[certified].tobytes()
+    # ... and only the rest reaches the (full-rank, near-exact) second tier
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], grid_pairs[~certified])
+    assert result.tier_rows == {"coarse": kept, "fine": grid_pairs.shape[0] - kept}
+    assert result.served.all()
+    truth = engine.query_pairs(grid_pairs)
+    assert _max_rel_error(result.values, truth) <= rel_tol
 
 
-def test_tight_tolerance_matches_the_exact_engine(ladder, grid_pairs):
-    values, report = ladder.query_pairs_with_report(grid_pairs, rel_tol=1e-9)
-    truth = ladder.engine.query_pairs(grid_pairs)
+def test_tight_tolerance_matches_the_exact_engine(landmark_service, grid_pairs):
+    values, report = landmark_service.query_pairs_with_report(
+        grid_pairs, rel_tol=1e-9
+    )
+    truth = landmark_service.engine.query_pairs(grid_pairs)
     finite = np.isfinite(truth)
     np.testing.assert_allclose(values[finite], truth[finite], rtol=2e-9)
     assert report.tier_rows.get("exact", 0) > 0  # uncertifiable pairs escalated
+
+
+def test_profile_missing_a_requested_tier_is_rejected(grid):
+    # a profile calibrated for other tiers (e.g. a sidecar saved with a
+    # different ladder) used to install a router with an empty ladder, so
+    # every SLA pair silently escalated
+    service = ResistanceService(grid, config=EngineConfig(num_landmarks=4, seed=0))
+    fresh = service.enable_tiers(tiers=("landmark",), calibration_pairs=128)
+    service._router = None
+    stale = CalibrationProfile(
+        tiers={"spanning_tree": dataclasses.replace(
+            fresh.tiers["landmark"], tier="spanning_tree"
+        )},
+        exact_seconds_per_pair=fresh.exact_seconds_per_pair,
+        num_samples=fresh.num_samples,
+    )
+    with pytest.raises(
+        ValueError, match="does not cover tier.*'landmark'.*'spanning_tree'"
+    ):
+        service.enable_tiers(tiers=("landmark",), profile=stale)
+    assert service._router is None
+    # the fresh profile still installs
+    service.enable_tiers(tiers=("landmark",), profile=fresh)
+    assert service._router.order == ("landmark",)
 
 
 @pytest.mark.parametrize("strategy", ["component", "separator"])
