@@ -289,6 +289,19 @@ class TestSuperluEngine:
         slow = _reference_uplooking(spd_matrix, perm=perm)
         assert np.allclose(fast.lower.toarray(), slow.lower.toarray(), atol=1e-9)
 
+    @pytest.mark.parametrize("ordering", ORDERING_METHODS)
+    def test_agrees_with_uplooking_under_every_ordering(
+        self, spd_matrix, ordering
+    ):
+        fast = cholesky(spd_matrix, ordering=ordering)
+        slow = _reference_uplooking(spd_matrix, perm=fast.perm)
+        assert np.allclose(fast.lower.toarray(), slow.lower.toarray(), atol=1e-9)
+
+    def test_rejects_indefinite_like_the_reference(self):
+        matrix = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(matrix, ordering="natural")
+
     def test_solve_matches_direct(self, spd_matrix):
         factor = cholesky(spd_matrix, ordering="amd")
         rng = np.random.default_rng(2)

@@ -246,13 +246,13 @@ class TestServiceSLA:
         assert f"repro service: error: calibration sidecar {sidecar}" in err
         assert "'landmark'" in err and "'spanning_tree'" in err
 
+    @pytest.mark.parametrize("command", ["er", "service"])
     @pytest.mark.parametrize(
         "flag", ["--engine-tiers", "--num-trees", "--num-walks", "--walk-length"]
     )
-    def test_removed_tier_flags_are_rejected(self, flag, capsys):
-        # er and service share one option builder
+    def test_removed_tier_flags_are_rejected(self, flag, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["service", "--generator", "mesh2d:4x4", "--pairs", "0,1",
+            main([command, "--generator", "mesh2d:4x4", "--pairs", "0,1",
                   flag, "1"])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

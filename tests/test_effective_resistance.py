@@ -232,3 +232,42 @@ class TestSpanningEdgeCentrality:
         centrality = spanning_edge_centrality(small_grid, EXACT)
         assert np.all(centrality <= 1.0 + 1e-9)
         assert np.all(centrality > 0.0)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_cycle_edges(self, n):
+        """Every cycle edge is left out of exactly one of the n trees."""
+        centrality = spanning_edge_centrality(cycle_graph(n), EXACT)
+        assert np.allclose(centrality, (n - 1) / n)
+
+    def test_complete_graph_edges(self):
+        """K_n: n − 1 tree edges shared evenly by n(n − 1)/2 edges."""
+        n = 7
+        centrality = spanning_edge_centrality(complete_graph(n), EXACT)
+        assert np.allclose(centrality, 2.0 / n)
+
+    def test_heavy_edge_is_in_almost_every_tree(self):
+        """Triangle with one 100-siemens edge: c = 100 / (100 + 1/2)."""
+        graph = Graph.from_edges(3, [(0, 1, 100.0), (1, 2, 1.0), (0, 2, 1.0)])
+        centrality = spanning_edge_centrality(graph, EXACT)
+        heavy = 100.0 / 100.5
+        light = (1.0 - heavy) / 2.0 + 0.5  # the two light edges share the rest
+        assert np.allclose(centrality, [heavy, light, light])
+        assert np.isclose(centrality.sum(), 2.0)
+
+    def test_forest_sums_to_n_minus_components(self):
+        """On a disconnected graph every component contributes its own
+        n_c − 1 (a spanning forest)."""
+        graph = Graph.from_edges(8, [
+            (0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),  # triangle: 2
+            (3, 4, 2.0), (4, 5, 1.0), (5, 6, 1.0),  # 4-cycle with a
+            (6, 3, 0.5), (3, 5, 1.0),               # chord: 3
+        ])                                          # node 7 isolated: 0
+        centrality = spanning_edge_centrality(graph, EXACT)
+        assert np.all(np.isfinite(centrality))
+        assert np.isclose(centrality.sum(), 8 - 3)
+
+    def test_cholinv_default_is_close_to_exact(self, weighted_mesh):
+        approx = spanning_edge_centrality(weighted_mesh)
+        exact = spanning_edge_centrality(weighted_mesh, EXACT)
+        assert np.allclose(approx, exact, rtol=0.05)
+        assert np.isclose(approx.sum(), weighted_mesh.num_nodes - 1, rtol=0.01)

@@ -8,6 +8,9 @@ Covers the two subsystem guarantees:
 * **bound containment** — the landmark tier's certified interval contains
   the cholinv-grade reference it is calibrated against.
 
+The shared helpers of ``repro.estimators.base`` (weighted degrees and the
+trivial-pair split every bounded tier starts from) are checked directly.
+
 Escalation across tiers is the service router's job; its guarantees are
 tested in ``tests/test_router.py``.
 """
@@ -17,8 +20,12 @@ import pytest
 
 from repro.core.engine import EngineConfig, build_engine
 from repro.estimators import LandmarkEffectiveResistance
+from repro.estimators.base import split_trivial, weighted_degrees
 from repro.estimators.landmark import select_landmarks
+from repro.graphs.components import connected_components
 from repro.graphs.generators import fe_mesh_2d
+from repro.graphs.graph import Graph
+from repro.graphs.laplacian import laplacian
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +128,75 @@ def test_landmark_query_chunking_matches_unchunked(mesh, reference, monkeypatch)
     chunked = engine.query_pairs_with_bounds(pairs)
     np.testing.assert_array_equal(whole[0], chunked[0])
     np.testing.assert_array_equal(whole[1], chunked[1])
+
+
+# ----------------------------------------------------------------------
+# shared helpers: weighted degrees and the trivial-pair split
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def two_triangles():
+    """Two weighted triangles plus an isolated node (3 components)."""
+    return Graph.from_edges(7, [
+        (0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5),
+        (3, 4, 3.0), (4, 5, 1.0), (3, 5, 4.0),
+    ])
+
+
+def test_weighted_degrees_is_the_laplacian_diagonal(mesh):
+    np.testing.assert_allclose(
+        weighted_degrees(mesh), laplacian(mesh).diagonal(), rtol=1e-14
+    )
+
+
+def test_weighted_degrees_sums_parallel_edges_and_zeroes_isolated_nodes():
+    graph = Graph.from_edges(4, [(0, 1, 1.5), (1, 0, 2.5), (1, 2, 1.0)])
+    np.testing.assert_array_equal(
+        weighted_degrees(graph), [4.0, 5.0, 1.0, 0.0]
+    )
+
+
+def test_split_trivial_answers_the_diagonal_with_zero(two_triangles):
+    labels, _ = connected_components(two_triangles)
+    ps, qs, values, halves, active = split_trivial(
+        labels, [(2, 2), (6, 6), (0, 1)]
+    )
+    np.testing.assert_array_equal(ps, [2, 6, 0])
+    np.testing.assert_array_equal(qs, [2, 6, 1])
+    np.testing.assert_array_equal(values, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(halves, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(active, [False, False, True])
+
+
+def test_split_trivial_answers_cross_component_pairs_with_inf(two_triangles):
+    labels, count = connected_components(two_triangles)
+    assert count == 3
+    _, _, values, halves, active = split_trivial(
+        labels, [(0, 3), (5, 1), (2, 6), (4, 5)]
+    )
+    assert np.all(np.isinf(values[:3]))
+    assert values[3] == 0.0
+    np.testing.assert_array_equal(halves, np.zeros(4))
+    np.testing.assert_array_equal(active, [False, False, False, True])
+
+
+def test_split_trivial_leaves_only_active_rows_to_the_estimator(
+    mesh, reference
+):
+    labels = reference.component_labels
+    pairs = np.random.default_rng(8).integers(0, mesh.num_nodes, size=(200, 2))
+    pairs[::7, 1] = pairs[::7, 0]
+    ps, qs, values, halves, active = split_trivial(labels, pairs)
+    np.testing.assert_array_equal(active, ps != qs)
+    # the trivial rows already carry the exact answers
+    truth = reference.query_pairs(pairs)
+    np.testing.assert_array_equal(values[~active], truth[~active])
+    assert not np.any(halves)
+
+
+def test_split_trivial_empty_batch(mesh, reference):
+    ps, qs, values, halves, active = split_trivial(
+        reference.component_labels, np.empty((0, 2), dtype=np.int64)
+    )
+    for column in (ps, qs, values, halves, active):
+        assert column.shape == (0,)

@@ -263,6 +263,53 @@ def test_profile_missing_a_requested_tier_is_rejected(grid):
     assert service._router.order == ("landmark",)
 
 
+def test_profile_covering_more_tiers_installs_only_the_requested(grid):
+    service = ResistanceService(grid, config=EngineConfig(num_landmarks=4, seed=0))
+    fresh = service.enable_tiers(tiers=("landmark",), calibration_pairs=128)
+    service._router = None
+    wider = CalibrationProfile(
+        tiers={
+            **fresh.tiers,
+            "other": dataclasses.replace(fresh.tiers["landmark"], tier="other"),
+        },
+        exact_seconds_per_pair=fresh.exact_seconds_per_pair,
+        num_samples=fresh.num_samples,
+    )
+    assert service.enable_tiers(tiers=("landmark",), profile=wider) is wider
+    assert service._router.order == ("landmark",)
+    assert set(service._router.engines) == {"landmark"}
+
+
+@pytest.mark.parametrize("name", ["local_walk", "spanning_tree", "bogus"])
+def test_unregistered_tier_is_rejected(grid, name):
+    # local_walk and spanning_tree were tiers once; they are no engines now
+    service = ResistanceService(grid, config=EngineConfig(num_landmarks=4, seed=0))
+    with pytest.raises(ValueError, match=f"unknown method '{name}'"):
+        service.enable_tiers(tiers=(name,))
+    assert service._router is None
+
+
+def test_empty_tier_ladder_is_rejected(grid):
+    service = ResistanceService(grid, config=EngineConfig(num_landmarks=4, seed=0))
+    with pytest.raises(ValueError, match="need at least one tier"):
+        service.enable_tiers(tiers=())
+    assert service._router is None
+
+
+def test_served_engine_is_not_a_tier(grid):
+    service = ResistanceService(grid, config=EngineConfig(num_landmarks=4, seed=0))
+    with pytest.raises(ValueError, match="'cholinv' is the service's exact engine"):
+        service.enable_tiers(tiers=("cholinv",))
+    assert service._router is None
+
+
+def test_tier_without_error_bounds_is_rejected(grid):
+    service = ResistanceService(grid, config=EngineConfig(num_landmarks=4, seed=0))
+    with pytest.raises(ValueError, match="'exact' reports no error bounds"):
+        service.enable_tiers(tiers=("landmark", "exact"))
+    assert service._router is None
+
+
 @pytest.mark.parametrize("strategy", ["component", "separator"])
 def test_sharded_service_rejects_tiers_naming_the_strategy(grid, strategy):
     # the tier would be a sharded composite without error bounds; the
