@@ -7,7 +7,7 @@ happened up front, and one careless ``with self._lock:`` around
 ``build_engine`` silently serialises the query path.  The rule flags any
 call made while a lock is held that can *reach* a blocking primitive:
 
-* engine factorisation — ``build_engine``, ``approximate_inverse``,
+* engine factorisation — ``build_engine(s)``, ``approximate_inverse(s)``,
   ``schur_reduce``;
 * file I/O — ``load_engine`` / ``save_engine``, ``np.load`` /
   ``np.save`` / ``np.savez`` / ``np.savez_compressed``;
@@ -46,9 +46,10 @@ from repro.analysis.model import (
 
 #: Engine factorisation entry points (anything that runs Alg. 1/2 or
 #: assembles a Schur complement).
-_BUILD_PRIMITIVES = frozenset(
-    {"build_engine", "approximate_inverse", "schur_reduce"}
-)
+_BUILD_PRIMITIVES = frozenset({
+    "build_engine", "build_engines", "approximate_inverse",
+    "approximate_inverses", "schur_reduce",
+})
 
 #: Engine persistence entry points (disk round-trips).
 _IO_PRIMITIVES = frozenset({"load_engine", "save_engine"})

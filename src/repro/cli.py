@@ -277,7 +277,10 @@ def cmd_service(args) -> int:
                 path = CalibrationProfile.default_path(args.load_engine)
                 if path.exists():
                     sidecar = path
-                    profile = CalibrationProfile.load(sidecar)
+                    try:
+                        profile = CalibrationProfile.load(sidecar)
+                    except ValueError as exc:
+                        args.parser.error(str(exc))
                     print(f"calibration loaded from {sidecar}", file=sys.stderr)
             profile = _enable_tiers(args, service, profile, sidecar)
             if args.save_engine:

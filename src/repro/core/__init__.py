@@ -19,7 +19,11 @@
   the sampled error estimation used in Table I.
 """
 
-from repro.core.approx_inverse import ApproxInverseStats, approximate_inverse
+from repro.core.approx_inverse import (
+    ApproxInverseStats,
+    approximate_inverse,
+    approximate_inverses,
+)
 from repro.core.effective_resistance import (
     CholInvEffectiveResistance,
     ExactEffectiveResistance,
@@ -30,6 +34,7 @@ from repro.core.engine import (
     EngineConfig,
     ResistanceEngine,
     build_engine,
+    build_engines,
     register_engine,
     registered_engines,
 )
@@ -45,6 +50,7 @@ from repro.core.truncation import truncate_relative_1norm
 
 __all__ = [
     "approximate_inverse",
+    "approximate_inverses",
     "ApproxInverseStats",
     "truncate_relative_1norm",
     "ResistanceEngine",
@@ -52,6 +58,7 @@ __all__ = [
     "register_engine",
     "registered_engines",
     "build_engine",
+    "build_engines",
     "PartitionedEngine",
     "ShardPlan",
     "make_plan",

@@ -42,9 +42,22 @@ Kernels (the ``mode=`` knob)
     the pool in ascending column order, the result is **bit-identical**
     for every worker count.
 
+Independent factors (:func:`approximate_inverses`)
+    The blocked kernel runs any number of factors in one level sweep, as
+    the diagonal blocks of one factor: no column of one factor depends on
+    a column of another, and a column's depth is its depth in its own
+    factor, so level ``d`` computes the depth-``d`` columns of every
+    factor together.  The per-level overhead is then paid once per level
+    of the deepest factor rather than once per level of each — the many
+    small factors of a power-grid reduction have many short, narrow
+    levels.  Each column keeps its own factor's ``log n`` keep-whole
+    threshold, and each factor gets back its own ``Z̃`` and stats.
+    :func:`approximate_inverse` is the case of one factor.
+
 ``mode="reference"``
     The original column-at-a-time loop, kept as the executable
-    specification.  ``build_workers`` is ignored here.
+    specification.  ``build_workers`` is ignored here, and independent
+    factors run one after another.
 
 The two kernels agree byte for byte.  ``csr_matmat`` accumulates each
 column's contributions from zero in dependency order and stores only the
@@ -53,6 +66,11 @@ blocked truncation sorts magnitudes within each column with a stable key,
 exactly like :func:`repro.core.truncation.truncation_keep_mask` does per
 column, and the ``e_j/L_jj`` diagonal term is one more entry of that scan
 (a tiny ``1/L_jj`` under a heavy column drops like any other small entry).
+The column 1-norms and dropped-mass prefixes are differences of prefix
+sums over a whole level chunk, so they round differently from the
+reference's per-column sums; the keep decisions, and so ``Z̃``, still
+match, which the tests check byte for byte — on single factors, on
+co-scheduled ones, with chunks forced small and with two workers.
 
 Implementation notes
 --------------------
@@ -68,6 +86,7 @@ rebuild engines fast enough for online traffic.
 from __future__ import annotations
 
 import concurrent.futures
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,23 +190,65 @@ def approximate_inverse(
     -------
     (Z̃, stats):
         The sparse approximate inverse (CSC, lower triangular, nonnegative
-        for M-matrix inputs) and run statistics.
+        for M-matrix inputs) and run statistics.  This is
+        :func:`approximate_inverses` on a list of one factor.
     """
-    check_square_sparse(lower, "lower")
+    return approximate_inverses(
+        [lower],
+        epsilon=epsilon,
+        small_column_threshold=small_column_threshold,
+        mode=mode,
+        build_workers=build_workers,
+    )[0]
+
+
+def approximate_inverses(
+    factors: "Sequence[sp.spmatrix]",
+    epsilon: float = 1e-3,
+    small_column_threshold: "float | None" = None,
+    mode: str = "blocked",
+    build_workers: "int | None" = None,
+) -> "list[tuple[sp.csc_matrix, ApproxInverseStats]]":
+    """Run Alg. 2 on independent factors in one level sweep.
+
+    The blocked kernel treats the factors as the diagonal blocks of one
+    factor: level ``d`` of the sweep holds the depth-``d`` columns of
+    every factor, so the per-level overhead is paid once per level of
+    the deepest factor instead of once per level of each.  Every column
+    keeps its own factor's ``log n`` keep-whole threshold (unless
+    ``small_column_threshold`` sets one for all), and the result is one
+    ``(Z̃, stats)`` per factor, as :func:`approximate_inverse` gives it
+    for that factor alone.  ``mode="reference"`` runs the factors one
+    after another.  The other parameters are those of
+    :func:`approximate_inverse`.
+    """
+    for lower in factors:
+        check_square_sparse(lower, "lower")
     check_finite_nonnegative(epsilon, "epsilon")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     workers = 1 if build_workers is None else int(build_workers)
     if workers < 1:
         raise ValueError(f"build_workers must be >= 1, got {build_workers}")
-    csc = sp.csc_matrix(lower)
-    csc.sort_indices()
-    n = csc.shape[0]
-    keep_whole_nnz = float(np.log(max(n, 2))) if small_column_threshold is None else float(small_column_threshold)
-    diag = _validate_factor(csc)
-    if mode == "blocked":
-        return _blocked_kernel(csc, diag, epsilon, keep_whole_nnz, workers=workers)
-    return _reference_kernel(csc, diag, epsilon, keep_whole_nnz)
+    cscs, diags, keep_whole = [], [], []
+    for lower in factors:
+        csc = sp.csc_matrix(lower)
+        csc.sort_indices()
+        n = csc.shape[0]
+        keep_whole.append(
+            float(np.log(max(n, 2))) if small_column_threshold is None
+            else float(small_column_threshold)
+        )
+        diags.append(_validate_factor(csc))
+        cscs.append(csc)
+    if mode == "reference":
+        return [
+            _reference_kernel(csc, diag, epsilon, threshold)
+            for csc, diag, threshold in zip(cscs, diags, keep_whole)
+        ]
+    if not cscs:
+        return []
+    return _blocked_kernel(cscs, diags, epsilon, keep_whole, workers=workers)
 
 
 # ----------------------------------------------------------------------
@@ -358,14 +419,35 @@ def _level_chunks(k: int, col_bound_prefix: np.ndarray) -> "list[tuple[int, int]
 
 
 def _blocked_kernel(
-    csc: sp.csc_matrix,
-    diag: np.ndarray,
+    cscs: "list[sp.csc_matrix]",
+    diags: "list[np.ndarray]",
     epsilon: float,
-    keep_whole_nnz: float,
+    keep_whole: "list[float]",
     workers: int = 1,
-) -> "tuple[sp.csc_matrix, ApproxInverseStats]":
-    n = csc.shape[0]
+) -> "list[tuple[sp.csc_matrix, ApproxInverseStats]]":
+    # the factors are the diagonal blocks of one factor: no column of one
+    # depends on a column of another, and a column's depth is its depth
+    # within its own factor, so level d sweeps the depth-d columns of all
+    sizes = [csc.shape[0] for csc in cscs]
+    offsets = np.zeros(len(cscs) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    n = int(offsets[-1])
+    entry_offsets = np.cumsum([0] + [c.indices.shape[0] for c in cscs])
+    csc = sp.csc_matrix(
+        (
+            np.concatenate([c.data for c in cscs]),
+            np.concatenate([c.indices + o for c, o in zip(cscs, offsets.tolist())]),
+            np.concatenate(
+                [c.indptr[:-1] + e for c, e in zip(cscs, entry_offsets.tolist())]
+                + [entry_offsets[-1:]]
+            ),
+        ),
+        shape=(n, n),
+    )
+    diag = np.concatenate(diags)
     indptr, indices, data = csc.indptr, csc.indices, csc.data
+    # per-column Alg. 2 line 3 threshold: each factor keeps its own log n
+    keep_whole_nnz = np.repeat(keep_whole, sizes)
 
     # level schedule: depth(j) per Eq. (11); dependencies of a column all
     # live at strictly smaller depth, so levels run 0, 1, ... max_depth
@@ -396,8 +478,7 @@ def _blocked_kernel(
     # nnz(Z̃) is typically O(n log n); oversize the pool so level commits
     # rarely trigger a reallocation-and-copy of everything stored so far
     pool = _ColumnPool(n, capacity=max(16 * indices.shape[0], 64))
-    truncated_count = 0
-    kept_whole = 0
+    truncated = np.zeros(n, dtype=bool)
     inv_diag = 1.0 / diag
     executor: "concurrent.futures.ThreadPoolExecutor | None" = None
 
@@ -426,6 +507,7 @@ def _blocked_kernel(
             np.cumsum(pool.length[dep_rows[lo:hi]], out=entry_cum[1:])
             col_bound_prefix = entry_cum[w_indptr]
             level_inv_diag = inv_diag[cols]
+            level_keep_whole = keep_whole_nnz[cols]
 
             def run_chunk(a: int, b: int):
                 # matmul + Eq. (10) truncation of the columns [a, b) of the
@@ -443,7 +525,7 @@ def _blocked_kernel(
                 # it to each column before the Eq. (10) scan
                 return _truncate_block(
                     cols[a:b], block_ptr, block_rows, block_data,
-                    level_inv_diag[a:b], epsilon, keep_whole_nnz,
+                    level_inv_diag[a:b], epsilon, level_keep_whole[a:b],
                 )
 
             chunks = _level_chunks(k, col_bound_prefix)
@@ -459,27 +541,30 @@ def _blocked_kernel(
 
             # commit in ascending column order — identical pool layout (and
             # therefore identical downstream levels) for every worker count
-            for (a, b), (out_ptr, out_rows, out_vals, num_truncated) in zip(
+            for (a, b), (out_ptr, out_rows, out_vals, chunk_truncated) in zip(
                 chunks, results
             ):
                 pool.append_level(cols[a:b], out_ptr, out_rows, out_vals)
-                truncated_count += num_truncated
-                kept_whole += (b - a) - num_truncated
+                truncated[cols[a:b]] = chunk_truncated
     finally:
         if executor is not None:
             executor.shutdown(wait=True)
 
-    all_ptr, all_rows, all_vals = pool.gather(np.arange(n, dtype=np.int64))
-    z_tilde = sp.csc_matrix((all_vals, all_rows, all_ptr), shape=(n, n))
-    # every stored column keeps the ascending-row order of its level block
-    z_tilde.has_sorted_indices = True
-    stats = ApproxInverseStats(
-        nnz=int(z_tilde.nnz),
-        n=n,
-        columns_truncated=truncated_count,
-        columns_kept_whole=kept_whole,
-    )
-    return z_tilde, stats
+    out = []
+    for size, offset in zip(sizes, offsets.tolist()):
+        ptr, rows, vals = pool.gather(np.arange(offset, offset + size, dtype=np.int64))
+        rows -= offset  # a gathered copy: back to the factor's own rows
+        z_tilde = sp.csc_matrix((vals, rows, ptr), shape=(size, size))
+        # every stored column keeps the ascending-row order of its level block
+        z_tilde.has_sorted_indices = True
+        num_truncated = int(np.count_nonzero(truncated[offset:offset + size]))
+        out.append((z_tilde, ApproxInverseStats(
+            nnz=int(z_tilde.nnz),
+            n=size,
+            columns_truncated=num_truncated,
+            columns_kept_whole=size - num_truncated,
+        )))
+    return out
 
 
 try:  # same kernels scipy's `@` dispatches to; fall back if ever renamed
@@ -564,8 +649,8 @@ def _truncate_block(
     bdata: np.ndarray,
     diag_vals: np.ndarray,
     epsilon: float,
-    keep_whole_nnz: float,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, int]":
+    keep_whole_nnz: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Vectorised Eq. (10) over every column of a level block (or chunk).
 
     ``(bindptr, bindices, bdata)`` hold the dependency contributions of the
@@ -574,6 +659,7 @@ def _truncate_block(
     column — its row index is strictly smaller than every dependency row —
     and from there on is an ordinary entry: a diagonal that falls under
     the column's budget drops like any other small entry.
+    ``keep_whole_nnz[c]`` is column ``c``'s ``log n`` threshold.
 
     Mirrors :func:`repro.core.truncation.truncation_keep_mask` column by
     column: exact zeros are discarded, entries are stably sorted by magnitude
@@ -583,8 +669,9 @@ def _truncate_block(
 
     Pure function of its arguments (no shared state), so the level-parallel
     kernel runs one call per chunk on pool threads.  Returns the surviving
-    entries as ``(out_ptr, out_rows, out_vals, num_truncated)`` with rows
-    ascending per column, ready for :meth:`_ColumnPool.append_level`.
+    entries as ``(out_ptr, out_rows, out_vals, truncated)`` with rows
+    ascending per column, ready for :meth:`_ColumnPool.append_level`;
+    ``truncated[c]`` says whether column ``c`` went through Eq. (10).
     """
     k = cols.shape[0]
     column_nnz = np.diff(bindptr).astype(np.int64)
@@ -600,10 +687,9 @@ def _truncate_block(
         np.cumsum(column_nnz, out=bindptr[1:])
     counts = column_nnz + 1  # with the diagonal head
     big = counts > keep_whole_nnz
-    num_truncated = int(np.count_nonzero(big))
     (rows, vals), ptr = _prepend_diag(k, column_nnz, bindices, bdata, cols, diag_vals)
-    if not (num_truncated and epsilon > 0 and bdata.shape[0]):
-        return ptr, rows, vals, num_truncated
+    if not (big.any() and epsilon > 0 and bdata.shape[0]):
+        return ptr, rows, vals, big
     # M-matrix factors give nonnegative blocks — skip the abs pass then
     nonnegative = float(bdata.min()) >= 0.0
     # column 1-norms via global prefix sums over the dependency entries
@@ -619,7 +705,7 @@ def _truncate_block(
     # budget), so all further work runs on this subset only
     cand_idx = np.flatnonzero(magnitudes <= np.repeat(budget, counts))
     if not cand_idx.shape[0]:
-        return ptr, rows, vals, num_truncated
+        return ptr, rows, vals, big
     cand_col = np.searchsorted(ptr, cand_idx, side="right") - 1
     cand_mags = magnitudes[cand_idx]
     # binade bucketing: bucket b holds candidates ~2^b below the budget
@@ -674,7 +760,7 @@ def _truncate_block(
     keep[cand_idx[band[perm[dropped]]]] = False
     out_ptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(counts - dropped_counts, out=out_ptr[1:])
-    return out_ptr, rows[keep], vals[keep], num_truncated
+    return out_ptr, rows[keep], vals[keep], big
 
 
 def _assemble(

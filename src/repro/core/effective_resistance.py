@@ -23,6 +23,10 @@ no current path).
 
 from __future__ import annotations
 
+import time
+from collections.abc import Sequence
+from typing import Any
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -30,7 +34,7 @@ import scipy.sparse.linalg as spla
 from repro.cholesky.depth import filled_graph_depth
 from repro.cholesky.incomplete import ichol
 from repro.cholesky.ordering import compute_ordering
-from repro.core.approx_inverse import ApproxInverseStats, approximate_inverse
+from repro.core.approx_inverse import ApproxInverseStats, approximate_inverses
 from repro.core.engine import (
     EngineConfig,
     ResistanceEngine,
@@ -160,6 +164,47 @@ class CholInvEffectiveResistance(ResistanceEngine):
         build_workers: int = 1,
         perm: "np.ndarray | None" = None,
     ):
+        self._factorize(
+            graph, epsilon, drop_tol, ordering, ground_value,
+            small_column_threshold, mode, build_workers, perm,
+        )
+        self._invert([self])
+
+    @classmethod
+    def build_many(
+        cls, graphs: "Sequence[Graph]", **params: Any
+    ) -> "list[CholInvEffectiveResistance]":
+        """One engine per graph, with one Alg. 2 sweep for all of them.
+
+        Each graph gets its own grounded Laplacian, ordering and ICT
+        factor, exactly as the constructor builds them; then
+        :func:`~repro.core.approx_inverse.approximate_inverses` runs the
+        level sweep over all the factors at once.  Every engine equals
+        ``cls(graph, **params)`` bit for bit, except that its
+        ``approx_inverse`` timing is its node-count share of the shared
+        sweep.
+        """
+        engines = []
+        for graph in graphs:
+            engine = cls.__new__(cls)
+            engine._factorize(graph, **params)
+            engines.append(engine)
+        cls._invert(engines)
+        return engines
+
+    def _factorize(
+        self,
+        graph: Graph,
+        epsilon: float = 1e-3,
+        drop_tol: float = 1e-3,
+        ordering: str = "amd",
+        ground_value: "float | None" = None,
+        small_column_threshold: "float | None" = None,
+        mode: str = "blocked",
+        build_workers: int = 1,
+        perm: "np.ndarray | None" = None,
+    ) -> None:
+        """Every build stage up to and including the ICT factor."""
         self.graph = graph
         self.epsilon = epsilon
         self.drop_tol = drop_tol
@@ -185,20 +230,33 @@ class CholInvEffectiveResistance(ResistanceEngine):
                 perm = compute_ordering(matrix, method=ordering)
         with self.timer.section("ichol"):
             self.ichol_result = ichol(matrix, drop_tol=drop_tol, perm=perm)
-        with self.timer.section("approx_inverse"):
-            self.z_tilde, self.stats = approximate_inverse(
-                self.ichol_result.lower,
-                epsilon=epsilon,
-                small_column_threshold=small_column_threshold,
-                mode=mode,
-                build_workers=build_workers,
-            )
-        self.perm = self.ichol_result.perm
-        self._position = np.empty_like(self.perm)
-        self._position[self.perm] = np.arange(self.perm.shape[0])
-        squared = self.z_tilde.multiply(self.z_tilde)
-        self._column_sq_norms = np.asarray(squared.sum(axis=0)).ravel()
         self.n = graph.num_nodes
+
+    @staticmethod
+    def _invert(engines: "list[CholInvEffectiveResistance]") -> None:
+        """Alg. 2 over the factors of ``engines`` (built with the same
+        params) in one level sweep, split by node count in the timings."""
+        if not engines:
+            return
+        first = engines[0]
+        start = time.perf_counter()
+        results = approximate_inverses(
+            [engine.ichol_result.lower for engine in engines],
+            epsilon=first.epsilon,
+            small_column_threshold=first.small_column_threshold,
+            mode=first.mode,
+            build_workers=first.build_workers,
+        )
+        elapsed = time.perf_counter() - start
+        total_nodes = max(sum(engine.n for engine in engines), 1)
+        for engine, (z_tilde, stats) in zip(engines, results):
+            engine.timer.add("approx_inverse", elapsed * engine.n / total_nodes)
+            engine.z_tilde, engine.stats = z_tilde, stats
+            engine.perm = engine.ichol_result.perm
+            engine._position = np.empty_like(engine.perm)
+            engine._position[engine.perm] = np.arange(engine.perm.shape[0])
+            squared = z_tilde.multiply(z_tilde)
+            engine._column_sq_norms = np.asarray(squared.sum(axis=0)).ravel()
 
     # ------------------------------------------------------------------
     @classmethod

@@ -27,8 +27,11 @@ Engines register under a short name with :func:`register_engine`, declaring
 which :class:`EngineConfig` fields they consume; :func:`build_engine` is the
 single dispatch point the convenience API
 (:func:`~repro.core.effective_resistance.effective_resistances`), the
-serving layer (:class:`~repro.service.ResistanceService`), the reduction
-pipeline, the bench harness and the CLI all go through.  ``EngineConfig``
+serving layer (:class:`~repro.service.ResistanceService`), the bench
+harness and the CLI all go through.  :func:`build_engines` builds one
+engine per graph of a list, as a loop over :func:`build_engine` would,
+sharing build work between the graphs where an engine can (the reduction
+pipeline builds its per-block engines this way).  ``EngineConfig``
 is the only way to pick and tune an engine: one frozen dataclass carries
 every tunable, each engine picks out its own fields, and the whole thing
 serialises to/from a plain dict for engine persistence
@@ -48,9 +51,10 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, cast
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -271,6 +275,19 @@ class ResistanceEngine(abc.ABC):
     def query_pairs(self, pairs: ArrayLike) -> np.ndarray:
         """Effective resistances for an ``(m, 2)`` array of node pairs."""
 
+    @classmethod
+    def build_many(
+        cls, graphs: "Sequence[Graph]", **params: Any
+    ) -> "Sequence[ResistanceEngine]":
+        """One engine per graph, as the constructor builds it.
+
+        :func:`build_engines` calls this; an engine whose build can share
+        work across independent graphs overrides it, and its engines must
+        stay bit-identical to ``cls(graph, **params)``.
+        """
+        make: "Callable[..., ResistanceEngine]" = cls
+        return [make(graph, **params) for graph in graphs]
+
     def rebuilt(self, graph: Graph, config: EngineConfig) -> "ResistanceEngine":
         """The engine ``config`` describes for ``graph``, an edit of this one's.
 
@@ -379,15 +396,8 @@ def engine_params(name: str) -> "tuple[str, ...]":
     return spec.params
 
 
-def build_engine(
-    graph: Graph, config: "EngineConfig | None" = None
-) -> ResistanceEngine:
-    """Build the engine a config describes — the registry's single factory.
-
-    ``config`` defaults to ``EngineConfig()`` (Alg. 3 with the paper's
-    settings).  Any ``shard_strategy`` other than ``"none"`` wraps the
-    chosen method in a :class:`~repro.core.partitioned.PartitionedEngine`.
-    """
+def _engine_spec(config: "EngineConfig | None") -> "tuple[EngineConfig, _EngineSpec]":
+    """``config`` (default ``EngineConfig()``) and its registered engine."""
     if config is None:
         config = EngineConfig()
     elif not isinstance(config, EngineConfig):
@@ -402,6 +412,19 @@ def build_engine(
             f"unknown method {config.method!r}; registered engines: "
             f"{', '.join(sorted(_REGISTRY))}"
         )
+    return config, spec
+
+
+def build_engine(
+    graph: Graph, config: "EngineConfig | None" = None
+) -> ResistanceEngine:
+    """Build the engine a config describes — the registry's single factory.
+
+    ``config`` defaults to ``EngineConfig()`` (Alg. 3 with the paper's
+    settings).  Any ``shard_strategy`` other than ``"none"`` wraps the
+    chosen method in a :class:`~repro.core.partitioned.PartitionedEngine`.
+    """
+    config, spec = _engine_spec(config)
     if config.shard_strategy != "none":
         from repro.core.partitioned import PartitionedEngine
 
@@ -410,3 +433,28 @@ def build_engine(
         engine = spec.cls(graph, **{p: getattr(config, p) for p in spec.params})
     engine.config = config
     return engine
+
+
+def build_engines(
+    graphs: "Sequence[Graph]", config: "EngineConfig | None" = None
+) -> "list[ResistanceEngine]":
+    """``[build_engine(g, config) for g in graphs]``, sharing build work.
+
+    The engines are bit-identical to that loop.  An unsharded Alg. 3
+    config grounds, orders and factors every graph on its own, then runs
+    one Alg. 2 level sweep over all the factors
+    (:meth:`CholInvEffectiveResistance.build_many
+    <repro.core.effective_resistance.CholInvEffectiveResistance.build_many>`);
+    every other engine, and every sharded config, builds one graph after
+    another.
+    """
+    config, spec = _engine_spec(config)
+    if config.shard_strategy != "none":
+        return [build_engine(graph, config) for graph in graphs]
+    engine_cls = cast("type[ResistanceEngine]", spec.cls)
+    engines = list(
+        engine_cls.build_many(graphs, **{p: getattr(config, p) for p in spec.params})
+    )
+    for engine in engines:
+        engine.config = config
+    return engines

@@ -8,14 +8,28 @@ The :class:`PGReducer` runs the five steps of Alg. 1 on a
 2. per block: eliminate the interior nodes exactly with the Schur
    complement (interior capacitance and any interior loads are pushed to
    the kept nodes through the current-divider map);
-3. per reduced block: compute effective resistances for every edge with the
-   engine ``ReductionConfig.engine`` describes — Table II compares ``"exact"``
-   (batched triangular solves per edge, the accurate-but-slow reference),
-   ``"random_projection"`` (WWW'15) and ``"cholinv"`` (the paper's Alg. 3);
+3. for the reduced blocks: compute effective resistances for every edge
+   with the engine ``ReductionConfig.engine`` describes — Table II compares
+   ``"exact"`` (batched triangular solves per edge, the accurate-but-slow
+   reference), ``"random_projection"`` (WWW'15) and ``"cholinv"`` (the
+   paper's Alg. 3);
 4. merge electrically-near non-port nodes, then sparsify the dense block by
    effective-resistance sampling;
 5. stitch the sparsified blocks together with the untouched cross-block
    edges, rebuild a reduced :class:`PowerGrid` carrying all ports.
+
+Steps 2–4 run in phases over all the blocks :meth:`PGReducer.reduce` has
+to reduce: step 2 for each block, then step 3 in one
+:func:`~repro.core.engine.build_engines` call for all of them (for
+``"cholinv"`` one Alg. 2 level sweep over every block's factor), then
+step 4 merges block by block, recomputes the resistances of the blocks
+that merged in one more shared call, and sparsifies in block order.  The
+reduced grid is the one reducing one block after another gives, byte for
+byte (the tests check this for every Table II engine).  An engine that
+draws from the pipeline RNG (``random_projection`` or ``landmark``
+without a seed) does reduce one block after another, which keeps the RNG
+stream, and so the reduced grid, the same.  Each block's ``er_time`` is
+its node-count share of the shared calls.
 
 Per-block results are cached so the DC *incremental* application can
 re-reduce only the blocks a designer modified (Table II lower half).
@@ -23,11 +37,12 @@ re-reduce only the blocks a designer modified (Table II lower half).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import EngineConfig, build_engine, registered_engines
+from repro.core.engine import EngineConfig, build_engines, engine_params, registered_engines
 from repro.graphs.graph import Graph
 from repro.graphs.laplacian import laplacian
 from repro.partition.interface import NodeRole, classify_nodes, partition_graph
@@ -47,10 +62,13 @@ class ReductionConfig:
     Attributes
     ----------
     engine:
-        :class:`~repro.core.engine.EngineConfig` of the step-3 engine, built
-        per reduced block; ``method`` ``"exact"``, ``"random_projection"``
-        or ``"cholinv"`` (default) gives the three scenarios of Table II.
-        An engine ``seed`` of ``None`` draws from the pipeline RNG.
+        :class:`~repro.core.engine.EngineConfig` of the step-3 engine,
+        one per reduced block, built for all blocks in one
+        :func:`~repro.core.engine.build_engines` call; ``method``
+        ``"exact"``, ``"random_projection"`` or ``"cholinv"`` (default)
+        gives the three scenarios of Table II.  An engine ``seed`` of
+        ``None`` draws from the pipeline RNG (the blocks are then reduced
+        one at a time).
     ports_per_block:
         Alg. 1 sets ``#blocks = #ports / 50``; this is the 50.  Blocks are
         cut by multilevel :func:`~repro.partition.interface.partition_graph`.
@@ -113,8 +131,43 @@ class BlockReduction:
     merged_away: np.ndarray  # original node ids merged into other nodes
     merge_target: np.ndarray  # same length: the absorbing original node id
     dropped: np.ndarray  # floating interior nodes
+    # node-count share of the shared step-3 and post-merge engine builds
     er_time: float
-    total_time: float
+    total_time: float  # steps 2-4, each counted once (er_time included)
+
+
+@dataclass
+class _BlockWork:
+    """One block between the steps of Alg. 1: its current graph over local
+    node ids, and the original id standing behind each local node."""
+
+    block_id: int
+    timer: Timer
+    graph: Graph
+    kept: np.ndarray
+    shunts: np.ndarray
+    caps: np.ndarray
+    dropped: np.ndarray
+    resistances: "np.ndarray | None" = None
+    merged_away: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    merge_target: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+
+    def result(self) -> BlockReduction:
+        kept = self.kept
+        return BlockReduction(
+            block_id=self.block_id,
+            kept_nodes=kept,
+            heads=kept[self.graph.heads],
+            tails=kept[self.graph.tails],
+            conductances=self.graph.weights,
+            shunts=self.shunts if kept.size else np.empty(0),
+            lumped_caps=self.caps if kept.size else np.empty(0),
+            merged_away=self.merged_away,
+            merge_target=self.merge_target,
+            dropped=self.dropped,
+            er_time=self.timer.times.get("effective_resistance", 0.0),
+            total_time=self.timer.total,
+        )
 
 
 @dataclass
@@ -199,21 +252,77 @@ class PGReducer:
     def _block_nodes(self, block_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == block_id)
 
-    def _edge_resistances(self, graph: Graph, timer: Timer) -> np.ndarray:
-        """Every edge's effective resistance from the configured engine."""
+    def _edge_resistances(
+        self, graphs: "list[Graph]", timers: "list[Timer]"
+    ) -> "list[np.ndarray]":
+        """Every edge's effective resistance in each graph, from one
+        :func:`~repro.core.engine.build_engines` call.
+
+        The call's wall-clock (builds and edge queries) is split across
+        ``timers`` by node count, under ``"effective_resistance"``.
+        """
         engine = self.config.engine
         if engine.seed is None:
             # randomised engines share the pipeline RNG; EngineConfig
             # defaults already match the paper (epsilon/drop_tol 1e-3, amd)
             engine = engine.replace(seed=self.rng)
-        with timer.section("effective_resistance"):
-            return build_engine(graph, engine).all_edge_resistances()
+        start = time.perf_counter()
+        resistances = [e.all_edge_resistances() for e in build_engines(graphs, engine)]
+        elapsed = time.perf_counter() - start
+        total_nodes = max(sum(graph.num_nodes for graph in graphs), 1)
+        for graph, timer in zip(graphs, timers):
+            timer.add("effective_resistance", elapsed * graph.num_nodes / total_nodes)
+        return resistances
+
+    def _set_resistances(self, works: "list[_BlockWork]") -> None:
+        """Effective resistances for ``works`` from one shared engine build."""
+        resistances = self._edge_resistances(
+            [work.graph for work in works], [work.timer for work in works]
+        )
+        for work, values in zip(works, resistances):
+            work.resistances = values
 
     def reduce_block(self, block_id: int) -> BlockReduction:
         """Steps 2–4 of Alg. 1 for one block (cached)."""
-        cached = self._block_cache.get(block_id)
-        if cached is not None:
-            return cached
+        return self._reduce_blocks([block_id])[0]
+
+    def _reduce_blocks(self, block_ids) -> "list[BlockReduction]":
+        """Steps 2–4 of Alg. 1 for ``block_ids``; cached blocks are reused.
+
+        The uncached blocks go through the steps together: step 2 for
+        each, step 3 in one shared engine build, then step 4 merges block
+        by block, recomputes the resistances of the blocks that merged in
+        one more shared build, and sparsifies in block order.  An engine
+        that draws from the pipeline RNG takes the blocks one at a time
+        instead, so the RNG stream — and the reduced grid — is the one a
+        block-by-block reduction gives.
+        """
+        block_ids = [int(b) for b in block_ids]
+        todo = [b for b in dict.fromkeys(block_ids) if b not in self._block_cache]
+        engine = self.config.engine
+        draws_from_rng = engine.seed is None and "seed" in engine_params(engine.method)
+        groups = [[b] for b in todo] if draws_from_rng else [todo]
+        for group in filter(None, groups):
+            works = [self._schur_block(b) for b in group]
+            # a block with no edge or at most two kept nodes has nothing
+            # to merge or sparsify
+            active = [w for w in works if w.graph.num_edges > 0 and w.kept.size > 2]
+            self._set_resistances(active)
+            self._set_resistances([w for w in active if self._merge(w)])
+            for work in active:
+                with work.timer.section("merge_sparsify"):
+                    work.graph = spielman_srivastava_sparsify(
+                        work.graph,
+                        work.resistances,
+                        sample_factor=self.config.sparsify_sample_factor,
+                        seed=self.rng,
+                    ).graph
+            for work in works:
+                self._block_cache[work.block_id] = work.result()
+        return [self._block_cache[b] for b in block_ids]
+
+    def _schur_block(self, block_id: int) -> "_BlockWork":
+        """Step 2: eliminate the block's interior nodes exactly."""
         timer = Timer()
         with timer.section("schur"):
             nodes = self._block_nodes(block_id)
@@ -234,85 +343,56 @@ class PGReducer:
             caps = reduction.lump_values(self._node_caps[nodes])
             kept_original = original[reduction.keep]
             dropped = original[reduction.dropped] if reduction.dropped.size else np.empty(0, np.int64)
+            block_graph = Graph(kept_original.size, heads_l, tails_l, conductances)
+            if heads_l.size:
+                block_graph = block_graph.coalesce()
+        return _BlockWork(block_id, timer, block_graph, kept_original, shunts, caps, dropped)
 
-        block_graph = Graph(kept_original.size, heads_l, tails_l, conductances).coalesce() \
-            if heads_l.size else Graph(kept_original.size, heads_l, tails_l, conductances)
-
-        merged_away = np.empty(0, dtype=np.int64)
-        merge_target = np.empty(0, dtype=np.int64)
-        er_time = 0.0
-        if block_graph.num_edges > 0 and kept_original.size > 2:
-            resistances = self._edge_resistances(block_graph, timer)
-            er_time = timer.times.get("effective_resistance", 0.0)
-
-            with timer.section("merge_sparsify"):
-                if self.config.merge_resistance_fraction > 0:
-                    finite = resistances[np.isfinite(resistances)]
-                    threshold = (
-                        self.config.merge_resistance_fraction * float(np.median(finite))
-                        if finite.size
-                        else 0.0
-                    )
-                    if self.config.protect_all_ports:
-                        protect_ids = self.ports
-                    else:
-                        # original [8] behaviour: only pads are sacred;
-                        # current-source ports may merge together
-                        protect_ids = self.pg.pad_nodes()
-                    protected_local = np.flatnonzero(
-                        np.isin(kept_original, protect_ids)
-                    )
-                    merged = merge_by_effective_resistance(
-                        block_graph, resistances, threshold, protected=protected_local
-                    )
-                    if merged.merged_count:
-                        # track which original nodes vanished and into whom;
-                        # a cluster's representative is its port if it has
-                        # one (ports never merge together), else lowest id
-                        new_of_old = merged.mapping
-                        is_port = np.isin(kept_original, self.ports)
-                        representatives = self._cluster_representatives(
-                            new_of_old, kept_original, is_port
-                        )
-                        gone_mask = representatives[new_of_old] != kept_original
-                        merged_away = kept_original[gone_mask]
-                        merge_target = representatives[new_of_old[gone_mask]]
-                        # fold shunts and caps of merged nodes into targets
-                        shunts = np.bincount(
-                            new_of_old, weights=shunts, minlength=merged.graph.num_nodes
-                        )
-                        caps = np.bincount(
-                            new_of_old, weights=caps, minlength=merged.graph.num_nodes
-                        )
-                        block_graph = merged.graph
-                        kept_original = representatives
-                        # resistances refer to pre-merge edges; recompute scores
-                        resistances = self._edge_resistances(block_graph, timer)
-
-                sparsified = spielman_srivastava_sparsify(
-                    block_graph,
-                    resistances,
-                    sample_factor=self.config.sparsify_sample_factor,
-                    seed=self.rng,
-                )
-                block_graph = sparsified.graph
-
-        result = BlockReduction(
-            block_id=block_id,
-            kept_nodes=kept_original,
-            heads=kept_original[block_graph.heads],
-            tails=kept_original[block_graph.tails],
-            conductances=block_graph.weights,
-            shunts=shunts if kept_original.size else np.empty(0),
-            lumped_caps=caps if kept_original.size else np.empty(0),
-            merged_away=merged_away,
-            merge_target=merge_target,
-            dropped=dropped,
-            er_time=er_time,
-            total_time=timer.total,
-        )
-        self._block_cache[block_id] = result
-        return result
+    def _merge(self, work: "_BlockWork") -> bool:
+        """Step 4a: merge the electrically-near nodes of ``work``; whether
+        any merged (its resistances then need recomputing)."""
+        if self.config.merge_resistance_fraction <= 0:
+            return False
+        with work.timer.section("merge_sparsify"):
+            kept_original = work.kept
+            finite = work.resistances[np.isfinite(work.resistances)]
+            threshold = (
+                self.config.merge_resistance_fraction * float(np.median(finite))
+                if finite.size
+                else 0.0
+            )
+            if self.config.protect_all_ports:
+                protect_ids = self.ports
+            else:
+                # original [8] behaviour: only pads are sacred;
+                # current-source ports may merge together
+                protect_ids = self.pg.pad_nodes()
+            protected_local = np.flatnonzero(np.isin(kept_original, protect_ids))
+            merged = merge_by_effective_resistance(
+                work.graph, work.resistances, threshold, protected=protected_local
+            )
+            if not merged.merged_count:
+                return False
+            # track which original nodes vanished and into whom; a
+            # cluster's representative is its port if it has one (ports
+            # never merge together), else lowest id
+            new_of_old = merged.mapping
+            is_port = np.isin(kept_original, self.ports)
+            representatives = self._cluster_representatives(
+                new_of_old, kept_original, is_port
+            )
+            gone_mask = representatives[new_of_old] != kept_original
+            work.merged_away = kept_original[gone_mask]
+            work.merge_target = representatives[new_of_old[gone_mask]]
+            # fold shunts and caps of merged nodes into targets
+            num_merged = merged.graph.num_nodes
+            work.shunts = np.bincount(new_of_old, weights=work.shunts, minlength=num_merged)
+            work.caps = np.bincount(new_of_old, weights=work.caps, minlength=num_merged)
+            work.graph = merged.graph
+            work.kept = representatives
+            # the resistances refer to the pre-merge edges
+            work.resistances = None
+        return True
 
     @staticmethod
     def _cluster_representatives(
@@ -362,7 +442,7 @@ class PGReducer:
     def reduce(self) -> ReducedGrid:
         """Run the full Alg. 1 and return the stitched reduced grid."""
         with self.timer.section("blocks"):
-            blocks = [self.reduce_block(b) for b in range(self.num_blocks)]
+            blocks = self._reduce_blocks(range(self.num_blocks))
         with self.timer.section("stitch"):
             reduced = self._stitch(blocks)
         return reduced

@@ -165,14 +165,25 @@ class CalibrationProfile:
 
     @classmethod
     def from_dict(cls, data: "Mapping[str, Any]") -> "CalibrationProfile":
-        return cls(
-            tiers={
-                name: TierCalibration.from_dict(cal)
-                for name, cal in dict(data["tiers"]).items()
-            },
-            exact_seconds_per_pair=float(data["exact_seconds_per_pair"]),
-            num_samples=int(data["num_samples"]),
-        )
+        """Inverse of :meth:`to_dict`.
+
+        A profile without one of the keys :meth:`to_dict` writes, or with
+        a value of the wrong type, raises ``ValueError`` naming the key or
+        the bad value.
+        """
+        try:
+            return cls(
+                tiers={
+                    name: TierCalibration.from_dict(cal)
+                    for name, cal in dict(data["tiers"]).items()
+                },
+                exact_seconds_per_pair=float(data["exact_seconds_per_pair"]),
+                num_samples=int(data["num_samples"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"calibration profile is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"calibration profile is malformed: {exc}") from None
 
     def save(self, path: "str | Path") -> Path:
         path = Path(path)
@@ -181,7 +192,12 @@ class CalibrationProfile:
 
     @classmethod
     def load(cls, path: "str | Path") -> "CalibrationProfile":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a profile :meth:`save` wrote; a file that is not JSON or
+        not a profile raises ``ValueError`` naming the file."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as exc:  # JSONDecodeError is a ValueError
+            raise ValueError(f"calibration file {path}: {exc}") from None
 
     @staticmethod
     def default_path(engine_path: "str | Path") -> Path:

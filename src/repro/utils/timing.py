@@ -45,9 +45,12 @@ class Timer:
         try:
             yield self
         finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self.times[name] = self.times.get(name, 0.0) + elapsed
+            self.add(name, time.perf_counter() - start)
+
+    def add(self, name: str, seconds: float) -> None:
+        """Accumulate ``seconds`` measured elsewhere under ``name``."""
+        with self._lock:
+            self.times[name] = self.times.get(name, 0.0) + seconds
 
     @property
     def total(self) -> float:

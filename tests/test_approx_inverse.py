@@ -8,7 +8,7 @@ import repro.core.approx_inverse as approx_inverse_module
 from repro.cholesky.depth import filled_graph_depth
 from repro.cholesky.incomplete import ichol
 from repro.cholesky.numeric import cholesky
-from repro.core.approx_inverse import approximate_inverse
+from repro.core.approx_inverse import approximate_inverse, approximate_inverses
 from repro.core.error_bounds import column_error_report, theorem1_bound
 from repro.core.truncation import truncation_keep_mask
 from repro.graphs.generators import (
@@ -168,6 +168,16 @@ class TestInterface:
         ):
             approximate_inverse(lower, epsilon=1e-3, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["blocked", "reference"])
+    def test_list_of_factors(self, mesh_factor, mode):
+        assert approximate_inverses([], mode=mode) == []
+        bad = sp.csc_matrix(
+            (np.array([1.0, 2.0]), np.array([0, 2]), np.array([0, 1, 1, 2])),
+            shape=(3, 3),
+        )
+        with pytest.raises(ValueError, match="empty column 1"):
+            approximate_inverses([mesh_factor.lower, bad], mode=mode)
+
     def test_blocked_is_default_and_matches_reference(self, mesh_factor):
         z_default, _ = approximate_inverse(mesh_factor.lower, epsilon=1e-3)
         z_ref, _ = approximate_inverse(
@@ -225,17 +235,17 @@ class TestDiagonalTruncation:
         bindptr = np.concatenate([[0], np.cumsum([len(r) for r in dep_rows])])
         bindices = np.concatenate(dep_rows).astype(np.int32)
         bdata = np.concatenate(dep_vals)
-        epsilon, keep_whole_nnz = 0.05, 2.0
-        out_ptr, out_rows, out_vals, num_truncated = (
+        epsilon, keep_whole_nnz = 0.05, np.full(3, 2.0)
+        out_ptr, out_rows, out_vals, truncated = (
             approx_inverse_module._truncate_block(
                 cols, bindptr, bindices, bdata, diag_vals, epsilon, keep_whole_nnz
             )
         )
-        assert num_truncated == 2
+        assert truncated.tolist() == [True, True, False]
         for c, j in enumerate(cols):
             rows = np.concatenate([[j], dep_rows[c]])
             vals = np.concatenate([[diag_vals[c]], dep_vals[c]])
-            if rows.shape[0] > keep_whole_nnz:
+            if rows.shape[0] > keep_whole_nnz[c]:
                 keep = truncation_keep_mask(vals, epsilon)
                 rows, vals = rows[keep], vals[keep]
             lo, hi = out_ptr[c], out_ptr[c + 1]
@@ -264,14 +274,20 @@ BYTE_IDENTITY_GRAPHS = {
 }
 
 
+# the factors of every graph above, co-scheduled in one level sweep
+COSCHEDULED = "coscheduled"
+
+
 @pytest.fixture(scope="module")
 def byte_identity_panel():
-    """Name → ICT factor of every ``BYTE_IDENTITY_GRAPHS`` entry."""
+    """Name → ICT factors: one per ``BYTE_IDENTITY_GRAPHS`` entry, and
+    all of them under ``COSCHEDULED``."""
     panel = {}
     for name, (make_graph, ordering) in BYTE_IDENTITY_GRAPHS.items():
         graph = make_graph()
         matrix, _ = grounded_laplacian(graph, float(graph.weights.mean()))
-        panel[name] = ichol(matrix, drop_tol=1e-3, ordering=ordering).lower
+        panel[name] = [ichol(matrix, drop_tol=1e-3, ordering=ordering).lower]
+    panel[COSCHEDULED] = [factors[0] for factors in panel.values()]
     return panel
 
 
@@ -288,23 +304,23 @@ class TestBlockedByteIdenticalToReference:
         monkeypatch.setattr(approx_inverse_module, "_CHUNK_TARGET_NNZ", 64)
 
     def test_path_has_one_column_per_level(self, byte_identity_panel):
-        levels = filled_graph_depth(byte_identity_panel["path"])
+        levels = filled_graph_depth(byte_identity_panel["path"][0])
         assert np.array_equal(np.bincount(levels), np.ones(60, dtype=np.int64))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.1])
-    @pytest.mark.parametrize("name", sorted(BYTE_IDENTITY_GRAPHS))
+    @pytest.mark.parametrize("name", sorted(BYTE_IDENTITY_GRAPHS) + [COSCHEDULED])
     def test_same_bytes_and_stats(self, byte_identity_panel, name, epsilon, workers):
-        lower = byte_identity_panel[name]
-        z_blocked, stats_blocked = approximate_inverse(
-            lower, epsilon=epsilon, build_workers=workers
-        )
-        z_ref, stats_ref = approximate_inverse(lower, epsilon=epsilon, mode="reference")
-        for part in ("indptr", "indices", "data"):
-            blocked, ref = getattr(z_blocked, part), getattr(z_ref, part)
-            assert blocked.dtype == ref.dtype, part
-            assert blocked.tobytes() == ref.tobytes(), part
-        assert stats_blocked == stats_ref
+        factors = byte_identity_panel[name]
+        results = approximate_inverses(factors, epsilon=epsilon, build_workers=workers)
+        assert len(results) == len(factors)
+        for lower, (z_blocked, stats_blocked) in zip(factors, results):
+            z_ref, stats_ref = approximate_inverse(lower, epsilon=epsilon, mode="reference")
+            for part in ("indptr", "indices", "data"):
+                blocked, ref = getattr(z_blocked, part), getattr(z_ref, part)
+                assert blocked.dtype == ref.dtype, part
+                assert blocked.tobytes() == ref.tobytes(), part
+            assert stats_blocked == stats_ref
 
 
 class TestIndexRange:

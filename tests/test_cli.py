@@ -246,6 +246,31 @@ class TestServiceSLA:
         assert f"repro service: error: calibration sidecar {sidecar}" in err
         assert "'landmark'" in err and "'spanning_tree'" in err
 
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ('{"tiers": {}}', "missing key 'exact_seconds_per_pair'"),
+            ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ],
+    )
+    def test_malformed_sidecar_is_a_usage_error_naming_the_file(
+        self, tmp_path, capsys, text, fault
+    ):
+        engine_path = tmp_path / "engine.npz"
+        sidecar = tmp_path / "engine.npz.calibration.json"
+        main(["service", "--generator", "mesh2d:8x8", "--pairs", "0,63",
+              "--save-engine", str(engine_path)])
+        capsys.readouterr()
+        sidecar.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["service", "--load-engine", str(engine_path), "--pairs", "0,63",
+                  "--rel-tol", "0.05"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro service: error: calibration file {sidecar}: " in err
+        assert fault in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["er", "service"])
     @pytest.mark.parametrize(
         "flag", ["--engine-tiers", "--num-trees", "--num-walks", "--walk-length"]

@@ -6,6 +6,7 @@ the whole battery by registering and adding one config below.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,11 +21,19 @@ from repro.core.engine import (
     ResistanceEngine,
     as_pair_array,
     build_engine,
+    build_engines,
     registered_engines,
 )
+from repro.core.approx_inverse import approximate_inverse
 from repro.core.partitioned import PartitionedEngine
 from repro.core.persistence import load_engine, save_engine
-from repro.graphs.generators import fe_mesh_2d
+from repro.graphs.generators import (
+    barabasi_albert_graph,
+    fe_mesh_2d,
+    grid_2d,
+    path_graph,
+    star_graph,
+)
 from repro.graphs.graph import Graph
 from repro.service import ResistanceService
 
@@ -435,3 +444,102 @@ class TestServiceEngineIntegration:
             service.refresh_after_edge_update(
                 edges=[(0, 1), (1, 2)], weights=[1.0]
             )
+
+
+def mixed_graphs() -> "list[Graph]":
+    """n = 148 and n = 149 (whose log n round to different keep-whole
+    thresholds: 4.997 and 5.004), a disconnected graph and a star."""
+    return [
+        barabasi_albert_graph(148, 3, seed=1),
+        barabasi_albert_graph(149, 3, seed=2),
+        Graph.disjoint_union([grid_2d(6, 6, jitter=0.3, seed=3), path_graph(9)]),
+        star_graph(40),
+    ]
+
+
+def assert_same_cholinv_engine(shared, alone) -> None:
+    for part in ("indptr", "indices", "data"):
+        ours, theirs = getattr(shared.z_tilde, part), getattr(alone.z_tilde, part)
+        assert ours.dtype == theirs.dtype, part
+        assert ours.tobytes() == theirs.tobytes(), part
+    assert shared.perm.tobytes() == alone.perm.tobytes()
+    assert shared._column_sq_norms.tobytes() == alone._column_sq_norms.tobytes()
+    assert shared.stats == alone.stats
+    assert shared.all_edge_resistances().tobytes() == alone.all_edge_resistances().tobytes()
+    assert shared.config == alone.config
+
+
+class TestBuildEngines:
+    """``build_engines(graphs, config)`` is ``[build_engine(g, config) for g
+    in graphs]`` byte for byte; unsharded Alg. 3 runs one Alg. 2 sweep."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(),
+            EngineConfig(epsilon=0.1),
+            EngineConfig(build_workers=2),
+            EngineConfig(mode="reference"),
+        ],
+        ids=["default", "eps0.1", "workers2-chunked", "reference"],
+    )
+    def test_cholinv_equals_one_build_per_graph(self, config, monkeypatch):
+        import repro.core.approx_inverse as approx_inverse_module
+
+        # levels split into chunks, which two workers run concurrently
+        monkeypatch.setattr(approx_inverse_module, "_CHUNK_TARGET_NNZ", 64)
+        graphs = mixed_graphs()
+        engines = build_engines(graphs, config)
+        assert len(engines) == len(graphs)
+        for graph, engine in zip(graphs, engines):
+            assert engine.graph is graph
+            assert_same_cholinv_engine(engine, build_engine(graph, config))
+
+    def test_each_factor_keeps_its_own_log_n_threshold(self):
+        small, large = build_engines(mixed_graphs()[:2])
+        # the case is only a check while the two thresholds decide
+        # differently on these graphs
+        for engine, other in ((small, large), (large, small)):
+            _, swapped = approximate_inverse(
+                engine.ichol_result.lower,
+                small_column_threshold=math.log(other.n),
+            )
+            assert swapped != engine.stats
+
+    def test_cholinv_runs_one_alg2_sweep(self, monkeypatch):
+        import repro.core.effective_resistance as er_module
+
+        sweeps = []
+        shared_sweep = er_module.approximate_inverses
+
+        def spy(factors, **kwargs):
+            sweeps.append(len(factors))
+            return shared_sweep(factors, **kwargs)
+
+        monkeypatch.setattr(er_module, "approximate_inverses", spy)
+        build_engines(mixed_graphs(), EngineConfig())
+        assert sweeps == [4]
+
+    def test_one_graph_and_no_graph(self):
+        [graph] = mixed_graphs()[2:3]
+        [engine] = build_engines([graph])
+        assert_same_cholinv_engine(engine, build_engine(graph))
+        assert build_engines([], EngineConfig()) == []
+        assert build_engines([], EngineConfig(method="exact")) == []
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_every_engine_answers_like_one_build_per_graph(self, name, multi_component):
+        graphs = [multi_component, fe_mesh_2d(4, 4, seed=1)]
+        engines = build_engines(graphs, CONFIGS[name])
+        for graph, engine in zip(graphs, engines):
+            alone = build_engine(graph, CONFIGS[name])
+            assert type(engine) is type(alone)
+            assert engine.config == alone.config
+            pairs = np.array([(p, q) for p in range(graph.num_nodes) for q in range(p)])
+            assert engine.query_pairs(pairs).tobytes() == alone.query_pairs(pairs).tobytes()
+
+    def test_rejects_what_build_engine_rejects(self):
+        with pytest.raises(TypeError, match="config must be an EngineConfig"):
+            build_engines([], {"method": "exact"})
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            build_engines([], EngineConfig(method="bogus"))

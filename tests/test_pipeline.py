@@ -2,6 +2,7 @@
 
 import copy
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from repro.apps.incremental import perturb_blocks
 from repro.core.engine import EngineConfig
 from repro.partition.interface import partition_graph
 from repro.powergrid.dc import dc_analysis
-from repro.powergrid.generators import synthetic_ibmpg_like
+from repro.powergrid.generators import PGConfig, synthetic_ibmpg_like
 from repro.powergrid.netlist import GROUND
 from repro.reduction.pipeline import PGReducer, ReductionConfig
 from repro.utils.rng import ensure_rng
@@ -247,13 +248,13 @@ class TestConfig:
         graph = grid.to_graph()
         engine = EngineConfig(method="random_projection", num_projections=20)
         shared = PGReducer(grid, ReductionConfig(engine=engine, seed=3))
-        first = shared._edge_resistances(graph, Timer())
-        second = shared._edge_resistances(graph, Timer())
+        [first] = shared._edge_resistances([graph], [Timer()])
+        [second] = shared._edge_resistances([graph], [Timer()])
         assert not np.array_equal(first, second)
         seeded = PGReducer(grid, ReductionConfig(engine=engine.replace(seed=9), seed=3))
         assert np.array_equal(
-            seeded._edge_resistances(graph, Timer()),
-            seeded._edge_resistances(graph, Timer()),
+            seeded._edge_resistances([graph], [Timer()])[0],
+            seeded._edge_resistances([graph], [Timer()])[0],
         )
 
     def test_partitions_with_the_multilevel_method(self, pg_case):
@@ -274,3 +275,121 @@ class TestConfig:
         grid, _ = pg_case
         reducer = PGReducer(grid, ReductionConfig(num_blocks=3, seed=0))
         assert reducer.num_blocks == 3
+
+
+@pytest.fixture(scope="module")
+def merging_grid():
+    """Three blocks, each of which merges at half its median resistance."""
+    return synthetic_ibmpg_like(PGConfig(nx=32, ny=32, pad_pitch=8), seed=0)
+
+
+def reduced_bytes(reduced):
+    grid = reduced.grid
+    arrays = (
+        grid.res_a, grid.res_b, grid.res_ohms, grid.shunt_node, grid.shunt_siemens,
+        grid.cap_a, grid.cap_b, grid.cap_farads, reduced.node_map, reduced.redirect,
+    )
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def block_at_a_time(reducer):
+    blocks = [reducer.reduce_block(b) for b in range(reducer.num_blocks)]
+    return blocks, reducer._stitch(blocks)
+
+
+class TestPhasedReduction:
+    """``reduce()`` runs steps 2-4 in phases over all the blocks, with
+    shared engine builds; the reduced grid is the one ``reduce_block`` on
+    each block in turn gives, byte for byte."""
+
+    ENGINES = {
+        "cholinv": EngineConfig(),
+        "exact": EngineConfig(method="exact"),
+        # unseeded: the engine draws from the pipeline RNG
+        "random_projection": EngineConfig(method="random_projection", num_projections=20),
+        "random_projection-seeded": EngineConfig(
+            method="random_projection", num_projections=20, seed=5
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_reduce_equals_block_at_a_time(self, merging_grid, name):
+        config = ReductionConfig(
+            engine=self.ENGINES[name], merge_resistance_fraction=0.5, seed=2
+        )
+        reduced = PGReducer(merging_grid, config).reduce()
+        blocks, one_by_one = block_at_a_time(PGReducer(merging_grid, config))
+        assert all(block.merged_away.size for block in blocks), "nothing merges"
+        assert reduced_bytes(reduced) == reduced_bytes(one_by_one)
+
+    def test_incremental_group_equals_block_at_a_time(self, merging_grid):
+        config = ReductionConfig(merge_resistance_fraction=0.5, seed=2)
+        # rebuild_for shares the base reducer's RNG, so each path gets its own
+        bases = [PGReducer(merging_grid, config) for _ in range(2)]
+        for base in bases:
+            base.reduce()
+        edited = perturb_blocks(merging_grid, bases[0].labels, [0, 2], seed=3)
+        grouped = bases[0].rebuild_for(edited, [0, 2]).reduce()
+        _, one_by_one = block_at_a_time(bases[1].rebuild_for(edited, [0, 2]))
+        assert reduced_bytes(grouped) == reduced_bytes(one_by_one)
+
+    @pytest.mark.parametrize("name, calls", [("cholinv", 2), ("random_projection", 6)])
+    def test_engine_builds_are_shared_unless_they_draw_from_the_rng(
+        self, merging_grid, name, calls, monkeypatch
+    ):
+        import repro.reduction.pipeline as pipeline_module
+
+        sizes = []
+        shared_build = pipeline_module.build_engines
+
+        def spy(graphs, config):
+            sizes.append(len(graphs))
+            return shared_build(graphs, config)
+
+        monkeypatch.setattr(pipeline_module, "build_engines", spy)
+        config = ReductionConfig(
+            engine=self.ENGINES[name], merge_resistance_fraction=0.5, seed=2
+        )
+        PGReducer(merging_grid, config).reduce()
+        # step 3, then the blocks that merged: all three blocks at once,
+        # or one block per call
+        assert len(sizes) == calls
+        assert sum(sizes) == 6
+
+    def test_block_timings_split_each_shared_build(self, merging_grid, monkeypatch):
+        reducer = PGReducer(
+            merging_grid, ReductionConfig(merge_resistance_fraction=0.5, seed=2)
+        )
+        edge_resistances = reducer._edge_resistances
+        calls = []
+
+        def timed(graphs, timers):
+            before = [timer.times.get("effective_resistance", 0.0) for timer in timers]
+            start = time.perf_counter()
+            out = edge_resistances(graphs, timers)
+            wall = time.perf_counter() - start
+            shares = [
+                timer.times["effective_resistance"] - b for timer, b in zip(timers, before)
+            ]
+            calls.append(([g.num_nodes for g in graphs], wall, shares))
+            return out
+
+        monkeypatch.setattr(reducer, "_edge_resistances", timed)
+        reducer.reduce()
+        blocks = [reducer.reduce_block(b) for b in range(reducer.num_blocks)]
+        # one shared build for step 3 and one for the three merged blocks
+        assert [len(nodes) for nodes, _, _ in calls] == [3, 3]
+        for nodes, wall, shares in calls:
+            # each call's wall-clock, split by node count
+            assert 0.5 * wall < sum(shares) <= wall
+            np.testing.assert_allclose(
+                np.array(shares) / sum(shares), np.array(nodes) / sum(nodes)
+            )
+        # er_time holds both builds of every block, and only those
+        assert sum(block.er_time for block in blocks) == pytest.approx(
+            sum(sum(shares) for _, _, shares in calls), rel=1e-12
+        )
+        # no section is counted twice: the per-block totals fit in the
+        # wall-clock of steps 2-4
+        assert sum(block.total_time for block in blocks) <= reducer.timer["blocks"]
+        assert all(0.0 < block.er_time < block.total_time for block in blocks)

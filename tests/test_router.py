@@ -97,6 +97,32 @@ def test_default_sidecar_path():
     )
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"tiers": {}}', "missing key 'exact_seconds_per_pair'"),
+        ('{"exact_seconds_per_pair": 1e-6, "num_samples": 4}', "missing key 'tiers'"),
+        (
+            '{"tiers": {"landmark": {"tier": "landmark"}}, '
+            '"exact_seconds_per_pair": 1e-6, "num_samples": 4}',
+            "missing key 'scores'",
+        ),
+        ('{"tiers": 5, "exact_seconds_per_pair": 1e-6, "num_samples": 4}', "malformed"),
+        ("not json", "Expecting value: line 1 column 1"),
+        ("[1, 2]", "malformed"),
+    ],
+)
+def test_malformed_calibration_file_names_the_file_and_the_fault(
+    tmp_path, text, message
+):
+    path = tmp_path / "engine.npz.calibration.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        CalibrationProfile.load(path)
+    assert str(info.value).startswith(f"calibration file {path}: ")
+    assert message in str(info.value)
+
+
 # ----------------------------------------------------------------------
 # router semantics
 # ----------------------------------------------------------------------
