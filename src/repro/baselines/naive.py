@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.engine import ResistanceEngine, as_pair_columns, register_engine
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
-from repro.graphs.laplacian import grounded_laplacian
+from repro.graphs.laplacian import component_ground_nodes, grounded_laplacian
 from repro.linalg.pcg import pcg
 from repro.utils.timing import Timer
 
@@ -29,8 +29,10 @@ class NaivePerQueryResistance(ResistanceEngine):
         self.timer = Timer()
         if ground_value is None:
             ground_value = float(graph.weights.mean()) if graph.num_edges else 1.0
-        self.matrix, self.ground_nodes = grounded_laplacian(graph, ground_value)
         self.component_labels, _ = connected_components(graph)
+        self.matrix, self.ground_nodes = grounded_laplacian(
+            graph, ground_value, ground_nodes=component_ground_nodes(self.component_labels)
+        )
         self.n = graph.num_nodes
 
     def query(self, p: int, q: int) -> float:

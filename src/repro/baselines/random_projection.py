@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 from repro.core.engine import ResistanceEngine, as_pair_columns, register_engine
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
-from repro.graphs.laplacian import grounded_laplacian
+from repro.graphs.laplacian import component_ground_nodes, grounded_laplacian
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import Timer
 from repro.utils.validation import require
@@ -101,7 +101,9 @@ class RandomProjectionEffectiveResistance(ResistanceEngine):
         sqrt_w = np.sqrt(graph.weights)
 
         with self.timer.section("factorize"):
-            matrix, self.ground_nodes = grounded_laplacian(graph, ground_value)
+            matrix, self.ground_nodes = grounded_laplacian(
+                graph, ground_value, ground_nodes=component_ground_nodes(self.component_labels)
+            )
             if solver == "splu":
                 direct = spla.splu(matrix.tocsc())
                 solve_one = direct.solve

@@ -94,6 +94,7 @@ import scipy.sparse as sp
 
 from repro.cholesky.depth import filled_graph_depth
 from repro.core.truncation import truncation_keep_mask
+from repro.linalg.sparse_utils import csr_matmat_sorted
 from repro.utils.validation import check_finite_nonnegative, check_square_sparse
 
 _MODES = ("blocked", "reference")
@@ -567,14 +568,6 @@ def _blocked_kernel(
     return out
 
 
-try:  # same kernels scipy's `@` dispatches to; fall back if ever renamed
-    from scipy.sparse import _sparsetools as _st
-
-    _CSR_MATMAT = (_st.csr_matmat_maxnnz, _st.csr_matmat, _st.csr_sort_indices)
-except (ImportError, AttributeError):  # pragma: no cover - scipy internals moved
-    _CSR_MATMAT = None
-
-
 def _raw_matmat(
     k: int,
     n: int,
@@ -601,21 +594,9 @@ def _raw_matmat(
             f"the int32 product indices address at most {_MAX_POOL_ENTRIES}; "
             f'use a larger epsilon or shard_strategy="separator" to split the graph'
         )
-    if _CSR_MATMAT is None:  # pragma: no cover - scipy internals moved
-        a = sp.csr_matrix((a_val, a_idx, a_ptr), shape=(k, b_ptr.shape[0] - 1))
-        b = sp.csr_matrix((b_val, b_idx, b_ptr), shape=(b_ptr.shape[0] - 1, n))
-        out = (a @ b).tocsr()
-        out.sort_indices()
-        return out.indptr, out.indices, out.data
-    _, matmat_fn, sort_fn = _CSR_MATMAT
-    out_ptr = np.empty(k + 1, dtype=np.int32)
-    out_idx = np.empty(nnz_bound, dtype=np.int32)
-    out_val = np.empty(nnz_bound)
-    matmat_fn(k, n, a_ptr, a_idx, a_val, b_ptr, b_idx, b_val, out_ptr, out_idx, out_val)
-    nnz = int(out_ptr[-1])
-    out_idx, out_val = out_idx[:nnz], out_val[:nnz]
-    sort_fn(k, out_ptr, out_idx, out_val)
-    return out_ptr, out_idx, out_val
+    return csr_matmat_sorted(
+        k, n, a_ptr, a_idx, a_val, b_ptr, b_idx, b_val, nnz_bound
+    )
 
 
 def _prepend_diag(

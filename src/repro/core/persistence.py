@@ -422,6 +422,52 @@ def _check_factor_members(data, n: int, prefix: str = "") -> None:
         prefix + "column_sq_norms",
         f"has shape {norms.shape}, expected ({n},)",
     )
+    _check_csc_members(data, n, prefix)
+
+
+def _check_csc_members(data, n: int, prefix: str) -> None:
+    """Verify that ``z_indptr`` / ``z_indices`` / ``z_data`` form a
+    canonical ``n × n`` CSC matrix with finite values.
+
+    The query kernel (:func:`~repro.linalg.sparse_utils.column_pair_dots`)
+    reads these arrays without bounds checks and sizes its product
+    buffer on a finite ``Z̃``, so damage must fail here, with the member
+    named.
+    """
+    indptr = np.asarray(data[prefix + "z_indptr"])
+    indices = np.asarray(data[prefix + "z_indices"])
+    values = np.asarray(data[prefix + "z_data"])
+    nnz = indices.shape[0] if indices.ndim == 1 else -1
+    _check_member(
+        indptr.dtype.kind in "iu"
+        and indptr.shape == (n + 1,)
+        and int(indptr[0]) == 0
+        and int(indptr[-1]) == nnz
+        and bool(np.all(indptr[1:] >= indptr[:-1])),
+        prefix + "z_indptr",
+        f"does not rise from 0 to len(z_indices) in {n + 1} steps",
+    )
+    _check_member(
+        indices.dtype.kind in "iu"
+        and (nnz == 0 or (int(indices.min()) >= 0 and int(indices.max()) < n)),
+        prefix + "z_indices",
+        f"holds a row id outside range({n})",
+    )
+    # rows must rise strictly inside each column; a column start may drop
+    column_start = np.zeros(nnz + 1, dtype=bool)
+    column_start[indptr] = True
+    _check_member(
+        bool(np.all((indices[1:] > indices[:-1]) | column_start[1:nnz])),
+        prefix + "z_indices",
+        "is not strictly increasing within a column",
+    )
+    _check_member(
+        values.dtype.kind == "f"
+        and values.shape == (nnz,)
+        and bool(np.all(np.isfinite(values))),
+        prefix + "z_data",
+        f"is not {nnz} finite floating-point values",
+    )
 
 
 def _engine_from_arrays(data, config: EngineConfig, engine_cls):

@@ -1,9 +1,30 @@
-"""Small sparse-matrix helpers shared across the library."""
+"""Small sparse-matrix helpers shared across the library.
+
+The two hot kernels here — :func:`column_pair_dots` (the cross terms of
+Eq. 22 for a batch of pairs) and :func:`csr_matmat_sorted` (the Alg. 2
+products) — call scipy's compiled ``_sparsetools`` routines directly, the
+same ones scipy's own indexing, ``multiply``, ``sum`` and ``@`` dispatch
+to.  Skipping the matrix wrappers removes their O(nnz) format checks,
+index-dtype scans and ``prune`` copies, which dominate when the kernels
+run on many small matrices (the blocks of Alg. 1).  This is the only
+module that depends on scipy internals; should they ever move, both
+kernels fall back to the public API with the same results.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+
+try:  # the kernels scipy's own sparse operations dispatch to
+    from scipy.sparse import _sparsetools
+except ImportError:  # pragma: no cover - scipy internals moved
+    _sparsetools = None
+_KERNELS = ("csr_row_index", "csr_elmul_csr", "csr_matmat", "csr_sort_indices")
+if not all(hasattr(_sparsetools, name) for name in _KERNELS):  # pragma: no cover
+    _sparsetools = None
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def nnz_per_column(matrix: sp.spmatrix) -> np.ndarray:
@@ -30,3 +51,121 @@ def relative_residual(matrix: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> fl
     """``‖A x − b‖ / ‖b‖`` with a safe denominator."""
     b_norm = float(np.linalg.norm(rhs)) or 1.0
     return float(np.linalg.norm(matrix @ x - rhs)) / b_norm
+
+
+def gather_index_dtype(gather_nnz: int, source_dtype) -> np.dtype:
+    """Index dtype for gathering ``gather_nnz`` entries out of a matrix
+    whose index arrays have ``source_dtype``.
+
+    ``int32`` when the source is ``int32`` and the gather's row pointer
+    fits, ``int64`` otherwise — so a large gather never wraps, and an
+    ``int64`` source is read without a converted copy.
+    """
+    if np.dtype(source_dtype) == np.int32 and gather_nnz <= _INT32_MAX:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
+
+
+def column_pair_dots(
+    csc: sp.csc_matrix,
+    cols_p: np.ndarray,
+    cols_q: np.ndarray,
+    assume_finite: bool = False,
+) -> np.ndarray:
+    """``csc[:, p]ᵀ csc[:, q]`` for every pair ``(p, q)`` of column ids.
+
+    Bit-identical to ``np.asarray(csc[:, cols_p].multiply(csc[:, cols_q])
+    .sum(axis=0)).ravel()``, and runs the same compiled kernels: two
+    ``csr_row_index`` gathers of the columns, one ``csr_elmul_csr`` merge
+    of each pair of sorted row lists (products that come out exactly 0
+    are dropped, as scipy does), and ``np.add.reduceat`` over the
+    non-empty products, which is what scipy's ``sum`` applies.  The
+    gathers use :func:`gather_index_dtype`.
+
+    With ``assume_finite`` (every stored value is finite) the product
+    buffer holds ``Σ min(nnz_p, nnz_q)`` entries — only rows present in
+    both columns can give a nonzero product — instead of
+    ``Σ (nnz_p + nnz_q)``, which an ``inf`` or ``nan`` times an implicit
+    zero needs.
+    """
+    cols_p = np.asarray(cols_p, dtype=np.int64)
+    cols_q = np.asarray(cols_q, dtype=np.int64)
+    m = cols_p.shape[0]
+    dots = np.zeros(m)
+    if m == 0:
+        return dots
+    if _sparsetools is None:  # pragma: no cover - scipy internals moved
+        return np.asarray(csc[:, cols_p].multiply(csc[:, cols_q]).sum(axis=0)).ravel()
+    indptr = csc.indptr
+    nnz_p = indptr[cols_p + 1] - indptr[cols_p]
+    nnz_q = indptr[cols_q + 1] - indptr[cols_q]
+    total_p = int(nnz_p.sum(dtype=np.int64))
+    total_q = int(nnz_q.sum(dtype=np.int64))
+    if assume_finite:
+        bound = int(np.minimum(nnz_p, nnz_q).sum(dtype=np.int64))
+    else:
+        bound = total_p + total_q
+    dtype = gather_index_dtype(max(total_p, total_q, bound), csc.indices.dtype)
+    src_ptr = indptr.astype(dtype, copy=False)
+    src_idx = csc.indices.astype(dtype, copy=False)
+
+    def gather(cols, counts, total):
+        ptr = np.zeros(m + 1, dtype=dtype)
+        np.cumsum(counts, out=ptr[1:])
+        idx = np.empty(total, dtype=dtype)
+        val = np.empty(total, dtype=csc.data.dtype)
+        _sparsetools.csr_row_index(
+            m, cols.astype(dtype, copy=False), src_ptr, src_idx, csc.data, idx, val
+        )
+        return ptr, idx, val
+
+    ptr_p, idx_p, val_p = gather(cols_p, nnz_p, total_p)
+    ptr_q, idx_q, val_q = gather(cols_q, nnz_q, total_q)
+    out_ptr = np.empty(m + 1, dtype=dtype)
+    out_idx = np.empty(bound, dtype=dtype)
+    out_val = np.empty(bound, dtype=np.result_type(val_p, val_q))
+    _sparsetools.csr_elmul_csr(
+        m, csc.shape[0], ptr_p, idx_p, val_p, ptr_q, idx_q, val_q,
+        out_ptr, out_idx, out_val,
+    )
+    nonempty = np.flatnonzero(np.diff(out_ptr))
+    if nonempty.size:
+        dots[nonempty] = np.add.reduceat(
+            out_val[: int(out_ptr[-1])], out_ptr[nonempty].astype(np.intp)
+        )
+    return dots
+
+
+def csr_matmat_sorted(
+    k: int,
+    n: int,
+    a_ptr: np.ndarray,
+    a_idx: np.ndarray,
+    a_val: np.ndarray,
+    b_ptr: np.ndarray,
+    b_idx: np.ndarray,
+    b_val: np.ndarray,
+    nnz_bound: int,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(A @ B)`` for CSR operands ``A (k×·)`` and ``B (·×n)``.
+
+    Returns the product's ``(indptr, indices, data)`` in ``int32`` indices,
+    sorted within each row.  ``nnz_bound`` must upper-bound the product's
+    nnz and fit ``int32``; passing it skips scipy's symbolic pass.
+    """
+    if _sparsetools is None:  # pragma: no cover - scipy internals moved
+        a = sp.csr_matrix((a_val, a_idx, a_ptr), shape=(k, b_ptr.shape[0] - 1))
+        b = sp.csr_matrix((b_val, b_idx, b_ptr), shape=(b_ptr.shape[0] - 1, n))
+        out = (a @ b).tocsr()
+        out.sort_indices()
+        return out.indptr, out.indices, out.data
+    out_ptr = np.empty(k + 1, dtype=np.int32)
+    out_idx = np.empty(nnz_bound, dtype=np.int32)
+    out_val = np.empty(nnz_bound)
+    _sparsetools.csr_matmat(
+        k, n, a_ptr, a_idx, a_val, b_ptr, b_idx, b_val, out_ptr, out_idx, out_val
+    )
+    nnz = int(out_ptr[-1])
+    out_idx, out_val = out_idx[:nnz], out_val[:nnz]
+    _sparsetools.csr_sort_indices(k, out_ptr, out_idx, out_val)
+    return out_ptr, out_idx, out_val

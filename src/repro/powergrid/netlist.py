@@ -121,6 +121,38 @@ class PowerGrid:
             self.res_b.append(b)
             self.res_ohms.append(ohms)
 
+    def add_resistors(self, a, b, ohms) -> None:
+        """:meth:`add_resistor` for arrays of elements, in their order.
+
+        The arguments broadcast against each other (``b = GROUND`` adds
+        shunts); the stored values equal one call per element.
+        """
+        a, b, ohms = np.broadcast_arrays(
+            np.asarray(a, dtype=np.int64),
+            np.asarray(b, dtype=np.int64),
+            np.asarray(ohms, dtype=np.float64),
+        )
+        require(bool(np.all(ohms > 0)), "resistance must be positive")
+        require(not np.any(a == b), "resistor endpoints must differ")
+        to_ground = (a == GROUND) | (b == GROUND)
+        self.shunt_node.extend(np.where(b == GROUND, a, b)[to_ground].tolist())
+        self.shunt_siemens.extend((1.0 / ohms[to_ground]).tolist())
+        between = ~to_ground
+        self.res_a.extend(a[between].tolist())
+        self.res_b.extend(b[between].tolist())
+        self.res_ohms.extend(ohms[between].tolist())
+
+    def add_capacitors(self, a, farads) -> None:
+        """:meth:`add_capacitor` to ground for arrays of elements, in their order."""
+        a, farads = np.broadcast_arrays(
+            np.asarray(a, dtype=np.int64), np.asarray(farads, dtype=np.float64)
+        )
+        require(bool(np.all(farads > 0)), "capacitance must be positive")
+        require(not np.any(a == GROUND), "capacitor endpoints must differ")
+        self.cap_a.extend(a.tolist())
+        self.cap_b.extend([GROUND] * a.size)
+        self.cap_farads.extend(farads.tolist())
+
     def add_capacitor(self, a: int, farads: float, b: int = GROUND) -> None:
         """Capacitor from ``a`` to ``b`` (default: ground)."""
         require(farads > 0, "capacitance must be positive")

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.engine import EngineConfig, build_engines, engine_params, registered_engines
 from repro.graphs.graph import Graph
-from repro.graphs.laplacian import laplacian
+from repro.graphs.laplacian import add_to_diagonal, laplacian
 from repro.partition.interface import NodeRole, classify_nodes, partition_graph
 from repro.powergrid.netlist import PowerGrid
 from repro.reduction.port_merge import merge_by_effective_resistance
@@ -329,16 +329,16 @@ class PGReducer:
             keep_mask = self.roles[nodes] != int(NodeRole.INTERIOR)
             # internal edges of this block
             sub, original = self.graph.subgraph(nodes)
-            block_matrix = laplacian(sub).tolil()
+            block_matrix = laplacian(sub)
             shunts_here = self._node_shunts[nodes]
             if shunts_here.any():
-                block_matrix.setdiag(block_matrix.diagonal() + shunts_here)
+                block_matrix = add_to_diagonal(block_matrix, np.arange(nodes.size), shunts_here)
             keep_local = np.flatnonzero(keep_mask)
             if keep_local.size == 0:
                 # block with no ports/interface (isolated island): keep one
                 # representative node so its mass is not lost silently
                 keep_local = np.array([0], dtype=np.int64)
-            reduction = schur_reduce(block_matrix.tocsc(), keep_local)
+            reduction = schur_reduce(block_matrix, keep_local)
             heads_l, tails_l, conductances, shunts = laplacian_to_edges(reduction.reduced)
             caps = reduction.lump_values(self._node_caps[nodes])
             kept_original = original[reduction.keep]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.powergrid.netlist import PowerGrid
+from repro.powergrid.netlist import GROUND, PowerGrid
 from repro.reduction.pipeline import BlockReduction, ReducedGrid
 
 
@@ -49,49 +49,50 @@ def stitch_blocks(reducer, blocks: "list[BlockReduction]") -> ReducedGrid:
     node_map[survivors] = np.arange(survivors.size)
 
     reduced = PowerGrid()
-    for original in survivors:
-        reduced.node(pg.name_of(int(original)))
+    for name in map(pg.name_of, survivors.tolist()):
+        reduced.node(name)
+
+    def reduced_ids(originals: np.ndarray) -> np.ndarray:
+        return node_map[redirect[originals]]
 
     # ------------------------------------------------------------------
-    # block-internal (sparsified) resistors
-    for block in blocks:
-        for a, b, w in zip(block.heads, block.tails, block.conductances):
-            ra, rb = node_map[redirect[a]], node_map[redirect[b]]
-            if ra != rb and ra >= 0 and rb >= 0 and w > 0:
-                reduced.add_resistor(int(ra), int(rb), 1.0 / float(w))
-
-    # cross-block edges pass through unchanged (both endpoints are kept:
-    # any node with a crossing edge is interface or port by construction)
+    # block-internal (sparsified) resistors, then the cross-block edges,
+    # which pass through unchanged (both endpoints are kept: any node
+    # with a crossing edge is interface or port by construction)
     crossing = labels[graph.heads] != labels[graph.tails]
-    for a, b, w in zip(
-        graph.heads[crossing], graph.tails[crossing], graph.weights[crossing]
-    ):
-        ra, rb = node_map[redirect[a]], node_map[redirect[b]]
-        if ra != rb and ra >= 0 and rb >= 0:
-            reduced.add_resistor(int(ra), int(rb), 1.0 / float(w))
+    heads = _concat([b.heads for b in blocks] + [graph.heads[crossing]], np.int64)
+    tails = _concat([b.tails for b in blocks] + [graph.tails[crossing]], np.int64)
+    siemens = _concat([b.conductances for b in blocks] + [graph.weights[crossing]])
+    ra, rb = reduced_ids(heads), reduced_ids(tails)
+    # graph weights are positive, so `siemens > 0` drops only block edges
+    keep = (ra != rb) & (ra >= 0) & (rb >= 0) & (siemens > 0)
+    reduced.add_resistors(ra[keep], rb[keep], 1.0 / siemens[keep])
 
     # ------------------------------------------------------------------
     # shunts and lumped capacitance
-    for block in blocks:
-        for original, siemens in zip(block.kept_nodes, block.shunts):
-            target = node_map[redirect[original]]
-            if siemens > 0 and target >= 0:
-                reduced.add_resistor(int(target), -1, 1.0 / float(siemens))
-        for original, farads in zip(block.kept_nodes, block.lumped_caps):
-            target = node_map[redirect[original]]
-            if farads > 0 and target >= 0:
-                reduced.add_capacitor(int(target), float(farads))
+    targets = reduced_ids(_concat([b.kept_nodes for b in blocks], np.int64))
+    shunts = _concat([b.shunts for b in blocks])
+    keep = (shunts > 0) & (targets >= 0)
+    reduced.add_resistors(targets[keep], GROUND, 1.0 / shunts[keep])
+    farads = _concat([b.lumped_caps for b in blocks])
+    keep = (farads > 0) & (targets >= 0)
+    reduced.add_capacitors(targets[keep], farads[keep])
 
     # ------------------------------------------------------------------
     # sources (ports survive: merging never collapses two ports and the
     # representative of a port's cluster is the port itself)
-    for vs in pg.vsources:
-        target = node_map[redirect[vs.node]]
-        reduced.add_vsource(int(target), vs.voltage, name=vs.name)
-    for cs in pg.isources:
-        target = node_map[redirect[cs.node]]
-        reduced.add_isource(int(target), cs.dc, waveform=cs.waveform, name=cs.name)
+    v_targets = reduced_ids(np.array([vs.node for vs in pg.vsources], dtype=np.int64))
+    for vs, target in zip(pg.vsources, v_targets.tolist()):
+        reduced.add_vsource(target, vs.voltage, name=vs.name)
+    i_targets = reduced_ids(np.array([cs.node for cs in pg.isources], dtype=np.int64))
+    for cs, target in zip(pg.isources, i_targets.tolist()):
+        reduced.add_isource(target, cs.dc, waveform=cs.waveform, name=cs.name)
 
     return ReducedGrid(
         grid=reduced, node_map=node_map, redirect=redirect, timer=reducer.timer
     )
+
+
+def _concat(parts, dtype=np.float64) -> np.ndarray:
+    """The parts end to end, as one ``dtype`` array (empty when none)."""
+    return np.concatenate([np.asarray(p, dtype=dtype) for p in parts] or [np.empty(0, dtype)])

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import repro.core.effective_resistance as effective_resistance_module
 from repro.core.effective_resistance import (
     CholInvEffectiveResistance,
     ExactEffectiveResistance,
@@ -10,16 +12,22 @@ from repro.core.effective_resistance import (
     effective_resistances,
     spanning_edge_centrality,
 )
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, as_pair_columns, build_engines
+from repro.core.persistence import load_engine
 from repro.graphs.generators import (
+    barabasi_albert_graph,
     complete_graph,
     cycle_graph,
     fe_mesh_2d,
     grid_2d,
     path_graph,
     star_graph,
+    stochastic_block_model,
 )
 from repro.graphs.graph import Graph
+from repro.linalg.sparse_utils import column_pair_dots, gather_index_dtype
+from repro.powergrid.generators import PGConfig, synthetic_ibmpg_like
+from repro.reduction.pipeline import PGReducer, ReductionConfig
 
 
 class TestClosedForms:
@@ -271,3 +279,186 @@ class TestSpanningEdgeCentrality:
         exact = spanning_edge_centrality(weighted_mesh, EXACT)
         assert np.allclose(approx, exact, rtol=0.05)
         assert np.isclose(approx.sum(), weighted_mesh.num_nodes - 1, rtol=0.01)
+
+
+# ----------------------------------------------------------------------
+def _reference_query_pairs(engine, pairs) -> np.ndarray:
+    """``CholInvEffectiveResistance.query_pairs`` through scipy's public
+    sparse API — the specification the raw pair-dot kernel must match
+    bit for bit (same chunking, same Eq. 22 arithmetic)."""
+    ps, qs = as_pair_columns(pairs)
+    cols_p = engine._position[ps]
+    cols_q = engine._position[qs]
+    out = np.empty(ps.shape[0])
+    average_nnz = max(1.0, engine.z_tilde.nnz / max(engine.n, 1))
+    chunk = int(min(effective_resistance_module._PAIR_CHUNK, max(1024, 2e7 / average_nnz)))
+    for start in range(0, ps.shape[0], chunk):
+        stop = min(start + chunk, ps.shape[0])
+        a = engine.z_tilde[:, cols_p[start:stop]]
+        b = engine.z_tilde[:, cols_q[start:stop]]
+        dots = np.asarray(a.multiply(b).sum(axis=0)).ravel()
+        out[start:stop] = (
+            engine._column_sq_norms[cols_p[start:stop]]
+            + engine._column_sq_norms[cols_q[start:stop]]
+            - 2.0 * dots
+        )
+    np.maximum(out, 0.0, out=out)
+    same = engine.component_labels[ps] == engine.component_labels[qs]
+    out[~same] = np.inf
+    out[ps == qs] = 0.0
+    return out
+
+
+def _isolated_nodes_graph() -> Graph:
+    return Graph.disjoint_union(
+        [Graph(2, [], [], []), grid_2d(6, 5, jitter=0.3, seed=4), Graph(1, [], [], []),
+         barabasi_albert_graph(40, 2, seed=5)]
+    )
+
+
+KERNEL_GRAPHS = {
+    "grid": lambda: grid_2d(20, 17, jitter=0.3, seed=1),
+    "ba": lambda: barabasi_albert_graph(400, 3, weight_low=0.5, weight_high=2.0, seed=2),
+    "sbm": lambda: stochastic_block_model([40, 60, 50], p_in=0.2, p_out=0.01, seed=3),
+    "disconnected": lambda: Graph.disjoint_union(
+        [grid_2d(8, 8, seed=6), barabasi_albert_graph(60, 3, seed=7), path_graph(5)]
+    ),
+    "isolated-nodes": _isolated_nodes_graph,
+}
+
+
+def _probe_pairs(n: int, seed: int, count: int = 2000) -> np.ndarray:
+    """Random pairs plus ``p == q``, reversed and repeated pairs."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(count, 2))
+    diagonal = np.repeat(rng.integers(0, n, size=(20, 1)), 2, axis=1)
+    return np.concatenate([pairs, diagonal, pairs[:50, ::-1], pairs[:50]])
+
+
+def _assert_same(engine, pairs) -> None:
+    got = engine.query_pairs(pairs)
+    want = _reference_query_pairs(engine, pairs)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPairDotKernelMatchesScipy:
+    """The raw pair-dot kernel equals scipy's column-slice expression
+    byte for byte on every input shape the engines see."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_graph_families(self, name):
+        graph = KERNEL_GRAPHS[name]()
+        engine = CholInvEffectiveResistance(graph)
+        _assert_same(engine, _probe_pairs(graph.num_nodes, seed=len(name)))
+        _assert_same(engine, graph.edge_array())
+
+    def test_cross_component_and_isolated_pairs(self):
+        graph = _isolated_nodes_graph()
+        engine = CholInvEffectiveResistance(graph)
+        # nodes 0, 1 and 32 are isolated; 2..31 and 33..72 are components
+        pairs = np.array([[0, 1], [0, 0], [2, 3], [31, 32], [32, 40], [5, 70], [1, 1]])
+        out = engine.query_pairs(pairs)
+        assert np.isinf(out[[0, 3, 4, 5]]).all() and np.isfinite(out[2])
+        assert out[1] == 0.0 and out[6] == 0.0
+        _assert_same(engine, pairs)
+
+    def test_empty_batch(self):
+        engine = CholInvEffectiveResistance(grid_2d(5, 5))
+        out = engine.query_pairs(np.empty((0, 2), dtype=np.int64))
+        assert out.shape == (0,)
+        _assert_same(engine, np.empty((0, 2), dtype=np.int64))
+
+    def test_pg_schur_blocks(self):
+        grid = synthetic_ibmpg_like(PGConfig(nx=32, ny=32, pad_pitch=8), seed=0)
+        reducer = PGReducer(grid, ReductionConfig(seed=2))
+        graphs = [reducer._schur_block(b).graph for b in range(reducer.num_blocks)]
+        graphs = [g for g in graphs if g.num_edges]
+        assert graphs
+        for graph, engine in zip(graphs, build_engines(graphs, EngineConfig())):
+            _assert_same(engine, graph.edge_array())
+            _assert_same(engine, _probe_pairs(graph.num_nodes, seed=graph.num_nodes))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_batch_spanning_several_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(effective_resistance_module, "_PAIR_CHUNK", chunk)
+        graph = KERNEL_GRAPHS["disconnected"]()
+        engine = CholInvEffectiveResistance(graph)
+        _assert_same(engine, _probe_pairs(graph.num_nodes, seed=11, count=300))
+
+    def test_batch_over_the_natural_chunk(self):
+        graph = grid_2d(12, 12, seed=3)
+        engine = CholInvEffectiveResistance(graph)
+        # more pairs than _PAIR_CHUNK: the batch runs in two chunks
+        _assert_same(engine, _probe_pairs(graph.num_nodes, seed=12, count=70000))
+
+    def test_engine_reloaded_with_mmap(self, tmp_path):
+        graph = KERNEL_GRAPHS["ba"]()
+        engine = CholInvEffectiveResistance(graph)
+        mapped = load_engine(engine.save(tmp_path / "engine.npz"), mmap=True)
+        assert isinstance(mapped._column_sq_norms, np.memmap)
+        pairs = _probe_pairs(graph.num_nodes, seed=13)
+        _assert_same(mapped, pairs)
+        assert mapped.query_pairs(pairs).tobytes() == engine.query_pairs(pairs).tobytes()
+
+    def test_int64_index_arrays(self):
+        graph = KERNEL_GRAPHS["sbm"]()
+        engine = CholInvEffectiveResistance(graph)
+        pairs = _probe_pairs(graph.num_nodes, seed=14)
+        before = engine.query_pairs(pairs)
+        z = engine.z_tilde
+        z.indptr = z.indptr.astype(np.int64)
+        z.indices = z.indices.astype(np.int64)
+        assert z.indices.dtype == np.int64
+        _assert_same(engine, pairs)
+        assert engine.query_pairs(pairs).tobytes() == before.tobytes()
+
+    def test_one_pair_query_agrees(self):
+        graph = KERNEL_GRAPHS["grid"]()
+        engine = CholInvEffectiveResistance(graph)
+        pairs = _probe_pairs(graph.num_nodes, seed=15, count=200)
+        batch = engine.query_pairs(pairs)
+        single = np.array([engine.query(p, q) for p, q in pairs])
+        assert batch.tobytes() == single.tobytes()
+
+
+class TestColumnPairDots:
+    @staticmethod
+    def _scipy(matrix, cols_p, cols_q):
+        return np.asarray(matrix[:, cols_p].multiply(matrix[:, cols_q]).sum(axis=0)).ravel()
+
+    def test_explicit_zeros_and_underflow(self):
+        rng = np.random.default_rng(0)
+        dense = rng.choice([0.0, 1e-200, 3.0, -2.0], size=(30, 25))
+        matrix = sp.csc_matrix(dense)
+        matrix.data[::5] = 0.0  # stored zeros
+        cols_p, cols_q = rng.integers(0, 25, size=(2, 400))
+        for finite in (False, True):
+            got = column_pair_dots(matrix, cols_p, cols_q, assume_finite=finite)
+            assert got.tobytes() == self._scipy(matrix, cols_p, cols_q).tobytes()
+
+    def test_non_finite_values_need_the_full_buffer(self):
+        matrix = sp.csc_matrix(np.array([[np.inf, 0.0], [0.0, 1.0], [np.nan, 2.0]]))
+        cols_p, cols_q = np.array([0, 1, 0]), np.array([1, 0, 0])
+        got = column_pair_dots(matrix, cols_p, cols_q)
+        want = self._scipy(matrix, cols_p, cols_q)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_index_dtype_from_lengths_alone(self):
+        fits = np.iinfo(np.int32).max
+        assert gather_index_dtype(0, np.int32) == np.int32
+        assert gather_index_dtype(fits, np.int32) == np.int32
+        assert gather_index_dtype(fits + 1, np.int32) == np.int64
+        assert gather_index_dtype(5 * fits, np.int32) == np.int64
+        # an int64 matrix is read as it is, whatever the gather size
+        assert gather_index_dtype(10, np.int64) == np.int64
+
+    def test_large_gather_switches_dtype(self, monkeypatch):
+        """Past the int32 range the gather runs on int64 indices (the
+        limit is lowered here, so nothing large is allocated)."""
+        import repro.linalg.sparse_utils as sparse_utils_module
+
+        monkeypatch.setattr(sparse_utils_module, "_INT32_MAX", 50)
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
+        pairs = _probe_pairs(engine.n, seed=16, count=300)
+        _assert_same(engine, pairs)

@@ -54,6 +54,38 @@ class TestElements:
         with pytest.raises(ValueError):
             pg.add_vsource(GROUND, 1.0)
 
+    def test_bulk_adds_equal_one_call_per_element(self):
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 5, size=40)
+        b = np.where(rng.random(40) < 0.3, GROUND, (a + rng.integers(1, 5, size=40)) % 5)
+        ohms = rng.uniform(0.1, 10.0, size=40)
+        farads = rng.uniform(1e-15, 1e-12, size=40)
+        one, bulk = PowerGrid(), PowerGrid()
+        for grid in (one, bulk):
+            for k in range(5):
+                grid.node(f"n{k}")
+        for x, y, r, c in zip(a, b, ohms, farads):
+            one.add_resistor(int(x), int(y), float(r))
+            one.add_capacitor(int(x), float(c))
+        bulk.add_resistors(a, b, ohms)
+        bulk.add_capacitors(a, farads)
+        for name in ("res_a", "res_b", "res_ohms", "shunt_node", "shunt_siemens",
+                     "cap_a", "cap_b", "cap_farads"):
+            got, want = getattr(bulk, name), getattr(one, name)
+            assert got == want, name
+            assert [type(v) for v in got] == [type(v) for v in want], name
+
+    def test_bulk_adds_reject_bad_values(self):
+        pg = PowerGrid()
+        a, b = pg.node("a"), pg.node("b")
+        with pytest.raises(ValueError, match="resistance must be positive"):
+            pg.add_resistors([a, a], [b, GROUND], [1.0, 0.0])
+        with pytest.raises(ValueError, match="endpoints must differ"):
+            pg.add_resistors([a, b], [b, b], [1.0, 1.0])
+        with pytest.raises(ValueError, match="capacitance must be positive"):
+            pg.add_capacitors([a, b], [1e-12, -1e-12])
+        assert pg.num_resistors == 0 and not pg.shunt_node and not pg.cap_a
+
     def test_current_source_waveform(self):
         pg = PowerGrid()
         a = pg.node("a")

@@ -7,13 +7,18 @@ import time
 import numpy as np
 import pytest
 
+import repro.reduction.pipeline as pipeline_module
 from repro.apps.incremental import perturb_blocks
+from repro.bench.cases import TABLE2_CASES, quick_table2_names
 from repro.core.engine import EngineConfig
 from repro.partition.interface import partition_graph
 from repro.powergrid.dc import dc_analysis
 from repro.powergrid.generators import PGConfig, synthetic_ibmpg_like
 from repro.powergrid.netlist import GROUND
-from repro.reduction.pipeline import PGReducer, ReductionConfig
+from repro.graphs.laplacian import laplacian
+from repro.powergrid.netlist import PowerGrid
+from repro.reduction.pipeline import PGReducer, ReducedGrid, ReductionConfig
+from repro.reduction.stitch import stitch_blocks
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import Timer
 
@@ -393,3 +398,154 @@ class TestPhasedReduction:
         # wall-clock of steps 2-4
         assert sum(block.total_time for block in blocks) <= reducer.timer["blocks"]
         assert all(0.0 < block.er_time < block.total_time for block in blocks)
+
+
+# ----------------------------------------------------------------------
+def _reference_stitch(reducer, blocks):
+    """Step 5 one element at a time through ``add_resistor`` /
+    ``add_capacitor`` — the specification ``stitch_blocks`` must match
+    element for element."""
+    pg = reducer.pg
+    graph = reducer.graph
+    labels = reducer.labels
+    n_original = pg.num_nodes
+    redirect = np.arange(n_original, dtype=np.int64)
+    for block in blocks:
+        redirect[block.merged_away] = block.merge_target
+    redirect = redirect[redirect]
+    survives = np.zeros(n_original, dtype=bool)
+    for block in blocks:
+        survives[block.kept_nodes] = True
+    for block in blocks:
+        survives[block.merged_away] = False
+    survivors = np.flatnonzero(survives)
+    node_map = -np.ones(n_original, dtype=np.int64)
+    node_map[survivors] = np.arange(survivors.size)
+    reduced = PowerGrid()
+    for original in survivors:
+        reduced.node(pg.name_of(int(original)))
+    for block in blocks:
+        for a, b, w in zip(block.heads, block.tails, block.conductances):
+            ra, rb = node_map[redirect[a]], node_map[redirect[b]]
+            if ra != rb and ra >= 0 and rb >= 0 and w > 0:
+                reduced.add_resistor(int(ra), int(rb), 1.0 / float(w))
+    crossing = labels[graph.heads] != labels[graph.tails]
+    for a, b, w in zip(
+        graph.heads[crossing], graph.tails[crossing], graph.weights[crossing]
+    ):
+        ra, rb = node_map[redirect[a]], node_map[redirect[b]]
+        if ra != rb and ra >= 0 and rb >= 0:
+            reduced.add_resistor(int(ra), int(rb), 1.0 / float(w))
+    for block in blocks:
+        for original, siemens in zip(block.kept_nodes, block.shunts):
+            target = node_map[redirect[original]]
+            if siemens > 0 and target >= 0:
+                reduced.add_resistor(int(target), -1, 1.0 / float(siemens))
+        for original, farads in zip(block.kept_nodes, block.lumped_caps):
+            target = node_map[redirect[original]]
+            if farads > 0 and target >= 0:
+                reduced.add_capacitor(int(target), float(farads))
+    for vs in pg.vsources:
+        target = node_map[redirect[vs.node]]
+        reduced.add_vsource(int(target), vs.voltage, name=vs.name)
+    for cs in pg.isources:
+        target = node_map[redirect[cs.node]]
+        reduced.add_isource(int(target), cs.dc, waveform=cs.waveform, name=cs.name)
+    return ReducedGrid(grid=reduced, node_map=node_map, redirect=redirect, timer=reducer.timer)
+
+
+def _grid_contents(reduced):
+    """Every list of the reduced grid with its element types, plus maps."""
+    grid = reduced.grid
+    lists = {
+        name: getattr(grid, name)
+        for name in ("node_names", "res_a", "res_b", "res_ohms", "shunt_node",
+                     "shunt_siemens", "cap_a", "cap_b", "cap_farads")
+    }
+    typed = {name: [(type(v), v) for v in values] for name, values in lists.items()}
+    sources = [(type(s.node), s) for s in grid.vsources + grid.isources]
+    return typed, sources, reduced.node_map.tobytes(), reduced.redirect.tobytes()
+
+
+def _with_shunts(grid, seed):
+    """``grid`` plus ground shunts on a random tenth of its nodes."""
+    grid = copy.deepcopy(grid)
+    rng = np.random.default_rng(seed)
+    nodes = rng.choice(grid.num_nodes, size=grid.num_nodes // 10, replace=False)
+    for node in nodes.tolist():
+        grid.add_resistor(node, GROUND, float(rng.uniform(10.0, 1e4)))
+    return grid
+
+
+STITCH_CASES = {
+    **{
+        f"pg-reduce-{seed}": (
+            lambda seed=seed: synthetic_ibmpg_like(
+                PGConfig(nx=72, ny=72, pad_pitch=10, load_fraction=0.06), seed=seed
+            ),
+            {},
+        )
+        for seed in (0, 1)
+    },
+    **{
+        name: (lambda name=name: synthetic_ibmpg_like(
+            TABLE2_CASES[name].config, seed=TABLE2_CASES[name].seed), {})
+        for name in quick_table2_names()
+    },
+    "merging-unprotected": (
+        lambda: synthetic_ibmpg_like(PGConfig(nx=32, ny=32, pad_pitch=8), seed=0),
+        {"merge_resistance_fraction": 0.5, "protect_all_ports": False},
+    ),
+    "shunts": (
+        lambda: _with_shunts(synthetic_ibmpg_like(PGConfig(nx=32, ny=32, pad_pitch=8), seed=3), 4),
+        {"merge_resistance_fraction": 0.5},
+    ),
+}
+
+
+class TestStitchMatchesReference:
+    """``stitch_blocks`` masks and maps in bulk; the reduced grid equals
+    the element-at-a-time loop's, values and Python types alike."""
+
+    @pytest.mark.parametrize("name", sorted(STITCH_CASES))
+    def test_reduced_grid_identical(self, name):
+        make_grid, options = STITCH_CASES[name]
+        reducer = PGReducer(make_grid(), ReductionConfig(seed=7, **options))
+        blocks = reducer._reduce_blocks(range(reducer.num_blocks))
+        got = stitch_blocks(reducer, blocks)
+        want = _reference_stitch(reducer, blocks)
+        assert _grid_contents(got) == _grid_contents(want)
+        assert got.grid.shunt_node or name != "shunts"
+
+
+def _reference_add_to_diagonal(matrix, nodes, values):
+    """The shunt stamp of step 2 as it was: LIL ``setdiag`` on every node."""
+    lil = matrix.tolil()
+    lil.setdiag(lil.diagonal() + values)
+    return lil.tocsc()
+
+
+class TestSchurBlockShunts:
+    """Step 2 adds node shunts on the CSC diagonal; the reduced grid equals
+    the one the LIL ``setdiag`` stamp gives."""
+
+    def test_reduced_grid_identical(self, monkeypatch):
+        grid = _with_shunts(synthetic_ibmpg_like(PGConfig(nx=32, ny=32, pad_pitch=8), seed=5), 6)
+        config = ReductionConfig(merge_resistance_fraction=0.5, seed=3)
+        got = PGReducer(grid, config).reduce()
+        monkeypatch.setattr(pipeline_module, "add_to_diagonal", _reference_add_to_diagonal)
+        want = PGReducer(grid, config).reduce()
+        assert _grid_contents(got) == _grid_contents(want)
+        assert got.grid.shunt_node
+
+    def test_block_matrix_identical(self):
+        grid = _with_shunts(synthetic_ibmpg_like(PGConfig(nx=24, ny=24, pad_pitch=6), seed=1), 2)
+        reducer = PGReducer(grid, ReductionConfig(seed=1))
+        for block in range(reducer.num_blocks):
+            nodes = reducer._block_nodes(block)
+            sub, _ = reducer.graph.subgraph(nodes)
+            shunts = reducer._node_shunts[nodes]
+            got = pipeline_module.add_to_diagonal(laplacian(sub), np.arange(nodes.size), shunts)
+            want = _reference_add_to_diagonal(laplacian(sub), None, shunts)
+            for part in ("indptr", "indices", "data"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()

@@ -287,6 +287,76 @@ class TestPersistedFactorChecks:
         with pytest.raises(ValueError, match="'component_labels'"):
             load_engine(self._doctored(saved, component_labels=labels))
 
+    @staticmethod
+    def _z_corruptions(members, prefix=""):
+        """One damaged copy of the Z̃ members per check, by name."""
+        indptr = members[prefix + "z_indptr"]
+        indices = members[prefix + "z_indices"]
+        data = members[prefix + "z_data"]
+        n = indptr.shape[0] - 1
+        # a column with at least two rows, to break the order inside it
+        col = int(np.flatnonzero(np.diff(indptr) >= 2)[0])
+        start = int(indptr[col])
+
+        def edited(array, position, value):
+            array = array.copy()
+            array[position] = value
+            return array
+
+        swapped = indices.copy()
+        swapped[start], swapped[start + 1] = indices[start + 1], indices[start]
+        nonmonotone = indptr.copy()
+        nonmonotone[col + 1] = nonmonotone[col] - 1
+        return {
+            "indptr-start": (prefix + "z_indptr", {"z_indptr": edited(indptr, 0, 1)}),
+            "indptr-decreases": (prefix + "z_indptr", {"z_indptr": nonmonotone}),
+            "indptr-end": (
+                prefix + "z_indptr", {"z_indptr": edited(indptr, n, indptr[n] - 1)}
+            ),
+            "indptr-length": (prefix + "z_indptr", {"z_indptr": indptr[:-1]}),
+            "indices-negative": (prefix + "z_indices", {"z_indices": edited(indices, 0, -1)}),
+            "indices-too-large": (
+                prefix + "z_indices", {"z_indices": edited(indices, start, n)}
+            ),
+            "indices-out-of-order": (prefix + "z_indices", {"z_indices": swapped}),
+            "indices-repeated": (
+                prefix + "z_indices",
+                {"z_indices": edited(indices, start + 1, indices[start])},
+            ),
+            "data-nan": (prefix + "z_data", {"z_data": edited(data, start, np.nan)}),
+            "data-inf": (prefix + "z_data", {"z_data": edited(data, start, np.inf)}),
+            "data-length": (prefix + "z_data", {"z_data": data[:-1]}),
+        }
+
+    CORRUPTIONS = (
+        "indptr-start", "indptr-decreases", "indptr-end", "indptr-length",
+        "indices-negative", "indices-too-large", "indices-out-of-order",
+        "indices-repeated", "data-nan", "data-inf", "data-length",
+    )
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    def test_z_structure(self, saved, corruption, mmap):
+        member, changes = self._z_corruptions(saved[1])[corruption]
+        path = self._doctored(saved, **changes)
+        with pytest.raises(ValueError, match=f"corrupt saved engine: archive member '{member}'"):
+            load_engine(path, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("corruption", ["indptr-decreases", "indices-too-large", "data-nan"])
+    def test_partitioned_shard_z_structure(self, tmp_path, corruption, mmap):
+        config = EngineConfig(shard_strategy="separator", max_shard_nodes=60)
+        engine = build_engine(_grid(), config)
+        engine.query_pairs([(0, 143)])  # builds shards lazily
+        path = engine.save(tmp_path / "parts.npz")
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files}
+        member, changes = self._z_corruptions(members, "shard0_")[corruption]
+        members.update({"shard0_" + name: value for name, value in changes.items()})
+        np.savez(path, **members)
+        with pytest.raises(ValueError, match=f"archive member '{member}'"):
+            load_engine(path, mmap=mmap)
+
     def test_partitioned_shard_perm(self, tmp_path):
         config = EngineConfig(shard_strategy="separator", max_shard_nodes=60)
         path = build_engine(_grid(), config).save(tmp_path / "parts.npz")
