@@ -2,7 +2,7 @@
 
 Measures the planner/executor redesign on its target workload: a cold
 batch of mixed pair queries against a *multi-component* graph served by a
-component-sharded engine (``shard_strategy="component"``).  Three paths
+component-sharded engine (``max_shard_nodes`` at the node count).  Three paths
 answer the identical batch:
 
 * **serial** — ``ResistanceService`` with the default ``SerialExecutor``
@@ -83,7 +83,7 @@ def make_query_stream(
 def run_case(args) -> dict:
     graph = build_multi_component_graph(args.components, args.side, seed=args.seed)
     config = EngineConfig(
-        shard_strategy="component", epsilon=args.epsilon, drop_tol=args.epsilon
+        max_shard_nodes=graph.num_nodes, epsilon=args.epsilon, drop_tol=args.epsilon
     )
     t0 = time.perf_counter()
     engine = build_engine(graph, config)

@@ -8,7 +8,7 @@ shapes:
   column chunks that run concurrently; scipy's sparsetools matmul
   releases the GIL);
 * **multi-component** — an 8-component disjoint union served by a
-  component-sharded engine (``shard_strategy="component"``), where eager shard builds fan out over the
+  component-sharded engine (``max_shard_nodes`` at the node count), where eager shard builds fan out over the
   build pool (each shard is an independent factorisation).
 
 Every worker count must produce a **bit-identical** engine (asserted on
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     print("multi-component case:", file=sys.stderr)
     multi_case = run_case(
         "multi_component", multi,
-        EngineConfig(epsilon=args.epsilon, shard_strategy="component"), probe,
+        EngineConfig(epsilon=args.epsilon, max_shard_nodes=multi.num_nodes), probe,
     )
 
     result = {

@@ -1,20 +1,27 @@
 """E11 — within-component separator sharding on one large component.
 
-The ``shard_strategy="component"`` engine parallelises across connected
-components, which buys nothing on the single huge component that
-dominates real netlists.  ``shard_strategy="separator"`` splits that one
+Per-component sharding parallelises across connected components, which
+buys nothing on the single huge component that dominates real netlists.
+A ``max_shard_nodes`` cap below the component's size splits that one
 component into vertex-separator-bounded regions, factors each region
 independently (fanned out over ``build_workers``), and answers
 cross-region pairs exactly through a dense Schur complement on the
 separator.  This bench measures the whole trade on a single ~50k-node
 jittered grid:
 
-* **monolithic** — one cholinv factorisation of the full component, the
-  baseline every region-sharded answer is compared against;
+* **reference** — the SuperLU ``exact`` engine on the probe pairs; both
+  cholinv sides record their max relative error against it;
+* **monolithic** — one cholinv factorisation of the full component;
 * **separator-sharded** — the same component at 1/2/4 build workers,
   with bit-identity asserted across worker counts (the knob trades
   wall-clock only) and max relative deviation vs the monolithic answers
   recorded and gated.
+
+Both cholinv sides factor with ``drop_tol=0`` by default: then ICT is the
+complete factor and Theorem 1 bounds each side's error by epsilon, so the
+deviation gate measures the separator algebra rather than ICT drop noise
+(at ``drop_tol=1e-6`` the monolithic side alone is 0.2 off SuperLU at
+224²).
 
 The ≥ 1.3× acceptance gate for the 4-worker region build over the
 1-worker region build is only asserted at full scale on a ≥ 4-core host
@@ -74,18 +81,15 @@ def main(argv=None) -> int:
                              "(default: 224 full / 32 smoke)")
     parser.add_argument("--epsilon", type=float, default=1e-4)
     parser.add_argument("--drop-tol", dest="drop_tol", type=float,
-                        default=1e-6,
-                        help="ichol drop tolerance (tight by default so the "
-                             "per-pair deviation gate is meaningful — at "
-                             "coarse tolerances cholinv's per-pair error is "
-                             "not bounded by epsilon and the comparison "
-                             "would measure approximation noise, not the "
-                             "separator algebra)")
+                        default=0.0,
+                        help="ichol drop tolerance of both cholinv sides "
+                             "(0 by default: the complete factor, where "
+                             "Theorem 1 bounds the error by epsilon; at "
+                             "positive tolerances the ICT drop, not the "
+                             "separator algebra, dominates the deviation)")
     parser.add_argument("--max-shard-nodes", dest="max_shard_nodes",
                         type=int, default=None,
-                        help="region size cap (default: component size / 4)")
-    parser.add_argument("--separator", default="bisection",
-                        choices=["bisection", "kway"])
+                        help="region size cap (default: ceil(nodes / 4))")
     parser.add_argument("--probes", type=int, default=2048,
                         help="random query pairs (half forced cross-region)")
     parser.add_argument("--seed", type=int, default=0)
@@ -100,11 +104,21 @@ def main(argv=None) -> int:
         args.side = 32 if args.smoke else 224          # 224² ≈ 50k nodes
 
     graph = grid_2d(args.side, args.side, jitter=0.3, seed=args.seed)
+    if args.max_shard_nodes is None:
+        args.max_shard_nodes = -(-graph.num_nodes // 4)
     rng = np.random.default_rng(args.seed + 23)
     probe = rng.integers(0, graph.num_nodes, size=(args.probes, 2))
 
     print(
         f"single component: {graph.num_nodes} nodes, {graph.num_edges} edges",
+        file=sys.stderr,
+    )
+    exact, exact_build = _timed_build(graph, EngineConfig(method="exact"))
+    exact_values, exact_query = _timed_query(exact, probe)
+    del exact
+    print(
+        f"  SuperLU reference: build {exact_build:.3f}s, "
+        f"{args.probes} queries {exact_query:.3f}s",
         file=sys.stderr,
     )
     mono, mono_build = _timed_build(
@@ -117,12 +131,11 @@ def main(argv=None) -> int:
         file=sys.stderr,
     )
 
+    del mono
     sharded_config = EngineConfig(
         epsilon=args.epsilon,
         drop_tol=args.drop_tol,
-        shard_strategy="separator",
         max_shard_nodes=args.max_shard_nodes,
-        separator=args.separator,
     )
     runs = []
     reference_values = None
@@ -169,12 +182,19 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
 
+    def max_rel_error(values, truth) -> float:
+        scale = np.maximum(np.abs(truth), 1e-12)
+        return float(np.max(np.abs(values - truth) / scale))
+
     # correctness vs the monolithic factorisation (both approximate at the
     # same epsilon, and the Schur path is exact given the region factors)
-    scale = np.maximum(np.abs(mono_values), 1e-12)
-    max_rel_dev = float(np.max(np.abs(reference_values - mono_values) / scale))
+    max_rel_dev = max_rel_error(reference_values, mono_values)
+    sharded_error = max_rel_error(reference_values, exact_values)
+    mono_error = max_rel_error(mono_values, exact_values)
     error_bound = ERROR_GATE_FACTOR * args.epsilon
     print(
+        f"  max relative error vs SuperLU: separator-sharded "
+        f"{sharded_error:.3e}, monolithic {mono_error:.3e}\n"
         f"  max relative deviation vs monolithic: {max_rel_dev:.3e} "
         f"(gate {error_bound:.1e})",
         file=sys.stderr,
@@ -188,17 +208,25 @@ def main(argv=None) -> int:
         "nodes": int(graph.num_nodes),
         "edges": int(graph.num_edges),
         "epsilon": args.epsilon,
-        "separator_method": args.separator,
+        "drop_tol": args.drop_tol,
+        "max_shard_nodes": args.max_shard_nodes,
         "plan": plan_record,
+        "reference": {
+            "method": "exact",
+            "build_seconds": exact_build,
+            "query_seconds": exact_query,
+        },
         "monolithic": {
             "build_seconds": mono_build,
             "query_seconds": mono_query,
+            "max_rel_error_vs_exact": mono_error,
         },
         "worker_counts": list(WORKER_COUNTS),
         "runs": runs,
         "speedup_2": by_workers[1] / by_workers[2] if by_workers[2] else 0.0,
         "speedup_4": speedup_4,
         "max_rel_dev_vs_monolithic": max_rel_dev,
+        "max_rel_error_vs_exact": sharded_error,
         "bit_identical": True,
         "host": host_context(),
     }

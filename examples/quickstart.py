@@ -8,8 +8,8 @@ the query-serving layer (``repro.service.ResistanceService``): cached pair
 queries, top-k central edges, an in-place refresh after edge edits, then
 engine persistence — save a built Alg. 3 engine to ``.npz`` and warm-start
 a service from it without refactoring — and finally the async serving
-stack: a component-sharded engine (``EngineConfig(shard_strategy=
-"component")``) whose per-shard sub-batches fan out over
+stack: a component-sharded engine (``EngineConfig(max_shard_nodes=k)``
+with a ``k`` no component exceeds) whose per-shard sub-batches fan out over
 a thread pool, fronted by ``AsyncResistanceService``, whose micro-batching
 loop coalesces concurrent small requests into one planned batch
 (``await``-able from asyncio, or via ``submit() -> Future``).
@@ -22,15 +22,15 @@ Builds also parallelise: ``EngineConfig(build_workers=N)`` (CLI
 ``--build-workers``) runs large Alg. 2 levels as concurrent column chunks
 and fans a sharded engine's component builds out over N threads — with
 **bit-identical** results for every N, so the knob only trades build
-wall-clock.  Lazy sharded engines can pre-build everything with
+wall-clock.  A lazy sharded engine (one restored from disk builds its
+missing shards on first use) can pre-build everything with
 ``engine.warm_up(workers=N)``.
 
-Sharding itself now goes *inside* a component:
-``EngineConfig(shard_strategy="separator")`` splits one large component
-into vertex-separator-bounded regions (so region factors build
-independently and in parallel) and answers cross-region pairs exactly
-through a dense Schur complement on the separator — demonstrated at the
-end on the single-component mesh.
+Sharding also goes *inside* a component: a ``max_shard_nodes`` cap below
+a component's size splits it into vertex-separator-bounded regions (so
+region factors build independently and in parallel) and answers
+cross-region pairs exactly through a dense Schur complement on the
+separator — demonstrated at the end on the single-component mesh.
 
 Run:  python examples/quickstart.py
 """
@@ -153,7 +153,7 @@ def main() -> None:
     # the engine is bit-identical to a serial build, just ready sooner
     sharded_service = ResistanceService(
         multi,
-        config=EngineConfig(shard_strategy="component", build_workers=2),
+        config=EngineConfig(max_shard_nodes=multi.num_nodes, build_workers=2),
         executor=ThreadedExecutor(2),
     )
     print(
@@ -193,7 +193,7 @@ def main() -> None:
     )
 
     # separator sharding: component sharding buys nothing on ONE huge
-    # component, so shard_strategy="separator" splits it internally —
+    # component, so a cap of a quarter of it splits it internally —
     # vertex-separator-bounded regions factor independently (in parallel)
     # and cross-region pairs go through a small dense Schur complement on
     # the separator, exactly (given the region factors)
@@ -202,7 +202,7 @@ def main() -> None:
         graph,
         EngineConfig(
             epsilon=1e-3, drop_tol=1e-3,
-            shard_strategy="separator", build_workers=2,
+            max_shard_nodes=graph.num_nodes // 4, build_workers=2,
         ),
     )
     t_part = time.perf_counter() - t0

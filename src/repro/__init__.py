@@ -16,12 +16,12 @@ protocol and registers under a short name (``"cholinv"``, ``"exact"``,
 ``"random_projection"``, ``"naive"``); :func:`~repro.core.engine.build_engine`
 is the one factory the convenience API, the service layer, the bench
 harness and the CLI dispatch through.
-``EngineConfig(shard_strategy="component")`` serves each connected
-component from its own sub-engine, and
-``EngineConfig(shard_strategy="separator")`` goes further — it splits one
-large component into vertex-separator-bounded regions and answers
-cross-region pairs exactly through a dense Schur complement on the
-separator (:class:`~repro.core.partitioned.PartitionedEngine`).
+``EngineConfig(max_shard_nodes=k)`` serves each connected component from
+its own sub-engine and splits any component above ``k`` nodes into
+vertex-separator-bounded regions, answering cross-region pairs exactly
+through a dense Schur complement on the separator
+(:class:`~repro.core.partitioned.PartitionedEngine`); a ``k`` no
+component exceeds is plain per-component sharding.
 
 Layers
 ------

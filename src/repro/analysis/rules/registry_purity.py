@@ -2,7 +2,7 @@
 
 PR 3 unified every solver behind :func:`repro.core.engine.build_engine`:
 the factory is where ``EngineConfig`` defaults are resolved, where
-``config.shard_strategy`` wraps the method in a :class:`PartitionedEngine`,
+a ``config.max_shard_nodes`` cap wraps the method in a :class:`PartitionedEngine`,
 and where the ``config`` attribute that persistence and the serving layer
 rely on is attached.  An engine class instantiated directly skips all of that — the
 resulting object has no config, cannot be refreshed by a service, and

@@ -4,8 +4,9 @@ Commands
 --------
 ``er``          effective resistances of a graph (file or generator);
                 ``--method`` accepts any registered engine,
-                ``--shard-strategy component`` builds one sub-engine per
-                connected component, and
+                ``--max-shard-nodes N`` builds one sub-engine per
+                connected component and splits any component above N
+                nodes into vertex-separator regions, and
                 ``--save-engine``/``--load-engine`` persist/warm-start
                 built Alg. 3 engines
 ``service``     serve batched/centrality queries via ResistanceService
@@ -56,20 +57,21 @@ def _load_graph(args):
 
 
 def _engine_config(args):
-    """Fold the shared engine options into one EngineConfig."""
+    """Fold the shared engine options into one EngineConfig; a value the
+    config rejects is a usage error."""
     from repro.core.engine import EngineConfig
 
-    return EngineConfig(
-        method=args.method, epsilon=args.epsilon, drop_tol=args.drop_tol,
-        ordering=args.ordering, mode=args.mode, seed=args.seed,
-        lazy_shards=args.lazy_shards,
-        build_workers=args.build_workers,
-        shard_strategy=args.shard_strategy,
-        max_shard_nodes=args.max_shard_nodes,
-        separator=args.separator,
-        num_landmarks=args.num_landmarks,
-        landmark_strategy=args.landmark_strategy,
-    )
+    try:
+        return EngineConfig(
+            method=args.method, epsilon=args.epsilon, drop_tol=args.drop_tol,
+            ordering=args.ordering, mode=args.mode, seed=args.seed,
+            build_workers=args.build_workers,
+            max_shard_nodes=args.max_shard_nodes,
+            num_landmarks=args.num_landmarks,
+            landmark_strategy=args.landmark_strategy,
+        )
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def _enable_tiers(args, service, profile=None, sidecar=None):
@@ -95,7 +97,7 @@ def _reject_sharded_sla(args) -> None:
     from repro.service.resistance_service import require_unsharded_tiers
 
     try:
-        require_unsharded_tiers(args.shard_strategy)
+        require_unsharded_tiers(args.max_shard_nodes)
     except ValueError as exc:
         args.parser.error(str(exc))
 
@@ -160,12 +162,12 @@ def _print_partition_report(engine) -> None:
     if not isinstance(engine, PartitionedEngine):
         raise SystemExit(
             "--partition-report needs a sharded engine; add "
-            "--shard-strategy component or --shard-strategy separator"
+            "--max-shard-nodes N"
         )
     report = engine.partition_report()
     out = sys.stderr
     print(
-        f"partition: strategy={report['strategy']} "
+        f"partition: max_shard_nodes={report['max_shard_nodes']} "
         f"shards={report['num_shards']} "
         f"components={report['num_components']} "
         f"split_components={report['split_components']} "
@@ -202,9 +204,10 @@ def cmd_er(args) -> int:
         graph = engine.graph
         print(f"engine loaded from {args.load_engine}", file=sys.stderr)
     else:
+        config = _engine_config(args)
         _reject_sharded_sla(args)
         graph = _load_graph(args)
-        engine = build_engine(graph, _engine_config(args))
+        engine = build_engine(graph, config)
     print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges", file=sys.stderr)
     if args.partition_report:
         _print_partition_report(engine)
@@ -255,11 +258,10 @@ def cmd_service(args) -> int:
             graph = service.graph
             print(f"engine loaded from {args.load_engine}", file=sys.stderr)
         else:
+            config = _engine_config(args)
             _reject_sharded_sla(args)
             graph = _load_graph(args)
-            service = ResistanceService(
-                graph, config=_engine_config(args), executor=executor
-            )
+            service = ResistanceService(graph, config=config, executor=executor)
         print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges",
               file=sys.stderr)
         print(f"service ready in {time.perf_counter() - t0:.2f}s "
@@ -490,31 +492,19 @@ def _add_graph_engine_arguments(parser) -> None:
     parser.add_argument("--mode", default="blocked", choices=["blocked", "reference"],
                         help="Alg. 2 kernel (cholinv only)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--shard-strategy", dest="shard_strategy",
-                        default="none",
-                        choices=["none", "component", "separator"],
-                        help="how shards map to the graph: none (one engine "
-                             "for the whole graph, default), one per "
-                             "connected component, or vertex-separator "
-                             "regions within large components with "
-                             "Schur-complement cross-region queries")
-    parser.add_argument("--lazy-shards", dest="lazy_shards", action="store_true",
-                        help="with a --shard-strategy, build each shard on "
-                             "first query")
     parser.add_argument("--max-shard-nodes", dest="max_shard_nodes",
                         type=int, default=None, metavar="N",
-                        help="with --shard-strategy separator, split any "
-                             "component above N nodes into regions of at "
-                             "most N nodes (default: size/4 per component)")
-    parser.add_argument("--separator", default="bisection",
-                        choices=["bisection", "kway"],
-                        help="separator construction for "
-                             "--shard-strategy separator")
+                        help="shard the engine: one sub-engine per connected "
+                             "component, and any component above N nodes "
+                             "split into vertex-separator regions of at most "
+                             "N nodes with Schur-complement cross-region "
+                             "queries (default: one engine for the whole "
+                             "graph)")
     parser.add_argument("--build-workers", dest="build_workers", type=int,
                         default=1, metavar="N",
                         help="threads used to build the engine: large Alg. 2 "
                              "levels split into parallel column chunks, and "
-                             "with a --shard-strategy the per-shard builds fan "
+                             "with --max-shard-nodes the per-shard builds fan "
                              "out; results are bit-identical for any N")
     parser.add_argument("--save-engine", dest="save_engine", metavar="PATH",
                         help="persist the built engine to PATH (.npz)")
@@ -554,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     er.add_argument("--partition-report", dest="partition_report",
                     action="store_true",
                     help="print shard/separator quality diagnostics "
-                         "(needs --shard-strategy component or separator)")
+                         "(needs --max-shard-nodes)")
     er.add_argument("--output", default="-", help="CSV path or - for stdout")
     er.set_defaults(func=cmd_er, parser=er)
 
@@ -567,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the k most central edges (w(e)·R(e))")
     sv.add_argument("--workers", type=int, default=1,
                     help="executor threads fanning per-shard sub-batches "
-                         "out in parallel (pairs well with --shard-strategy)")
+                         "out in parallel (pairs well with --max-shard-nodes)")
     sv.add_argument("--batch-window", dest="batch_window", type=float,
                     default=0.0, metavar="SECONDS",
                     help="micro-batching window; > 0 serves the repeated "

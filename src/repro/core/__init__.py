@@ -9,10 +9,10 @@
 * :mod:`repro.core.effective_resistance` — Alg. 3 plus exact effective
   resistances and the high-level query API;
 * :mod:`repro.core.partitioned` — the sharded composite engine behind
-  every ``shard_strategy`` other than ``"none"``:
-  :class:`~repro.core.partitioned.ShardPlan` shard plans (per-component or
-  within-component vertex-separator regions) and the Schur-complement
-  cross-region query path;
+  a ``max_shard_nodes`` cap: :class:`~repro.core.partitioned.ShardPlan`
+  shard plans (one region per component, oversized components split
+  into vertex-separator regions) and the Schur-complement cross-region
+  query path;
 * :mod:`repro.core.persistence` — save/load built Alg. 3 engines (warm
   starts);
 * :mod:`repro.core.error_bounds` — Theorem 1 / Eq. (25)–(26) machinery and
@@ -44,7 +44,7 @@ from repro.core.error_bounds import (
     estimate_query_errors,
     theorem1_bound,
 )
-from repro.core.partitioned import PartitionedEngine, ShardPlan, make_plan
+from repro.core.partitioned import PartitionedEngine, ShardPlan, separator_plan
 from repro.core.persistence import load_engine, save_engine
 from repro.core.truncation import truncate_relative_1norm
 
@@ -61,7 +61,7 @@ __all__ = [
     "build_engines",
     "PartitionedEngine",
     "ShardPlan",
-    "make_plan",
+    "separator_plan",
     "save_engine",
     "load_engine",
     "CholInvEffectiveResistance",

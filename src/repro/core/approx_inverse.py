@@ -342,7 +342,7 @@ class _ColumnPool:
                 f"of the approximate inverse: nnz(Z̃) is {self.used} after "
                 f"{self.filled} of {self.start.shape[0]} columns and the next "
                 f"level adds {count}; use a larger epsilon or "
-                f'shard_strategy="separator" to split the graph'
+                f"max_shard_nodes= to split the graph"
             )
         if self.used + count > self.rows.shape[0]:
             capacity = max(2 * self.rows.shape[0], self.used + count)
@@ -592,7 +592,7 @@ def _raw_matmat(
         raise OverflowError(
             f"Alg. 2 cannot multiply out a chunk of up to {nnz_bound} entries: "
             f"the int32 product indices address at most {_MAX_POOL_ENTRIES}; "
-            f'use a larger epsilon or shard_strategy="separator" to split the graph'
+            f"use a larger epsilon or max_shard_nodes= to split the graph"
         )
     return csr_matmat_sorted(
         k, n, a_ptr, a_idx, a_val, b_ptr, b_idx, b_val, nnz_bound

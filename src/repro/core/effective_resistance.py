@@ -325,7 +325,7 @@ class CholInvEffectiveResistance(ResistanceEngine):
         """
         same_engine = (
             config.method == self.engine_name
-            and config.shard_strategy == "none"
+            and config.max_shard_nodes is None
             and config.ordering == self.ordering
         )
         if not (

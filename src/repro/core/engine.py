@@ -137,25 +137,15 @@ class EngineConfig:
         Per-query solve tolerance of the naive engine.
     seed:
         RNG seed for randomised engines.
-    shard_strategy:
-        ``"none"`` (default: factor the whole graph at once),
-        ``"component"`` (one sub-engine per connected component) or
-        ``"separator"`` (components larger than ``max_shard_nodes`` are
-        additionally split into separator-bounded regions, with exact
-        Schur-complement cross-region queries).  Any strategy other than
-        ``"none"`` serves the graph through
-        :class:`~repro.core.partitioned.PartitionedEngine`.
     max_shard_nodes:
-        With ``shard_strategy="separator"``, the target region size; a
-        component at or below it stays one whole shard.  ``None`` picks
-        ``max(512, ceil(component_size / 4))`` per component.
-    separator:
-        Separator construction method — ``"bisection"`` (recursive
-        bisection + vertex separators, nested-dissection shape, default)
-        or ``"kway"`` (k-way partition + greedy cover of crossing edges).
-    lazy_shards:
-        With a sharding strategy, defer each shard's build to its first
-        query.
+        The one sharding knob.  ``None`` (default) factors the whole graph
+        at once.  An integer ``>= 2`` serves the graph through
+        :class:`~repro.core.partitioned.PartitionedEngine`: every
+        connected component is its own shard, and a component larger
+        than the cap is split by recursive bisection into
+        vertex-separator-bounded regions, with exact Schur-complement
+        cross-region queries.  A cap no component exceeds is plain
+        per-component sharding.
     build_workers:
         Threads used to *build* the engine (default 1 = serial).  For the
         Alg. 3 engine the level-parallel blocked kernel splits large
@@ -184,10 +174,7 @@ class EngineConfig:
     pcg_rtol: float = 1e-6
     rtol: float = 1e-10
     seed: "int | None" = None
-    shard_strategy: str = "none"
     max_shard_nodes: "int | None" = None
-    separator: str = "bisection"
-    lazy_shards: bool = False
     build_workers: int = 1
     num_landmarks: int = 32
     landmark_strategy: str = "degree"
@@ -219,8 +206,6 @@ class EngineConfig:
             ("mode", _MODES),
             ("solver", ("pcg", "splu")),
             ("landmark_strategy", ("degree", "spread", "random")),
-            ("shard_strategy", ("none", "component", "separator")),
-            ("separator", ("bisection", "kway")),
         ):
             value = getattr(self, name)
             if value not in allowed:
@@ -228,9 +213,11 @@ class EngineConfig:
                     f"{name} must be one of {', '.join(map(repr, allowed))}, "
                     f"got {value!r}"
                 )
+        cap = self.max_shard_nodes
         require(
-            self.max_shard_nodes is None or self.max_shard_nodes >= 2,
-            f"max_shard_nodes must be None or >= 2, got {self.max_shard_nodes}",
+            cap is None
+            or (isinstance(cap, int) and not isinstance(cap, bool) and cap >= 2),
+            f"max_shard_nodes must be None or an integer >= 2, got {cap!r}",
         )
 
     def replace(self, **changes: Any) -> "EngineConfig":
@@ -421,11 +408,11 @@ def build_engine(
     """Build the engine a config describes — the registry's single factory.
 
     ``config`` defaults to ``EngineConfig()`` (Alg. 3 with the paper's
-    settings).  Any ``shard_strategy`` other than ``"none"`` wraps the
-    chosen method in a :class:`~repro.core.partitioned.PartitionedEngine`.
+    settings).  A ``max_shard_nodes`` cap wraps the chosen method in a
+    :class:`~repro.core.partitioned.PartitionedEngine`.
     """
     config, spec = _engine_spec(config)
-    if config.shard_strategy != "none":
+    if config.max_shard_nodes is not None:
         from repro.core.partitioned import PartitionedEngine
 
         engine: ResistanceEngine = PartitionedEngine(graph, config)
@@ -449,7 +436,7 @@ def build_engines(
     another.
     """
     config, spec = _engine_spec(config)
-    if config.shard_strategy != "none":
+    if config.max_shard_nodes is not None:
         return [build_engine(graph, config) for graph in graphs]
     engine_cls = cast("type[ResistanceEngine]", spec.cls)
     engines = list(

@@ -11,17 +11,14 @@ answering cross-region pairs **exactly** through a small dense Schur
 complement on the separator (PEERS-style parallel exact solve; see
 PAPERS.md).
 
-Two strategies produce plans:
-
-* ``"component"`` — one region per connected component, empty separator.
-  Cross-component pairs answer ``inf`` from the labels without touching
-  any factor, and singleton components never build.
-* ``"separator"`` — components larger than ``max_shard_nodes`` are split
-  into separator-bounded regions, either by recursive bisection +
-  vertex-separator extraction (``separator="bisection"``, the
-  nested-dissection shape of :mod:`repro.cholesky.nested_dissection`) or
-  by a k-way partition whose crossing edges are covered greedily
-  (``separator="kway"`` via :func:`repro.partition.interface.partition_graph`).
+One knob, ``EngineConfig.max_shard_nodes``, produces the plan: every
+connected component becomes its own region, and a component larger than
+the cap is split into separator-bounded regions by recursive bisection
++ vertex-separator extraction (the nested-dissection shape of
+:mod:`repro.cholesky.nested_dissection`).  Cross-component pairs answer
+``inf`` from the labels without touching any factor, and singleton
+components never build.  A cap no component exceeds is plain
+per-component sharding.
 
 The math (block-arrow decomposition)
 ------------------------------------
@@ -92,7 +89,6 @@ from repro.core.engine import (
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
 from repro.graphs.laplacian import grounded_laplacian
-from repro.partition.interface import partition_graph
 from repro.partition.multilevel import multilevel_bisection
 from repro.reduction.schur import schur_reduce
 from repro.utils.rng import ensure_rng
@@ -109,8 +105,6 @@ class ShardPlan:
 
     Attributes
     ----------
-    strategy:
-        ``"component"`` or ``"separator"`` — how the plan was produced.
     num_shards:
         Number of regions.  Cross-region query groups use pseudo shard ids
         ``num_shards + j`` (one per split component, in
@@ -123,11 +117,10 @@ class ShardPlan:
     num_components:
         Number of connected components.
     separator:
-        Sorted global ids of all separator nodes (empty for the component
-        strategy).
+        Sorted global ids of all separator nodes (empty when no component
+        was split).
     """
 
-    strategy: str
     num_shards: int
     shard_of: np.ndarray
     component_labels: np.ndarray
@@ -162,19 +155,6 @@ class ShardPlan:
                 self.shard_of[self.shard_of >= 0], minlength=self.num_shards
             )
             require(bool(sizes.min() > 0), "plan contains an empty region")
-
-
-def component_plan(graph: Graph) -> ShardPlan:
-    """One region per connected component — the classic sharding plan."""
-    labels, num_components = connected_components(graph)
-    return ShardPlan(
-        strategy="component",
-        num_shards=num_components,
-        shard_of=labels.astype(np.int64, copy=True),
-        component_labels=labels,
-        num_components=num_components,
-        separator=np.empty(0, dtype=np.int64),
-    )
 
 
 def _bisection_regions(
@@ -215,125 +195,58 @@ def _bisection_regions(
     return regions, np.flatnonzero(sep_flags)
 
 
-def _kway_regions(
-    sub: Graph, cap: int, rng: np.random.Generator
-) -> "tuple[list[np.ndarray], np.ndarray]":
-    """K-way partition + greedy vertex cover of the crossing edges.
-
-    For every crossing edge not yet covered, the endpoint incident to
-    more crossing edges joins the separator (ties break to the smaller
-    id) — a deterministic matching-style cover.  Blocks fully swallowed
-    by the separator contribute no region (they fold into whatever
-    neighbouring regions remain).
-    """
-    k = max(2, -(-sub.num_nodes // cap))
-    labels = partition_graph(sub, min(k, sub.num_nodes), seed=rng)
-    crossing = np.flatnonzero(labels[sub.heads] != labels[sub.tails])
-    sep_flags = np.zeros(sub.num_nodes, dtype=bool)
-    if crossing.size:
-        heads, tails = sub.heads[crossing], sub.tails[crossing]
-        degree = np.bincount(
-            np.concatenate([heads, tails]), minlength=sub.num_nodes
-        )
-        for h, t in zip(heads.tolist(), tails.tolist()):
-            if sep_flags[h] or sep_flags[t]:
-                continue
-            if (degree[h], -h) >= (degree[t], -t):
-                sep_flags[h] = True
-            else:
-                sep_flags[t] = True
-    regions = []
-    for b in range(int(labels.max()) + 1 if labels.size else 0):
-        members = np.flatnonzero((labels == b) & ~sep_flags)
-        if members.size:  # empty / separator-only blocks fold away
-            regions.append(members)
-    return regions, np.flatnonzero(sep_flags)
-
-
 def separator_plan(
     graph: Graph,
-    max_shard_nodes: "int | None" = None,
-    method: str = "bisection",
+    max_shard_nodes: int,
     seed: "int | np.random.Generator | None" = 0,
 ) -> ShardPlan:
-    """Split oversized components into separator-bounded regions.
+    """One region per component, oversized components split by bisection.
 
     Parameters
     ----------
     max_shard_nodes:
-        Target region size; components at or below it stay whole regions
-        (and need no separator machinery at all).  ``None`` picks, per
-        component, ``max(512, ceil(size / 4))`` — roughly four regions
-        for anything big enough to be worth splitting.
-    method:
-        ``"bisection"`` (recursive bisection + vertex separators, the
-        nested-dissection shape) or ``"kway"`` (k-way partition + greedy
-        cover of the crossing edges).
+        Region size cap; components at or below it stay whole regions
+        (and need no separator machinery at all).  A component above it
+        is split by recursive bisection + vertex separators until every
+        region fits or cannot be split further; if that gains nothing it
+        stays one region.
     seed:
         Seed for the randomised coarsening inside the partitioner.
+
+    Regions are numbered in component order, a split component's regions
+    consecutively.
     """
     require(
-        method in ("bisection", "kway"),
-        f"unknown separator method {method!r} (use 'bisection' or 'kway')",
-    )
-    require(
-        max_shard_nodes is None or max_shard_nodes >= 2,
+        max_shard_nodes >= 2,
         f"max_shard_nodes must be >= 2, got {max_shard_nodes}",
     )
     rng = ensure_rng(seed)
     labels, num_components = connected_components(graph)
-    shard_of = np.full(graph.num_nodes, -1, dtype=np.int64)
-    sep_flags = np.zeros(graph.num_nodes, dtype=bool)
-    next_shard = 0
-    for comp in range(num_components):
-        members = np.flatnonzero(labels == comp)
-        cap = (
-            max(512, -(-members.size // 4))
-            if max_shard_nodes is None
-            else int(max_shard_nodes)
-        )
-        if members.size <= cap:
-            shard_of[members] = next_shard
-            next_shard += 1
-            continue
-        sub, original = graph.subgraph(members)
-        if method == "bisection":
-            regions, sep_local = _bisection_regions(sub, cap, rng)
-        else:
-            regions, sep_local = _kway_regions(sub, cap, rng)
-        if len(regions) <= 1:
-            # nothing was gained: fold the separator back and keep the
-            # component as one ordinary region
-            shard_of[members] = next_shard
-            next_shard += 1
-            continue
-        sep_flags[original[sep_local]] = True
-        for region in regions:
-            shard_of[original[region]] = next_shard
-            next_shard += 1
+    regions_per_component = np.ones(num_components, dtype=np.int64)
+    splits = []
+    for comp in np.flatnonzero(
+        np.bincount(labels, minlength=num_components) > max_shard_nodes
+    ).tolist():
+        sub, original = graph.subgraph(np.flatnonzero(labels == comp))
+        regions, sep_local = _bisection_regions(sub, max_shard_nodes, rng)
+        if len(regions) > 1:  # else nothing was gained: keep it whole
+            regions_per_component[comp] = len(regions)
+            splits.append((comp, original, regions, sep_local))
+    first_shard = np.cumsum(regions_per_component) - regions_per_component
+    shard_of = first_shard[labels]
+    for comp, original, regions, sep_local in splits:
+        shard_of[original[sep_local]] = -1
+        for j, region in enumerate(regions):
+            shard_of[original[region]] = first_shard[comp] + j
     plan = ShardPlan(
-        strategy="separator",
-        num_shards=next_shard,
+        num_shards=int(regions_per_component.sum()),
         shard_of=shard_of,
         component_labels=labels,
         num_components=num_components,
-        separator=np.flatnonzero(sep_flags),
+        separator=np.flatnonzero(shard_of < 0),
     )
     plan.validate(graph)
     return plan
-
-
-def make_plan(graph: Graph, config: EngineConfig) -> ShardPlan:
-    """Dispatch on ``config.shard_strategy``."""
-    if config.shard_strategy == "separator":
-        return separator_plan(
-            graph,
-            max_shard_nodes=config.max_shard_nodes,
-            method=config.separator,
-            seed=0 if config.seed is None else config.seed,
-        )
-    return component_plan(graph)
-
 
 # ----------------------------------------------------------------------
 # the separator (Schur) system of one split component
@@ -371,16 +284,15 @@ class PartitionedEngine(ResistanceEngine):
         Weighted undirected graph (any number of components).
     config:
         Config of the *base* engine each region builds (``method`` plus
-        its tunables) and of the plan (``shard_strategy`` /
-        ``max_shard_nodes`` / ``separator``; ``shard_strategy="none"``
-        means ``"component"`` here).  ``config.lazy_shards`` defers region
-        builds to first use.  Every region builds with
-        ``config.replace(shard_strategy="none", lazy_shards=False)``.
+        its tunables) and of the plan (``max_shard_nodes``; ``None`` means
+        a cap no component exceeds, one region per component here).
+        Every region builds with ``config.replace(max_shard_nodes=None)``.
     lazy:
-        Overrides ``config.lazy_shards`` when given.
+        Defer region builds to first use (the persistence restore path
+        builds nothing up front).
     plan:
         Pre-computed plan (persistence restore path); by default the plan
-        comes from :func:`make_plan`.
+        comes from :func:`separator_plan`.
 
     Notes
     -----
@@ -396,7 +308,7 @@ class PartitionedEngine(ResistanceEngine):
         self,
         graph: Graph,
         config: "EngineConfig | None" = None,
-        lazy: "bool | None" = None,
+        lazy: bool = False,
         plan: "ShardPlan | None" = None,
     ):
         if config is None:
@@ -404,15 +316,19 @@ class PartitionedEngine(ResistanceEngine):
         self.graph = graph
         self.n = graph.num_nodes
         self.timer = Timer()
-        if config.shard_strategy == "none":
-            config = config.replace(shard_strategy="component")
+        if config.max_shard_nodes is None:
+            config = config.replace(max_shard_nodes=max(2, graph.num_nodes))
         self.config = config
-        self._shard_config = config.replace(shard_strategy="none", lazy_shards=False)
-        self.lazy = bool(config.lazy_shards if lazy is None else lazy)
+        self._shard_config = config.replace(max_shard_nodes=None)
+        self.lazy = bool(lazy)
 
         with self.timer.section("plan"):
             if plan is None:
-                plan = make_plan(graph, self.config)
+                plan = separator_plan(
+                    graph,
+                    config.max_shard_nodes,
+                    seed=0 if config.seed is None else config.seed,
+                )
             self.plan = plan
             self.component_labels = plan.component_labels
             self.num_shards = plan.num_shards
@@ -861,7 +777,7 @@ class PartitionedEngine(ResistanceEngine):
     def partition_report(self) -> "dict[str, object]":
         """Plan diagnostics: balance, cut and separator quality.
 
-        Returns a dict with the plan's ``strategy`` / shard counts, the
+        Returns a dict with the ``max_shard_nodes`` cap, the shard counts, the
         :class:`~repro.partition.interface.PartitionQuality` of the region
         labelling and one
         :class:`~repro.partition.interface.SeparatorQuality` per split
@@ -874,7 +790,7 @@ class PartitionedEngine(ResistanceEngine):
         )
 
         return {
-            "strategy": self.plan.strategy,
+            "max_shard_nodes": self.config.max_shard_nodes,
             "num_shards": int(self.num_shards),
             "num_components": int(self.plan.num_components),
             "split_components": [int(c) for c in self._split_components],
@@ -903,8 +819,7 @@ class PartitionedEngine(ResistanceEngine):
         that was built (and therefore saved); everything else rebuilds
         lazily exactly like a cold lazy engine.
         """
-        engine = cls(graph, config, lazy=True, plan=plan)
-        return engine
+        return cls(graph, config, lazy=True, plan=plan)
 
     def _install_system(self, component: int, schur: np.ndarray) -> None:
         """Adopt a persisted Schur matrix (refactored with ``cho_factor``)."""

@@ -19,7 +19,7 @@ engines"):
   a graph edit rebuilds with the saved settings).
 
 Partitioned engines (:class:`~repro.core.partitioned.PartitionedEngine`,
-i.e. any ``shard_strategy`` other than ``"none"``) persist too (format
+i.e. a config with a ``max_shard_nodes`` cap) persist too (format
 v2): the file carries the :class:`~repro.core.partitioned.ShardPlan`
 arrays, every *built* separator Schur system and every *built* region
 factor under per-shard key prefixes — unbuilt pieces are simply absent and
@@ -28,9 +28,10 @@ graphs and the region config are not stored: they are a deterministic
 function of the graph, the plan and the engine config, so the loader
 reconstructs them.  Reload is bit-identical for everything that was built.
 
-Archives before v4 spelled the sharding choice as a ``sharded`` flag next
-to ``shard_strategy``; :func:`_saved_config` maps them onto the single
-``shard_strategy`` knob when they load.
+Archives before v5 spelled the sharding choice as ``shard_strategy``
+(before v4 also a ``sharded`` flag), ``separator`` and ``lazy_shards``;
+:func:`_saved_config` maps them onto the single ``max_shard_nodes`` knob
+when they load.
 
 Entry points: :func:`save_engine` / :func:`load_engine`, surfaced as
 ``engine.save(path)``, ``ResistanceService.from_saved(path)`` and the CLI's
@@ -58,9 +59,11 @@ from repro.utils.validation import require
 # v1: monolithic cholinv only; v2 adds kind="partitioned" (plan + separator
 # systems + per-shard region factors); v3 adds kind="landmark" (projection
 # tables of the tiered landmark estimator); v4 folds the config's "sharded"
-# flag into shard_strategy="none" and drops the region config member.  v1
-# files have no "kind" member and load as cholinv.
-FORMAT_VERSION = 4
+# flag into shard_strategy="none" and drops the region config member; v5
+# folds shard_strategy / separator / lazy_shards into max_shard_nodes and
+# drops the plan_strategy member.  v1 files have no "kind" member and load
+# as cholinv.
+FORMAT_VERSION = 5
 
 
 def _npz_path(path: "str | Path") -> Path:
@@ -208,7 +211,6 @@ def _save_partitioned(engine, path: "str | Path") -> Path:
         "graph_tails": engine.graph.tails,
         "graph_weights": engine.graph.weights,
         "component_labels": engine.component_labels,
-        "plan_strategy": np.asarray(plan.strategy),
         "plan_num_shards": np.int64(plan.num_shards),
         "plan_num_components": np.int64(plan.num_components),
         "plan_shard_of": plan.shard_of,
@@ -357,18 +359,29 @@ def _engine_from_any(data):
 def _saved_config(data, version: int) -> EngineConfig:
     """The archive's :class:`EngineConfig`, in the current form.
 
-    Before v4 a config carried ``sharded`` next to ``shard_strategy``.
-    ``sharded: false`` with the old ``"component"`` default was an
-    unsharded engine, which is ``"none"`` now; every other pair already
-    named its strategy (a strategy other than ``"component"`` implied
-    sharding).
+    Before v5 a config named its sharding as ``shard_strategy``, and
+    before v4 also as a ``sharded`` flag: ``sharded: false`` with the old
+    ``"component"`` default was an unsharded engine.  The strategy maps
+    onto ``max_shard_nodes``: ``"none"`` is ``None``, ``"component"`` is
+    the graph's node count (a cap no component exceeds) and
+    ``"separator"`` keeps its stored cap, or the old automatic
+    ``max(512, ceil(n / 4))`` if it stored none.  The stored
+    ``separator`` and ``lazy_shards`` are ignored: a loaded engine
+    answers from its saved plan, so only a refresh plans again.
     """
     fields = json.loads(str(data["config_json"]))
-    if version <= 3:
+    if version <= 4:
         strategy = fields.get("shard_strategy", "component")
-        if not fields.pop("sharded", False) and strategy == "component":
+        if version <= 3 and not fields.get("sharded", False) and strategy == "component":
             strategy = "none"
-        fields["shard_strategy"] = strategy
+        n = int(data["num_nodes"])
+        caps = {
+            "none": None,
+            "component": max(2, n),
+            "separator": fields.get("max_shard_nodes") or max(512, -(-n // 4)),
+        }
+        require(strategy in caps, f"unknown saved shard_strategy {strategy!r}")
+        fields["max_shard_nodes"] = caps[strategy]
     return EngineConfig.from_dict(fields)
 
 
@@ -530,7 +543,6 @@ def _partitioned_from_arrays(data, config: EngineConfig):
         data["graph_weights"],
     )
     plan = ShardPlan(
-        strategy=str(data["plan_strategy"]),
         num_shards=int(data["plan_num_shards"]),
         shard_of=np.asarray(data["plan_shard_of"], dtype=np.int64),
         component_labels=np.asarray(data["component_labels"], dtype=np.int64),

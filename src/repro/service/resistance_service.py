@@ -63,17 +63,17 @@ from repro.service.router import SLA, CalibrationProfile, QueryRouter, calibrate
 from repro.utils.validation import require
 
 
-def require_unsharded_tiers(shard_strategy: str) -> None:
+def require_unsharded_tiers(max_shard_nodes: "int | None") -> None:
     """Reject SLA tiers over a sharded engine (``ValueError``).
 
     A sharded service has no tiers: each tier would be a sharded
     composite without error bounds.
     """
     require(
-        shard_strategy == "none",
+        max_shard_nodes is None,
         f"SLA tiers need an unsharded service, got "
-        f"shard_strategy={shard_strategy!r}; serve with "
-        f"shard_strategy='none' to route queries across tiers",
+        f"max_shard_nodes={max_shard_nodes!r}; serve with "
+        f"max_shard_nodes=None to route queries across tiers",
     )
 
 
@@ -511,7 +511,7 @@ class ResistanceService:
         router is installed only if no refresh intervened.  After
         :meth:`refresh_after_edge_update` the router is dropped and this
         method must be called again.  A sharded service
-        (``shard_strategy != "none"``) has no tiers: each tier would be a
+        (a ``max_shard_nodes`` cap) has no tiers: each tier would be a
         sharded composite without error bounds.
         """
         require(len(tiers) >= 1, "need at least one tier")
@@ -528,7 +528,7 @@ class ResistanceService:
             graph = self.graph
             config = self.config
             epoch = self._epoch
-        require_unsharded_tiers(config.shard_strategy)
+        require_unsharded_tiers(config.max_shard_nodes)
         engines: "dict[str, BoundedResistanceEngine]" = {}
         for name in tiers:
             require(

@@ -333,7 +333,7 @@ class TestIndexRange:
         with pytest.raises(OverflowError, match=r"nnz\(Z̃\) is \d+") as info:
             approximate_inverse(lower, epsilon=1e-3)
         assert "epsilon" in str(info.value)
-        assert 'shard_strategy="separator"' in str(info.value)
+        assert "max_shard_nodes=" in str(info.value)
         # the limit itself is still allowed
         monkeypatch.setattr(approx_inverse_module, "_MAX_POOL_ENTRIES", z.nnz)
         z_at_limit, _ = approximate_inverse(lower, epsilon=1e-3)
@@ -348,7 +348,7 @@ class TestIndexRange:
         with pytest.raises(OverflowError, match=r"up to 5 entries") as info:
             approx_inverse_module._raw_matmat(2, 2, ptr, idx, val, ptr, idx, val, 5)
         assert "epsilon" in str(info.value)
-        assert 'shard_strategy="separator"' in str(info.value)
+        assert "max_shard_nodes=" in str(info.value)
         # the limit itself is still allowed
         out_ptr, out_idx, out_val = approx_inverse_module._raw_matmat(
             2, 2, ptr, idx, val, ptr, idx, val, 4

@@ -84,15 +84,52 @@ class TestER:
 
     def test_sharded_flag(self, capsys):
         code = main(["er", "--generator", "grid2d:5x5", "--method", "exact",
-                     "--shard-strategy", "component", "--pairs", "0,24"])
+                     "--max-shard-nodes", "25", "--pairs", "0,24"])
         assert code == 0
         _, _, r = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(r) > 0
 
-    def test_partition_report_names_shard_strategy(self):
-        with pytest.raises(SystemExit, match="--shard-strategy component"):
+    def test_partition_report_names_max_shard_nodes(self):
+        with pytest.raises(SystemExit, match="--max-shard-nodes N"):
             main(["er", "--generator", "grid2d:4x4", "--method", "exact",
-                  "--shard-strategy", "none", "--partition-report"])
+                  "--partition-report"])
+
+    def test_partition_report_prints_the_cap(self, capsys):
+        code = main(["er", "--generator", "grid2d:10x10", "--method", "exact",
+                     "--max-shard-nodes", "40", "--partition-report",
+                     "--pairs", "0,99"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "partition: max_shard_nodes=40 " in err
+        assert "component 0: regions=" in err
+
+    @pytest.mark.parametrize(
+        "removed", ["--shard-strategy", "--separator", "--lazy-shards"]
+    )
+    def test_removed_sharding_flags_are_rejected(self, removed, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["er", "--generator", "grid2d:4x4", removed, "component"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["er", "service"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--max-shard-nodes", "1"],
+          "max_shard_nodes must be None or an integer >= 2, got 1"),
+         (["--epsilon", "nan"], "epsilon"),
+         (["--build-workers", "0"], "build_workers must be >= 1, got 0")],
+    )
+    def test_bad_engine_values_are_usage_errors(
+        self, command, flags, message, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--generator", "grid2d:4x4", "--pairs", "0,1", *flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: error: " in err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_naive_method_available(self, capsys):
         code = main(["er", "--generator", "grid2d:4x4", "--method", "naive",
@@ -116,11 +153,13 @@ class TestER:
         assert message in err
 
     @pytest.mark.parametrize("command", ["er", "service"])
-    @pytest.mark.parametrize("strategy", ["component", "separator"])
+    @pytest.mark.parametrize("sharding", ["component", "separator"])
     def test_sla_on_sharded_engine_is_a_usage_error(
-        self, command, strategy, capsys, monkeypatch
+        self, command, sharding, capsys, monkeypatch
     ):
-        """Rejected before any engine is built."""
+        """Rejected before any engine is built, for a cap at the mesh's 64
+        nodes (one shard per component) and one that splits it."""
+        cap = {"component": "64", "separator": "16"}[sharding]
 
         def no_build(*args, **kwargs):
             raise AssertionError("built an engine before rejecting the SLA flags")
@@ -129,11 +168,11 @@ class TestER:
         monkeypatch.setattr("repro.service.resistance_service.build_engine", no_build)
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--generator", "mesh2d:8x8", "--pairs", "0,63",
-                  "--rel-tol", "0.05", "--shard-strategy", strategy])
+                  "--rel-tol", "0.05", "--max-shard-nodes", cap])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"repro {command}: error: " in err
-        assert f"shard_strategy={strategy!r}" in err
+        assert f"max_shard_nodes={cap}" in err
 
 
 class TestService:
@@ -164,7 +203,7 @@ class TestService:
         main(["service", "--generator", "grid2d:5x5", "--pairs", "0,24", "3,9"])
         serial = capsys.readouterr().out.splitlines()[1:3]
         code = main(["service", "--generator", "grid2d:5x5",
-                     "--shard-strategy", "component",
+                     "--max-shard-nodes", "25",
                      "--workers", "3", "--pairs", "0,24", "3,9"])
         assert code == 0
         captured = capsys.readouterr()

@@ -40,7 +40,9 @@ from repro.service import ResistanceService
 # Conformance configurations: one per registered engine, plus sharded
 # composites.  random_projection gets enough projections to keep its
 # structural answers stable on tiny graphs; the landmark tier gets a seed
-# (determinism) and a landmark count sized for the tiny fixture.
+# (determinism) and a landmark count sized for the tiny fixture.  The
+# sharded composites cap shards at the fixture's 10 nodes, which no
+# component exceeds: one shard per component.
 CONFIGS = {
     "cholinv": EngineConfig(),
     "exact": EngineConfig(method="exact"),
@@ -49,10 +51,8 @@ CONFIGS = {
         method="random_projection", num_projections=64, solver="splu", seed=0
     ),
     "landmark": EngineConfig(method="landmark", num_landmarks=4, seed=0),
-    "sharded-cholinv": EngineConfig(shard_strategy="component"),
-    "sharded-exact": EngineConfig(
-        method="exact", shard_strategy="component", lazy_shards=True
-    ),
+    "sharded-cholinv": EngineConfig(max_shard_nodes=10),
+    "sharded-exact": EngineConfig(method="exact", max_shard_nodes=10),
 }
 
 
@@ -125,7 +125,7 @@ class TestRegistry:
             ExactEffectiveResistance,
         )
         assert isinstance(
-            build_engine(multi_component, EngineConfig(shard_strategy="component")),
+            build_engine(multi_component, EngineConfig(max_shard_nodes=10)),
             PartitionedEngine,
         )
 
@@ -184,8 +184,6 @@ class TestRegistry:
             ({"mode": "bogus"}, "mode"),
             ({"method": "random_projection", "solver": "bogus"}, "solver"),
             ({"landmark_strategy": "bogus"}, "landmark_strategy"),
-            ({"shard_strategy": "bogus"}, "shard_strategy"),
-            ({"separator": "bogus"}, "separator"),
         ],
     )
     def test_unknown_name_rejected_listing_the_allowed_ones(self, overrides, field):
@@ -209,12 +207,34 @@ class TestRegistry:
         )
         assert np.all(np.isfinite(build_engine(multi_component, config).query_pairs([[0, 1]])))
 
-    def test_shard_strategy_is_the_one_sharding_knob(self):
-        assert EngineConfig().shard_strategy == "none"
+    def test_max_shard_nodes_is_the_one_sharding_knob(self):
+        assert EngineConfig().max_shard_nodes is None
         names = {f.name for f in dataclasses.fields(EngineConfig)}
-        assert {name for name in names if "shard" in name} == {
-            "shard_strategy", "max_shard_nodes", "lazy_shards"
+        assert len(names) == 17
+        assert {name for name in names if "shard" in name or "separator" in name} == {
+            "max_shard_nodes"
         }
+        for removed in ("shard_strategy", "separator", "lazy_shards"):
+            with pytest.raises(TypeError, match=removed):
+                EngineConfig(**{removed: None})
+
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("nan"), 2.5, 2.0, 1, 0, -4, True, "8"]
+    )
+    def test_max_shard_nodes_must_be_an_integer_of_at_least_two(self, value):
+        # the planner needs an integer cap: inf would overflow deep in the
+        # build and 2.5 would be floored without a word
+        with pytest.raises(
+            ValueError, match=rf"max_shard_nodes must be None or an integer >= 2, got {value!r}"
+        ):
+            EngineConfig(max_shard_nodes=value)
+
+    def test_smallest_max_shard_nodes_builds(self, multi_component):
+        engine = build_engine(multi_component, EngineConfig(method="exact", max_shard_nodes=2))
+        assert isinstance(engine, PartitionedEngine)
+        whole = build_engine(multi_component, EngineConfig(method="exact"))
+        pairs = [(0, 1), (0, 2), (3, 5), (0, 3), (9, 9)]
+        np.testing.assert_allclose(engine.query_pairs(pairs), whole.query_pairs(pairs))
 
     def test_config_plus_kwargs_rejected(self, multi_component):
         # EngineConfig is the only way to pick and tune an engine
@@ -249,7 +269,7 @@ class TestRegistry:
         assert a == pytest.approx(b) and np.array_equal(a, c)
 
     def test_config_round_trips_through_dict(self):
-        config = EngineConfig(method="exact", epsilon=0.5, shard_strategy="component")
+        config = EngineConfig(method="exact", epsilon=0.5, max_shard_nodes=64)
         assert EngineConfig.from_dict(config.to_dict()) == config
         # unknown keys (newer versions) are ignored
         assert EngineConfig.from_dict({"method": "exact", "future_knob": 1})
@@ -267,7 +287,7 @@ class TestShardedEngine:
         pairs = np.column_stack([rng.integers(0, 10, 200), rng.integers(0, 10, 200)])
         whole = build_engine(multi_component, EngineConfig(method="exact"))
         sharded = build_engine(
-            multi_component, EngineConfig(method="exact", shard_strategy="component")
+            multi_component, EngineConfig(method="exact", max_shard_nodes=10)
         )
         a, b = whole.query_pairs(pairs), sharded.query_pairs(pairs)
         finite = np.isfinite(a)
@@ -289,7 +309,7 @@ class TestShardedEngine:
         pairs = np.column_stack([rng.integers(0, n, 300), rng.integers(0, n, 300)])
         truth = build_engine(graph, EngineConfig(method="exact")).query_pairs(pairs)
         sharded = build_engine(
-            graph, EngineConfig(shard_strategy="component")
+            graph, EngineConfig(max_shard_nodes=n)
         ).query_pairs(pairs)
         finite = np.isfinite(truth) & (truth > 0)
         assert np.array_equal(np.isfinite(truth), np.isfinite(sharded))
@@ -297,9 +317,8 @@ class TestShardedEngine:
         assert rel.max() < 2e-2
 
     def test_lazy_builds_only_touched_shards(self, multi_component):
-        engine = build_engine(
-            multi_component, EngineConfig(method="exact", shard_strategy="component",
-                                          lazy_shards=True)
+        engine = PartitionedEngine(
+            multi_component, EngineConfig(method="exact"), lazy=True
         )
         assert engine.shards_built == 0
         assert np.isinf(engine.query(0, 3))  # cross-component: no build
@@ -309,7 +328,7 @@ class TestShardedEngine:
 
     def test_singleton_components_never_build(self, multi_component):
         engine = build_engine(
-            multi_component, EngineConfig(method="exact", shard_strategy="component")
+            multi_component, EngineConfig(method="exact", max_shard_nodes=10)
         )
         assert engine.num_shards == 4
         assert engine.shards_built == 3  # the isolated node builds nothing
@@ -326,8 +345,9 @@ class TestShardedEngine:
         edges = [(3 * i + a, 3 * i + a + 1) for i in range(k) for a in (0, 1)]
         graph = Graph.from_edges(3 * k, edges)
         engine = build_engine(
-            graph, EngineConfig(method="exact", shard_strategy="component")
+            graph, EngineConfig(method="exact", max_shard_nodes=3)
         )
+        assert engine.num_shards == k
         pairs = [(3 * i, 3 * i + 2) for i in range(k)] + [(0, 4)]
         values = engine.query_pairs(pairs)
         assert np.allclose(values[:k], 2.0)  # two unit resistors in series
@@ -421,7 +441,7 @@ class TestServiceEngineIntegration:
     def test_service_serves_sharded_engine(self, multi_component):
         service = ResistanceService(
             multi_component,
-            config=EngineConfig(method="exact", shard_strategy="component"),
+            config=EngineConfig(method="exact", max_shard_nodes=10),
         )
         assert np.isinf(service.query(0, 3))
         assert service.query(0, 1) == pytest.approx(2.0 / 3.0)

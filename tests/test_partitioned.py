@@ -16,15 +16,9 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, build_engine
-from repro.core.partitioned import (
-    PartitionedEngine,
-    ShardPlan,
-    component_plan,
-    make_plan,
-    separator_plan,
-)
+from repro.core.partitioned import PartitionedEngine, separator_plan
 from repro.core.persistence import load_engine
-from repro.graphs.components import largest_component
+from repro.graphs.components import connected_components, largest_component
 from repro.graphs.generators import (
     barabasi_albert_graph,
     grid_2d,
@@ -41,11 +35,6 @@ from repro.partition.interface import (
 )
 from repro.service import ResistanceService
 from repro.service.planner import QueryPlanner
-
-
-SEPARATOR_CONFIG = EngineConfig(
-    method="exact", shard_strategy="separator", max_shard_nodes=120
-)
 
 
 def _sbm_component() -> Graph:
@@ -80,21 +69,32 @@ def _probe_pairs(engine: PartitionedEngine, rng: np.random.Generator,
 # ----------------------------------------------------------------------
 # plan layer
 # ----------------------------------------------------------------------
+def _four_components() -> Graph:
+    """A grid, a BA graph, a path and an isolated node (4 components)."""
+    return Graph.disjoint_union([
+        grid_2d(9, 9, jitter=0.3, seed=1),
+        barabasi_albert_graph(120, 3, seed=2),
+        path_graph(7),
+        Graph(1, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
+    ])
+
+
 class TestShardPlan:
-    def test_component_plan_matches_components(self, two_components):
-        plan = component_plan(two_components)
-        assert plan.strategy == "component"
+    def test_cap_above_every_component_is_one_region_per_component(
+        self, two_components
+    ):
+        plan = separator_plan(two_components, max_shard_nodes=6)
+        labels, _ = connected_components(two_components)
         assert plan.num_shards == 2
+        assert np.array_equal(plan.shard_of, labels)
         assert plan.separator.size == 0
         assert plan.split_components.size == 0
         plan.validate(two_components)
 
-    @pytest.mark.parametrize("method", ["bisection", "kway"])
-    def test_separator_plan_splits_large_component(self, method):
+    def test_separator_plan_splits_large_component(self):
         graph = grid_2d(20, 20)
-        plan = separator_plan(graph, max_shard_nodes=120, method=method)
+        plan = separator_plan(graph, max_shard_nodes=120)
         plan.validate(graph)
-        assert plan.strategy == "separator"
         assert plan.num_shards >= 2
         assert plan.separator.size > 0
         assert np.array_equal(plan.split_components, [0])
@@ -139,25 +139,22 @@ class TestShardPlan:
             plan = separator_plan(graph, max_shard_nodes=2)
             plan.validate(graph)
 
-    def test_make_plan_dispatches_on_config(self, small_grid):
-        comp = make_plan(small_grid, EngineConfig())
-        assert comp.strategy == "component"
-        sep = make_plan(
-            small_grid,
-            EngineConfig(shard_strategy="separator", max_shard_nodes=20),
+    def test_engine_plans_with_its_config_cap(self, small_grid):
+        whole = PartitionedEngine(small_grid, EngineConfig(method="exact"))
+        assert whole.config.max_shard_nodes == small_grid.num_nodes
+        assert whole.num_shards == 1
+        split = PartitionedEngine(
+            small_grid, EngineConfig(method="exact", max_shard_nodes=20)
         )
-        assert sep.strategy == "separator"
-        assert sep.num_shards > 1
+        assert split.num_shards > 1
+        assert np.array_equal(
+            split.plan.shard_of,
+            separator_plan(small_grid, max_shard_nodes=20).shard_of,
+        )
 
     def test_bad_arguments_rejected(self, small_grid):
-        with pytest.raises(ValueError, match="separator method"):
-            separator_plan(small_grid, method="magic")
         with pytest.raises(ValueError, match="max_shard_nodes"):
             separator_plan(small_grid, max_shard_nodes=1)
-        with pytest.raises(ValueError, match="shard_strategy"):
-            EngineConfig(shard_strategy="magic")
-        with pytest.raises(ValueError, match="separator"):
-            EngineConfig(separator="magic")
 
 
 # ----------------------------------------------------------------------
@@ -165,8 +162,7 @@ class TestShardPlan:
 # ----------------------------------------------------------------------
 class TestExactness:
     @pytest.mark.parametrize("graph_name", ["grid", "powerlaw", "sbm"])
-    @pytest.mark.parametrize("method", ["bisection", "kway"])
-    def test_matches_dense_reference(self, graph_name, method):
+    def test_matches_dense_reference(self, graph_name):
         graph = {
             "grid": lambda: grid_2d(16, 16, jitter=0.4, seed=1),
             "powerlaw": lambda: barabasi_albert_graph(
@@ -177,9 +173,7 @@ class TestExactness:
         engine = build_engine(
             graph,
             EngineConfig(
-                method="exact", shard_strategy="separator",
-                max_shard_nodes=max(40, graph.num_nodes // 5),
-                separator=method,
+                method="exact", max_shard_nodes=max(40, graph.num_nodes // 5)
             ),
         )
         assert isinstance(engine, PartitionedEngine)
@@ -209,9 +203,7 @@ class TestExactness:
         )
         engine = build_engine(
             graph,
-            EngineConfig(
-                method="exact", shard_strategy="separator", max_shard_nodes=60
-            ),
+            EngineConfig(method="exact", max_shard_nodes=60),
         )
         assert engine.plan.split_components.size >= 2
         rng = np.random.default_rng(3)
@@ -230,8 +222,7 @@ class TestExactness:
         sharded = build_engine(
             graph,
             EngineConfig(
-                epsilon=epsilon, drop_tol=1e-6,
-                shard_strategy="separator", max_shard_nodes=150,
+                epsilon=epsilon, drop_tol=1e-6, max_shard_nodes=150,
             ),
         )
         monolithic = build_engine(
@@ -249,13 +240,40 @@ class TestExactness:
         assert err_sharded.max() <= max(10 * err_mono.max(), 10 * epsilon)
         assert err_sharded.max() < 0.01
 
-    def test_component_strategy_shards_per_component(self, two_components):
-        engine = build_engine(
-            two_components, EngineConfig(shard_strategy="component")
-        )
-        assert isinstance(engine, PartitionedEngine)
-        assert engine.plan.strategy == "component"
-        assert engine.num_shards == 2
+    @pytest.mark.parametrize("method", ["cholinv", "exact"])
+    def test_component_sharding_is_a_cap_no_component_exceeds(self, method):
+        # per-component sharding is the cap at or above the largest
+        # component: every such cap gives the same plan, and each region
+        # answers byte for byte as an engine built on its component alone
+        graph = _four_components()
+        labels, count = connected_components(graph)
+        largest = int(np.bincount(labels).max())
+        rng = np.random.default_rng(8)
+        pairs = rng.integers(0, graph.num_nodes, size=(600, 2))
+        answers = []
+        for cap in (largest, largest + 1, graph.num_nodes, 10**9):
+            engine = build_engine(
+                graph, EngineConfig(method=method, max_shard_nodes=cap)
+            )
+            assert isinstance(engine, PartitionedEngine)
+            assert engine.num_shards == count == 4
+            assert np.array_equal(engine.plan.shard_of, labels)
+            assert engine.plan.separator.size == 0
+            answers.append(engine.query_pairs(pairs))
+        for other in answers[1:]:
+            assert answers[0].tobytes() == other.tobytes()
+        expected = np.full(len(pairs), np.inf)
+        for comp in range(count - 1):  # the isolated node answers only 0
+            members = np.flatnonzero(labels == comp)
+            sub, _ = graph.subgraph(members)
+            inside = np.isin(pairs[:, 0], members) & np.isin(pairs[:, 1], members)
+            local = np.searchsorted(members, pairs[inside])
+            expected[inside] = build_engine(
+                sub, EngineConfig(method=method)
+            ).query_pairs(local)
+        expected[pairs[:, 0] == pairs[:, 1]] = 0.0
+        assert answers[0].tobytes() == expected.tobytes()
+
 
 
 # ----------------------------------------------------------------------
@@ -264,11 +282,9 @@ class TestExactness:
 class TestLazyAndConcurrency:
     def test_lazy_matches_eager_bit_identical(self):
         graph = grid_2d(14, 14, jitter=0.2, seed=2)
-        config = EngineConfig(
-            shard_strategy="separator", max_shard_nodes=70, lazy_shards=True
-        )
-        lazy = build_engine(graph, config)
-        eager = build_engine(graph, config.replace(lazy_shards=False))
+        config = EngineConfig(max_shard_nodes=70)
+        lazy = PartitionedEngine(graph, config, lazy=True)
+        eager = build_engine(graph, config)
         assert lazy.shards_built == 0
         rng = np.random.default_rng(5)
         pairs = _probe_pairs(lazy, rng, count=200)
@@ -277,12 +293,9 @@ class TestLazyAndConcurrency:
 
     def test_concurrent_cold_queries_agree(self):
         graph = barabasi_albert_graph(250, 3, seed=9)
-        config = EngineConfig(
-            method="exact", shard_strategy="separator",
-            max_shard_nodes=60, lazy_shards=True,
-        )
-        engine = build_engine(graph, config)
-        expected = build_engine(graph, config.replace(lazy_shards=False))
+        config = EngineConfig(method="exact", max_shard_nodes=60)
+        engine = PartitionedEngine(graph, config, lazy=True)
+        expected = build_engine(graph, config)
         rng = np.random.default_rng(11)
         batches = [_probe_pairs(engine, rng, count=80) for _ in range(8)]
         results = [None] * len(batches)
@@ -308,16 +321,14 @@ class TestLazyAndConcurrency:
 
     def test_warm_up_workers_bit_identical(self):
         graph = grid_2d(16, 16, jitter=0.2, seed=3)
-        config = EngineConfig(
-            shard_strategy="separator", max_shard_nodes=80, lazy_shards=True
-        )
+        config = EngineConfig(max_shard_nodes=80)
         rng = np.random.default_rng(2)
-        baseline_engine = build_engine(graph, config)
+        baseline_engine = PartitionedEngine(graph, config, lazy=True)
         baseline_engine.warm_up(workers=1)
         pairs = _probe_pairs(baseline_engine, rng)
         baseline = baseline_engine.query_pairs(pairs)
         for workers in (2, 4):
-            engine = build_engine(graph, config)
+            engine = PartitionedEngine(graph, config, lazy=True)
             built = engine.warm_up(workers=workers)
             assert built == engine.num_shards
             assert np.array_equal(engine.query_pairs(pairs), baseline)
@@ -329,12 +340,8 @@ class TestLazyAndConcurrency:
 class TestPartitionedPersistence:
     def _engine(self, lazy: bool = False) -> PartitionedEngine:
         graph = grid_2d(14, 14, jitter=0.3, seed=8)
-        return build_engine(
-            graph,
-            EngineConfig(
-                epsilon=1e-3, shard_strategy="separator",
-                max_shard_nodes=70, lazy_shards=lazy,
-            ),
+        return PartitionedEngine(
+            graph, EngineConfig(epsilon=1e-3, max_shard_nodes=70), lazy=lazy
         )
 
     def test_round_trip_bit_identical(self, tmp_path):
@@ -342,7 +349,8 @@ class TestPartitionedPersistence:
         path = engine.save(tmp_path / "partitioned.npz")
         restored = load_engine(path)
         assert isinstance(restored, PartitionedEngine)
-        assert restored.plan.strategy == "separator"
+        assert restored.config == engine.config
+        assert restored.plan.separator.size > 0
         assert np.array_equal(restored.plan.shard_of, engine.plan.shard_of)
         rng = np.random.default_rng(4)
         pairs = _probe_pairs(engine, rng)
@@ -383,9 +391,7 @@ class TestPartitionedPersistence:
         graph = grid_2d(10, 10)
         engine = build_engine(
             graph,
-            EngineConfig(
-                method="exact", shard_strategy="separator", max_shard_nodes=40
-            ),
+            EngineConfig(method="exact", max_shard_nodes=40),
         )
         with pytest.raises(NotImplementedError, match="persistence"):
             engine.save(tmp_path / "nope.npz")
@@ -408,80 +414,151 @@ class TestPartitionedPersistence:
         )
 
 
-def _as_v3_archive(path, tmp_path):
-    """Rewrite a fresh archive in the v3 layout: a ``sharded`` flag next to
-    ``shard_strategy`` in the config, the region config as its own member
-    for partitioned engines, and ``format_version=3``."""
+def _as_legacy_archive(path, tmp_path, version: int, sharding: dict):
+    """Rewrite a fresh archive in the v3 or v4 layout.
+
+    ``sharding`` holds the old config's sharding fields
+    (``shard_strategy``, ``max_shard_nodes``, ``separator``,
+    ``lazy_shards``).  v3 also spelled the choice as a ``sharded`` flag,
+    with ``shard_strategy="component"`` for an unsharded engine, and kept
+    the region config as its own member; both versions stored the plan's
+    strategy as ``plan_strategy``.
+    """
     data = dict(np.load(path, allow_pickle=False))
 
-    def v3_json(config: EngineConfig) -> np.ndarray:
+    def legacy_json(config: EngineConfig, sharding: dict) -> np.ndarray:
         fields = config.to_dict()
-        strategy = fields["shard_strategy"]
-        fields["sharded"] = strategy != "none"
-        fields["shard_strategy"] = "component" if strategy == "none" else strategy
+        del fields["max_shard_nodes"]
+        fields.update(sharding)
+        if version <= 3:
+            strategy = fields["shard_strategy"]
+            fields["sharded"] = strategy != "none"
+            if strategy == "none":
+                fields["shard_strategy"] = "component"
         return np.asarray(json.dumps(fields))
 
     config = EngineConfig.from_dict(json.loads(str(data["config_json"])))
-    data["config_json"] = v3_json(config)
+    data["config_json"] = legacy_json(config, sharding)
     if str(data["kind"]) == "partitioned":
-        data["shard_config_json"] = v3_json(
-            config.replace(shard_strategy="none", lazy_shards=False)
-        )
-    data["format_version"] = np.int64(3)
-    legacy = tmp_path / "v3.npz"
+        data["plan_strategy"] = np.asarray(sharding["shard_strategy"])
+        if version <= 3:
+            data["shard_config_json"] = legacy_json(
+                config.replace(max_shard_nodes=None),
+                dict(sharding, shard_strategy="none", lazy_shards=False),
+            )
+    data["format_version"] = np.int64(version)
+    legacy = tmp_path / f"v{version}.npz"
     np.savez(legacy, **data)
     return legacy
 
 
+def _legacy_sharding(strategy="none", cap=None, separator="bisection", lazy=False):
+    return {
+        "shard_strategy": strategy,
+        "max_shard_nodes": cap,
+        "separator": separator,
+        "lazy_shards": lazy,
+    }
+
+
 def _legacy_case(kind: str):
-    """(engine, its graph, the strategy a v3 copy must load with)."""
+    """(engine, its old sharding fields, the ``max_shard_nodes`` an old
+    copy must load with)."""
+    grid = grid_2d(14, 14, jitter=0.3, seed=8)
     if kind == "cholinv":
         graph = grid_2d(8, 8, jitter=0.3, seed=2)
-        return build_engine(graph, EngineConfig(epsilon=1e-3)), graph, "none"
+        return build_engine(graph, EngineConfig(epsilon=1e-3)), _legacy_sharding(), None
+    if kind == "landmark":
+        graph = grid_2d(8, 8, jitter=0.3, seed=2)
+        config = EngineConfig(method="landmark", num_landmarks=4, seed=0)
+        return build_engine(graph, config), _legacy_sharding(), None
     if kind == "component":
         graph = Graph.disjoint_union(
             [grid_2d(6, 6, jitter=0.3, seed=3), grid_2d(5, 7, jitter=0.3, seed=4)]
         )
-        config = EngineConfig(epsilon=1e-3, shard_strategy="component")
-        return build_engine(graph, config), graph, "component"
-    if kind == "separator":
-        graph = grid_2d(14, 14, jitter=0.3, seed=8)
-        config = EngineConfig(
-            epsilon=1e-3, shard_strategy="separator", max_shard_nodes=70
-        )
-        return build_engine(graph, config), graph, "separator"
-    graph = grid_2d(8, 8, jitter=0.3, seed=2)
-    config = EngineConfig(method="landmark", num_landmarks=4, seed=0)
-    return build_engine(graph, config), graph, "none"
+        engine = build_engine(graph, EngineConfig(epsilon=1e-3, max_shard_nodes=71))
+        return engine, _legacy_sharding("component"), 71
+    if kind == "separator-auto":
+        # no stored cap: the old automatic max(512, ceil(n / 4))
+        engine = build_engine(grid, EngineConfig(epsilon=1e-3, max_shard_nodes=70))
+        return engine, _legacy_sharding("separator"), 512
+    engine = PartitionedEngine(
+        grid, EngineConfig(epsilon=1e-3, max_shard_nodes=70), lazy=kind == "lazy"
+    )
+    if kind == "lazy":
+        # half warm: one region built, the rest saved cold
+        members = engine.plan.members(0)
+        engine.query_pairs(np.column_stack([members[:10], members[-10:]]))
+        assert 0 < engine.shards_built < engine.num_shards
+        return engine, _legacy_sharding("separator", 70, lazy=True), 70
+    method = "kway" if kind == "separator-kway" else "bisection"
+    return engine, _legacy_sharding("separator", 70, method), 70
+
+
+LEGACY_KINDS = [
+    "cholinv", "landmark", "component", "separator", "separator-kway",
+    "separator-auto", "lazy",
+]
 
 
 class TestLegacyArchives:
-    """v3 archives spelled the sharding choice as ``sharded`` +
-    ``shard_strategy``; they load onto the single ``shard_strategy``."""
+    """v3 and v4 archives spelled the sharding choice as ``shard_strategy``
+    (v3 also as ``sharded``), ``separator`` and ``lazy_shards``; they load
+    onto the single ``max_shard_nodes`` and answer from the saved plan."""
 
-    @pytest.mark.parametrize(
-        "kind", ["cholinv", "component", "separator", "landmark"]
-    )
-    def test_v3_archive_loads_with_its_strategy(self, tmp_path, kind):
-        engine, graph, strategy = _legacy_case(kind)
-        legacy = _as_v3_archive(engine.save(tmp_path / "fresh.npz"), tmp_path)
-        restored = load_engine(legacy)
-        assert type(restored) is type(engine)
-        assert restored.config.shard_strategy == strategy
-        rng = np.random.default_rng(5)
-        pairs = rng.integers(0, graph.num_nodes, size=(300, 2))
-        assert np.array_equal(
-            restored.query_pairs(pairs), engine.query_pairs(pairs)
+    @pytest.mark.parametrize("version", [3, 4])
+    @pytest.mark.parametrize("kind", LEGACY_KINDS)
+    def test_archive_loads_with_its_cap(self, tmp_path, kind, version):
+        engine, sharding, cap = _legacy_case(kind)
+        graph = engine.graph
+        legacy = _as_legacy_archive(
+            engine.save(tmp_path / "fresh.npz"), tmp_path, version, sharding
         )
-        if isinstance(engine, PartitionedEngine):
-            # the region config is derived, not read from the old member
-            assert restored._shard_config == engine._shard_config
-            assert restored._shard_config.shard_strategy == "none"
-            assert restored.shards_built == engine.shards_built
+        for restored in (load_engine(legacy), load_engine(legacy, mmap=True)):
+            assert type(restored) is type(engine)
+            assert restored.config.max_shard_nodes == cap
+            rng = np.random.default_rng(5)
+            pairs = rng.integers(0, graph.num_nodes, size=(300, 2))
+            assert (
+                restored.query_pairs(pairs).tobytes()
+                == engine.query_pairs(pairs).tobytes()
+            )
+            if isinstance(engine, PartitionedEngine):
+                # the plan is the saved one, the region config is derived
+                assert np.array_equal(restored.plan.shard_of, engine.plan.shard_of)
+                assert restored._shard_config == engine._shard_config
+                assert restored._shard_config.max_shard_nodes is None
+
+    def test_half_warm_archive_stays_half_warm(self, tmp_path):
+        engine, sharding, _ = _legacy_case("lazy")
+        built = engine.shards_built
+        legacy = _as_legacy_archive(
+            engine.save(tmp_path / "fresh.npz"), tmp_path, 4, sharding
+        )
+        restored = load_engine(legacy)
+        assert restored.lazy
+        assert restored.shards_built == built
+
+    def test_kway_archive_refresh_replans_with_bisection(self, tmp_path):
+        engine, sharding, cap = _legacy_case("separator-kway")
+        legacy = _as_legacy_archive(
+            engine.save(tmp_path / "fresh.npz"), tmp_path, 4, sharding
+        )
+        service = ResistanceService.from_saved(legacy)
+        graph = engine.graph
+        edited = graph.with_weights(graph.weights * 1.5)
+        service.refresh_after_edge_update(edited)
+        cold = build_engine(edited, EngineConfig(epsilon=1e-3, max_shard_nodes=cap))
+        assert np.array_equal(service.engine.plan.shard_of, cold.plan.shard_of)
+        pairs = edited.edge_array()
+        assert np.array_equal(service.query_pairs(pairs), cold.query_pairs(pairs))
 
     def test_v3_cholinv_archive_still_refreshes_on_its_ordering(self, tmp_path):
-        engine, graph, _ = _legacy_case("cholinv")
-        legacy = _as_v3_archive(engine.save(tmp_path / "fresh.npz"), tmp_path)
+        engine, sharding, _ = _legacy_case("cholinv")
+        graph = engine.graph
+        legacy = _as_legacy_archive(
+            engine.save(tmp_path / "fresh.npz"), tmp_path, 3, sharding
+        )
         service = ResistanceService.from_saved(legacy)
         edited = graph.with_weights(graph.weights * 1.5)
         stats = service.refresh_after_edge_update(edited)
@@ -490,11 +567,24 @@ class TestLegacyArchives:
         pairs = edited.edge_array()
         assert np.array_equal(service.query_pairs(pairs), cold.query_pairs(pairs))
 
-    def test_current_archives_carry_no_region_config(self, tmp_path):
+    def test_unknown_legacy_strategy_is_refused(self, tmp_path):
+        engine, _, _ = _legacy_case("cholinv")
+        legacy = _as_legacy_archive(
+            engine.save(tmp_path / "fresh.npz"), tmp_path, 4,
+            _legacy_sharding("magic"),
+        )
+        with pytest.raises(ValueError, match="shard_strategy 'magic'"):
+            load_engine(legacy)
+
+    def test_current_archives_carry_no_strategy(self, tmp_path):
         engine, _, _ = _legacy_case("separator")
         with np.load(engine.save(tmp_path / "fresh.npz")) as data:
-            assert int(data["format_version"]) == 4
+            assert int(data["format_version"]) == 5
             assert "shard_config_json" not in data
+            assert "plan_strategy" not in data
+            config = json.loads(str(data["config_json"]))
+        assert config["max_shard_nodes"] == 70
+        assert not {"shard_strategy", "separator", "lazy_shards"} & set(config)
 
 
 # ----------------------------------------------------------------------
@@ -505,9 +595,7 @@ class TestPlannerRouting:
         graph = grid_2d(14, 14, jitter=0.2, seed=1)
         engine = build_engine(
             graph,
-            EngineConfig(
-                method="exact", shard_strategy="separator", max_shard_nodes=70
-            ),
+            EngineConfig(method="exact", max_shard_nodes=70),
         )
         rng = np.random.default_rng(7)
         pairs = _probe_pairs(engine, rng)
@@ -528,9 +616,7 @@ class TestPlannerRouting:
         graph = grid_2d(10, 10)
         engine = build_engine(
             graph,
-            EngineConfig(
-                method="exact", shard_strategy="separator", max_shard_nodes=40
-            ),
+            EngineConfig(method="exact", max_shard_nodes=40),
         )
         sep = engine.plan.separator
         ps = np.array([int(sep[0])])
@@ -598,12 +684,10 @@ class TestDiagnostics:
         graph = grid_2d(12, 12)
         engine = build_engine(
             graph,
-            EngineConfig(
-                method="exact", shard_strategy="separator", max_shard_nodes=50
-            ),
+            EngineConfig(method="exact", max_shard_nodes=50),
         )
         report = engine.partition_report()
-        assert report["strategy"] == "separator"
+        assert report["max_shard_nodes"] == 50
         assert report["num_shards"] == engine.num_shards
         assert report["separator_size"] == engine.plan.separator.size
         assert report["split_components"] == [0]

@@ -208,7 +208,7 @@ class TestColdRefresh:
     def test_sharded_config_takes_cold_build(self):
         graph = _disconnected()
         engine = build_engine(graph, EngineConfig())
-        config = engine.config.replace(shard_strategy="component")
+        config = engine.config.replace(max_shard_nodes=graph.num_nodes)
         rebuilt = engine.rebuilt(_reweighted(graph, 15), config)
         assert not rebuilt.reused_ordering
         assert type(rebuilt) is type(build_engine(graph, config))
@@ -345,9 +345,8 @@ class TestPersistedFactorChecks:
     @pytest.mark.parametrize("mmap", [False, True])
     @pytest.mark.parametrize("corruption", ["indptr-decreases", "indices-too-large", "data-nan"])
     def test_partitioned_shard_z_structure(self, tmp_path, corruption, mmap):
-        config = EngineConfig(shard_strategy="separator", max_shard_nodes=60)
-        engine = build_engine(_grid(), config)
-        engine.query_pairs([(0, 143)])  # builds shards lazily
+        engine = build_engine(_grid(), EngineConfig(max_shard_nodes=60))
+        engine.query_pairs([(0, 143)])
         path = engine.save(tmp_path / "parts.npz")
         with np.load(path) as data:
             members = {name: data[name] for name in data.files}
@@ -358,7 +357,7 @@ class TestPersistedFactorChecks:
             load_engine(path, mmap=mmap)
 
     def test_partitioned_shard_perm(self, tmp_path):
-        config = EngineConfig(shard_strategy="separator", max_shard_nodes=60)
+        config = EngineConfig(max_shard_nodes=60)
         path = build_engine(_grid(), config).save(tmp_path / "parts.npz")
         with np.load(path) as data:
             members = {name: data[name] for name in data.files}

@@ -336,12 +336,13 @@ def test_tier_without_error_bounds_is_rejected(grid):
     assert service._router is None
 
 
-@pytest.mark.parametrize("strategy", ["component", "separator"])
-def test_sharded_service_rejects_tiers_naming_the_strategy(grid, strategy):
+@pytest.mark.parametrize("sharding", ["component", "separator"])
+def test_sharded_service_rejects_tiers_naming_the_cap(grid, sharding):
     # the tier would be a sharded composite without error bounds; the
     # message must point at the sharding, not at the tier
-    service = ResistanceService(grid, config=EngineConfig(shard_strategy=strategy))
-    with pytest.raises(ValueError, match=f"shard_strategy='{strategy}'"):
+    cap = grid.num_nodes if sharding == "component" else grid.num_nodes // 4
+    service = ResistanceService(grid, config=EngineConfig(max_shard_nodes=cap))
+    with pytest.raises(ValueError, match=f"max_shard_nodes={cap};"):
         service.enable_tiers(tiers=("landmark",))
     assert service._router is None
 

@@ -27,7 +27,7 @@ def multi_component() -> Graph:
 @pytest.fixture
 def front(multi_component):
     service = ResistanceService(
-        multi_component, config=EngineConfig(shard_strategy="component")
+        multi_component, config=EngineConfig(max_shard_nodes=multi_component.num_nodes)
     )
     with AsyncResistanceService(service, batch_window=0.003) as front:
         yield front
@@ -47,7 +47,7 @@ class TestSubmit:
 
     def test_burst_coalesces(self, multi_component):
         service = ResistanceService(
-            multi_component, config=EngineConfig(shard_strategy="component")
+            multi_component, config=EngineConfig(max_shard_nodes=multi_component.num_nodes)
         )
         with AsyncResistanceService(service, batch_window=0.05) as front:
             futures = [front.submit([(0, i)]) for i in range(1, 11)]
@@ -146,7 +146,7 @@ class TestLifecycle:
             multi_component,
             workers=2,
             batch_window=0.001,
-            config=EngineConfig(shard_strategy="component"),
+            config=EngineConfig(max_shard_nodes=multi_component.num_nodes),
         ) as front:
             assert isinstance(front.service.executor, ThreadedExecutor)
             value = front.submit([(0, 5)]).result(timeout=10)

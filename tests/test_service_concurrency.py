@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, build_engine
+from repro.core.partitioned import PartitionedEngine
 from repro.graphs.generators import grid_2d
 from repro.graphs.graph import Graph
 from repro.service import ResistanceService, ThreadedExecutor
@@ -73,7 +74,7 @@ def _hammer(service, graph, reference, pairs, threads, reps):
 @pytest.mark.parametrize("executor", [None, ThreadedExecutor(3)])
 def test_hammer_mixed_traffic_bit_identical(multi_component, executor):
     threads, reps = 6, 8
-    config = EngineConfig(shard_strategy="component")
+    config = EngineConfig(max_shard_nodes=multi_component.num_nodes)
     service = ResistanceService(
         multi_component, config=config, executor=executor
     )
@@ -127,14 +128,11 @@ def test_hammer_tiny_result_table_never_crosses_pairs(multi_component, capacity)
 
 
 def test_lazy_shards_build_once_under_concurrency(multi_component):
-    engine = build_engine(
-        multi_component,
-        EngineConfig(shard_strategy="component", lazy_shards=True),
-    )
+    engine = PartitionedEngine(multi_component, EngineConfig(), lazy=True)
     assert engine.shards_built == 0
     pairs = np.array([(0, 5), (30, 31), (60, 61)])
     expected = build_engine(
-        multi_component, EngineConfig(shard_strategy="component")
+        multi_component, EngineConfig(max_shard_nodes=multi_component.num_nodes)
     ).query_pairs(pairs)
     results = [None] * 8
     barrier = threading.Barrier(8)

@@ -45,7 +45,7 @@ def mixed_pairs(multi_component) -> np.ndarray:
 class TestQueryPlanner:
     def test_structural_resolution(self, multi_component, mixed_pairs):
         engine = build_engine(
-            multi_component, EngineConfig(shard_strategy="component")
+            multi_component, EngineConfig(max_shard_nodes=multi_component.num_nodes)
         )
         plan = QueryPlanner(engine).plan(mixed_pairs)
         labels = engine.component_labels
@@ -60,7 +60,7 @@ class TestQueryPlanner:
 
     def test_duplicates_collapse(self, multi_component):
         engine = build_engine(
-            multi_component, EngineConfig(shard_strategy="component")
+            multi_component, EngineConfig(max_shard_nodes=multi_component.num_nodes)
         )
         pairs = [(0, 5), (5, 0), (0, 5), (1, 2)]
         plan = QueryPlanner(engine).plan(pairs)
@@ -69,7 +69,7 @@ class TestQueryPlanner:
 
     def test_subbatches_grouped_per_shard(self, multi_component, mixed_pairs):
         engine = build_engine(
-            multi_component, EngineConfig(shard_strategy="component")
+            multi_component, EngineConfig(max_shard_nodes=multi_component.num_nodes)
         )
         plan = QueryPlanner(engine).plan(mixed_pairs)
         subbatches = plan.build_subbatches()
@@ -112,7 +112,7 @@ class TestQueryPlanner:
 
     def test_gather_matches_direct_engine(self, multi_component, mixed_pairs):
         engine = build_engine(
-            multi_component, EngineConfig(shard_strategy="component")
+            multi_component, EngineConfig(max_shard_nodes=multi_component.num_nodes)
         )
         plan = QueryPlanner(engine).plan(mixed_pairs)
         for subbatch in plan.build_subbatches():
@@ -153,7 +153,7 @@ class TestExecutors:
 class TestParallelService:
     def test_threaded_results_bit_identical(self, multi_component, mixed_pairs):
         engine = build_engine(
-            multi_component, EngineConfig(shard_strategy="component")
+            multi_component, EngineConfig(max_shard_nodes=multi_component.num_nodes)
         )
         serial = ResistanceService.from_engine(engine)
         parallel = ResistanceService.from_engine(
@@ -168,7 +168,7 @@ class TestParallelService:
 
     def test_report_accounting(self, multi_component, mixed_pairs):
         service = ResistanceService(
-            multi_component, config=EngineConfig(shard_strategy="component")
+            multi_component, config=EngineConfig(max_shard_nodes=multi_component.num_nodes)
         )
         _, cold = service.query_pairs_with_report(mixed_pairs)
         assert cold.num_queries == mixed_pairs.shape[0]
@@ -202,7 +202,7 @@ class TestParallelService:
 
 class TestShardedSubBatchAPI:
     def test_query_shard_matches_query_pairs(self, multi_component):
-        engine = PartitionedEngine(multi_component, EngineConfig(lazy_shards=True))
+        engine = PartitionedEngine(multi_component, EngineConfig(), lazy=True)
         pairs = np.array([(0, 5), (1, 7), (40, 41)])
         full = engine.query_pairs(pairs)
         ps, qs = pairs[:, 0], pairs[:, 1]
