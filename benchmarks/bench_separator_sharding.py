@@ -89,7 +89,7 @@ def main(argv=None) -> int:
                              "separator algebra, dominates the deviation)")
     parser.add_argument("--max-shard-nodes", dest="max_shard_nodes",
                         type=int, default=None,
-                        help="region size cap (default: ceil(nodes / 4))")
+                        help="region size cap (default: max(512, ceil(nodes / 4)))")
     parser.add_argument("--probes", type=int, default=2048,
                         help="random query pairs (half forced cross-region)")
     parser.add_argument("--seed", type=int, default=0)
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
 
     graph = grid_2d(args.side, args.side, jitter=0.3, seed=args.seed)
     if args.max_shard_nodes is None:
-        args.max_shard_nodes = -(-graph.num_nodes // 4)
+        args.max_shard_nodes = max(512, -(-graph.num_nodes // 4))
     rng = np.random.default_rng(args.seed + 23)
     probe = rng.integers(0, graph.num_nodes, size=(args.probes, 2))
 

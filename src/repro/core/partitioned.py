@@ -284,8 +284,8 @@ class PartitionedEngine(ResistanceEngine):
         Weighted undirected graph (any number of components).
     config:
         Config of the *base* engine each region builds (``method`` plus
-        its tunables) and of the plan (``max_shard_nodes``; ``None`` means
-        a cap no component exceeds, one region per component here).
+        its tunables) and of the plan (``max_shard_nodes``, which must be
+        set; a cap no component exceeds is one region per component).
         Every region builds with ``config.replace(max_shard_nodes=None)``.
     lazy:
         Defer region builds to first use (the persistence restore path
@@ -307,17 +307,18 @@ class PartitionedEngine(ResistanceEngine):
     def __init__(
         self,
         graph: Graph,
-        config: "EngineConfig | None" = None,
+        config: EngineConfig,
         lazy: bool = False,
         plan: "ShardPlan | None" = None,
     ):
-        if config is None:
-            config = EngineConfig()
+        require(
+            config.max_shard_nodes is not None,
+            "PartitionedEngine needs a max_shard_nodes cap "
+            "(None is an unsharded engine: use build_engine)",
+        )
         self.graph = graph
         self.n = graph.num_nodes
         self.timer = Timer()
-        if config.max_shard_nodes is None:
-            config = config.replace(max_shard_nodes=max(2, graph.num_nodes))
         self.config = config
         self._shard_config = config.replace(max_shard_nodes=None)
         self.lazy = bool(lazy)

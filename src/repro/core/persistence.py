@@ -364,10 +364,13 @@ def _saved_config(data, version: int) -> EngineConfig:
     ``"component"`` default was an unsharded engine.  The strategy maps
     onto ``max_shard_nodes``: ``"none"`` is ``None``, ``"component"`` is
     the graph's node count (a cap no component exceeds) and
-    ``"separator"`` keeps its stored cap, or the old automatic
-    ``max(512, ceil(n / 4))`` if it stored none.  The stored
-    ``separator`` and ``lazy_shards`` are ignored: a loaded engine
-    answers from its saved plan, so only a refresh plans again.
+    ``"separator"`` keeps its stored cap, or ``max(512, ceil(n / 4))``
+    over the whole graph if it stored none.  The stored ``separator``
+    and ``lazy_shards`` are ignored: a loaded engine answers from its
+    saved plan, so only a refresh plans again.  The old automatic cap
+    was ``max(512, ceil(size / 4))`` per component, so a refresh of a
+    multi-component archive without a stored cap may plan coarser
+    regions (and answer differently) than the old code would have.
     """
     fields = json.loads(str(data["config_json"]))
     if version <= 4:

@@ -42,7 +42,8 @@ from repro.service import ResistanceService
 # structural answers stable on tiny graphs; the landmark tier gets a seed
 # (determinism) and a landmark count sized for the tiny fixture.  The
 # sharded composites cap shards at the fixture's 10 nodes, which no
-# component exceeds: one shard per component.
+# component exceeds: one shard per component.  The LAZY ones start with
+# no shard built, the way every restored partitioned archive does.
 CONFIGS = {
     "cholinv": EngineConfig(),
     "exact": EngineConfig(method="exact"),
@@ -54,6 +55,7 @@ CONFIGS = {
     "sharded-cholinv": EngineConfig(max_shard_nodes=10),
     "sharded-exact": EngineConfig(method="exact", max_shard_nodes=10),
 }
+LAZY = {"sharded-exact"}
 
 
 @pytest.fixture
@@ -71,7 +73,12 @@ def test_every_registered_engine_has_a_conformance_config():
 
 @pytest.fixture(params=sorted(CONFIGS), name="engine")
 def engine_fixture(request, multi_component) -> ResistanceEngine:
-    return build_engine(multi_component, CONFIGS[request.param])
+    config = CONFIGS[request.param]
+    if request.param in LAZY:
+        engine = PartitionedEngine(multi_component, config, lazy=True)
+        assert engine.shards_built == 0
+        return engine
+    return build_engine(multi_component, config)
 
 
 class TestProtocolConformance:
@@ -318,7 +325,9 @@ class TestShardedEngine:
 
     def test_lazy_builds_only_touched_shards(self, multi_component):
         engine = PartitionedEngine(
-            multi_component, EngineConfig(method="exact"), lazy=True
+            multi_component,
+            EngineConfig(method="exact", max_shard_nodes=10),
+            lazy=True,
         )
         assert engine.shards_built == 0
         assert np.isinf(engine.query(0, 3))  # cross-component: no build
@@ -335,7 +344,9 @@ class TestShardedEngine:
         assert engine.query(9, 9) == 0.0
 
     def test_shard_sizes(self, multi_component):
-        engine = PartitionedEngine(multi_component, EngineConfig(method="exact"))
+        engine = PartitionedEngine(
+            multi_component, EngineConfig(method="exact", max_shard_nodes=10)
+        )
         assert sorted(engine.shard_sizes().tolist()) == [1, 3, 3, 3]
 
     def test_many_shards_one_pair_each(self):

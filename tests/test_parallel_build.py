@@ -170,8 +170,9 @@ def _probe_pairs(graph: Graph, seed: int = 9) -> np.ndarray:
 class TestShardedParallelBuild:
     def test_eager_parallel_build_matches_serial(self):
         graph = _multi_component()
-        serial = PartitionedEngine(graph, EngineConfig(build_workers=1))
-        parallel = PartitionedEngine(graph, EngineConfig(build_workers=4))
+        config = EngineConfig(max_shard_nodes=graph.num_nodes)
+        serial = PartitionedEngine(graph, config.replace(build_workers=1))
+        parallel = PartitionedEngine(graph, config.replace(build_workers=4))
         assert parallel.shards_built == serial.shards_built == 6
         pairs = _probe_pairs(graph)
         assert np.array_equal(serial.query_pairs(pairs), parallel.query_pairs(pairs))
@@ -180,7 +181,8 @@ class TestShardedParallelBuild:
 
     def test_warm_up_builds_pending_shards(self):
         graph = _multi_component()
-        lazy = PartitionedEngine(graph, EngineConfig(build_workers=3), lazy=True)
+        config = EngineConfig(build_workers=3, max_shard_nodes=graph.num_nodes)
+        lazy = PartitionedEngine(graph, config, lazy=True)
         assert lazy.shards_built == 0
         with pytest.raises(ValueError):
             lazy.warm_up(workers=0)
@@ -192,7 +194,7 @@ class TestShardedParallelBuild:
 
     def test_warm_up_skips_singletons(self):
         graph = Graph.from_edges(5, [(0, 1), (1, 2)])  # nodes 3, 4 isolated
-        lazy = PartitionedEngine(graph, EngineConfig(), lazy=True)
+        lazy = PartitionedEngine(graph, EngineConfig(max_shard_nodes=5), lazy=True)
         assert lazy.warm_up(workers=2) == 1
         assert lazy.shards_built == 1
         assert lazy.query(3, 4) == float("inf")
@@ -201,7 +203,9 @@ class TestShardedParallelBuild:
     def test_warm_up_query_thread_hammer(self, monkeypatch):
         """Concurrent warm_up + queries: correct answers, one build per shard."""
         graph = _multi_component(components=8, side=6)
-        reference = PartitionedEngine(graph, EngineConfig())
+        reference = PartitionedEngine(
+            graph, EngineConfig(max_shard_nodes=graph.num_nodes)
+        )
         pairs = _probe_pairs(graph)
         expected = reference.query_pairs(pairs)
 
@@ -220,7 +224,8 @@ class TestShardedParallelBuild:
             return real_subgraph(self, nodes, *args, **kwargs)
 
         monkeypatch.setattr(Graph, "subgraph", counting_subgraph)
-        lazy = PartitionedEngine(graph, EngineConfig(build_workers=2), lazy=True)
+        config = EngineConfig(build_workers=2, max_shard_nodes=graph.num_nodes)
+        lazy = PartitionedEngine(graph, config, lazy=True)
 
         results: "list[np.ndarray | None]" = [None] * 8
         errors: "list[BaseException]" = []

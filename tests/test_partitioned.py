@@ -140,8 +140,12 @@ class TestShardPlan:
             plan.validate(graph)
 
     def test_engine_plans_with_its_config_cap(self, small_grid):
-        whole = PartitionedEngine(small_grid, EngineConfig(method="exact"))
-        assert whole.config.max_shard_nodes == small_grid.num_nodes
+        with pytest.raises(ValueError, match="max_shard_nodes"):
+            PartitionedEngine(small_grid, EngineConfig(method="exact"))
+        whole = PartitionedEngine(
+            small_grid,
+            EngineConfig(method="exact", max_shard_nodes=small_grid.num_nodes),
+        )
         assert whole.num_shards == 1
         split = PartitionedEngine(
             small_grid, EngineConfig(method="exact", max_shard_nodes=20)
@@ -514,9 +518,13 @@ class TestLegacyArchives:
         legacy = _as_legacy_archive(
             engine.save(tmp_path / "fresh.npz"), tmp_path, version, sharding
         )
+        saved_built = getattr(engine, "shards_built", None)
         for restored in (load_engine(legacy), load_engine(legacy, mmap=True)):
             assert type(restored) is type(engine)
             assert restored.config.max_shard_nodes == cap
+            if isinstance(engine, PartitionedEngine):
+                # exactly the saved regions come back built
+                assert restored.shards_built == saved_built
             rng = np.random.default_rng(5)
             pairs = rng.integers(0, graph.num_nodes, size=(300, 2))
             assert (
@@ -528,6 +536,7 @@ class TestLegacyArchives:
                 assert np.array_equal(restored.plan.shard_of, engine.plan.shard_of)
                 assert restored._shard_config == engine._shard_config
                 assert restored._shard_config.max_shard_nodes is None
+                assert restored.shards_built == engine.shards_built
 
     def test_half_warm_archive_stays_half_warm(self, tmp_path):
         engine, sharding, _ = _legacy_case("lazy")

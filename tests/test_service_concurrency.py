@@ -128,7 +128,11 @@ def test_hammer_tiny_result_table_never_crosses_pairs(multi_component, capacity)
 
 
 def test_lazy_shards_build_once_under_concurrency(multi_component):
-    engine = PartitionedEngine(multi_component, EngineConfig(), lazy=True)
+    engine = PartitionedEngine(
+        multi_component,
+        EngineConfig(max_shard_nodes=multi_component.num_nodes),
+        lazy=True,
+    )
     assert engine.shards_built == 0
     pairs = np.array([(0, 5), (30, 31), (60, 61)])
     expected = build_engine(

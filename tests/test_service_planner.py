@@ -202,7 +202,11 @@ class TestParallelService:
 
 class TestShardedSubBatchAPI:
     def test_query_shard_matches_query_pairs(self, multi_component):
-        engine = PartitionedEngine(multi_component, EngineConfig(), lazy=True)
+        engine = PartitionedEngine(
+            multi_component,
+            EngineConfig(max_shard_nodes=multi_component.num_nodes),
+            lazy=True,
+        )
         pairs = np.array([(0, 5), (1, 7), (40, 41)])
         full = engine.query_pairs(pairs)
         ps, qs = pairs[:, 0], pairs[:, 1]
@@ -212,13 +216,19 @@ class TestShardedSubBatchAPI:
         assert np.array_equal(full, rebuilt)
 
     def test_subbatches_skip_trivial(self, two_components):
-        engine = PartitionedEngine(two_components, EngineConfig())
+        engine = PartitionedEngine(
+            two_components,
+            EngineConfig(max_shard_nodes=two_components.num_nodes),
+        )
         ps = np.array([0, 0, 3])
         qs = np.array([0, 4, 3])  # self, cross, self
         assert engine.shard_subbatches(ps, qs) == []
 
     def test_query_shard_validates_id(self, two_components):
-        engine = PartitionedEngine(two_components, EngineConfig())
+        engine = PartitionedEngine(
+            two_components,
+            EngineConfig(max_shard_nodes=two_components.num_nodes),
+        )
         with pytest.raises(ValueError, match="shard id"):
             engine.query_shard(99, [(0, 1)])
 
