@@ -22,9 +22,7 @@ Builds also parallelise: ``EngineConfig(build_workers=N)`` (CLI
 ``--build-workers``) runs large Alg. 2 levels as concurrent column chunks
 and fans a sharded engine's component builds out over N threads — with
 **bit-identical** results for every N, so the knob only trades build
-wall-clock.  A lazy sharded engine (one restored from disk builds its
-missing shards on first use) can pre-build everything with
-``engine.warm_up(workers=N)``.
+wall-clock.
 
 Sharding also goes *inside* a component: a ``max_shard_nodes`` cap below
 a component's size splits it into vertex-separator-bounded regions (so
@@ -157,7 +155,7 @@ def main() -> None:
         executor=ThreadedExecutor(2),
     )
     print(
-        f"\nsharded engine: {sharded_service.engine.shards_built} shards "
+        f"\nsharded engine: {sharded_service.engine.num_shards} shards "
         f"built with build_workers=2"
     )
 

@@ -2,7 +2,7 @@
 state outside a lock.
 
 Every callable handed to a pool (``ThreadedExecutor.map``,
-``pool.submit``, ``warm_up``'s build fan-out, the async batcher's
+``pool.submit``, a sharded engine's shard-build fan-out, the async batcher's
 ``threading.Thread``) runs on another thread, concurrently with its
 submitter and with its sibling workers.  A payload that closes over
 mutable shared state — ``self`` attributes, lists/dicts from the

@@ -1,10 +1,10 @@
 """Rule ``lock-discipline`` — once locked, always locked.
 
-The concurrent layers (``core/partitioned.py``, ``service/resistance_service.py``,
+The concurrent layers (``service/resistance_service.py``,
 ``service/async_service.py``) follow one convention: instance state that is
-ever mutated under a lock is *only* mutated under a lock.  PR 4's epoch
-fencing and PR 5's per-shard build locks both depend on it, and the
-ROADMAP's ``ProcessExecutor`` work will touch exactly this code — so the
+ever mutated under a lock is *only* mutated under a lock.  The service's
+epoch fencing depends on it, and the ROADMAP's ``ProcessExecutor`` work
+will touch exactly this code — so the
 convention is enforced structurally:
 
     for every class, any attribute assigned (``self.x = …``,

@@ -149,10 +149,10 @@ class EngineConfig:
     build_workers:
         Threads used to *build* the engine (default 1 = serial).  For the
         Alg. 3 engine the level-parallel blocked kernel splits large
-        levels into column chunks run concurrently; for a sharded engine
-        eager shard builds (and :meth:`PartitionedEngine.warm_up`) fan
-        out over this many threads.  Every worker count produces
-        bit-identical engines — the knob trades build wall-clock only.
+        levels into column chunks run concurrently; a sharded engine's
+        constructor fans its shard builds out over this many threads.
+        Every worker count produces bit-identical engines — the knob
+        trades build wall-clock only.
     num_landmarks, landmark_strategy:
         Tiered-estimator knobs of the ``"landmark"`` engine
         (:class:`~repro.estimators.landmark.LandmarkEffectiveResistance`):

@@ -71,8 +71,8 @@ traffic out exactly like any other shard.
 from __future__ import annotations
 
 import concurrent.futures
-import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -275,6 +275,20 @@ class SeparatorSystem:
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class SavedParts:
+    """Pieces an archive hands :class:`PartitionedEngine` (restore path).
+
+    ``regions`` maps a region id to a loader that rehydrates the saved
+    region engine from the region's halo graph and config; ``schurs``
+    maps a split component to its saved Schur matrix ``S_c``.  The
+    constructor builds whatever is absent.
+    """
+
+    regions: "dict[int, Callable[[Graph, EngineConfig], ResistanceEngine]]"
+    schurs: "dict[int, np.ndarray]"
+
+
 class PartitionedEngine(ResistanceEngine):
     """Composite engine serving a :class:`ShardPlan` behind the protocol.
 
@@ -287,15 +301,18 @@ class PartitionedEngine(ResistanceEngine):
         its tunables) and of the plan (``max_shard_nodes``, which must be
         set; a cap no component exceeds is one region per component).
         Every region builds with ``config.replace(max_shard_nodes=None)``.
-    lazy:
-        Defer region builds to first use (the persistence restore path
-        builds nothing up front).
     plan:
         Pre-computed plan (persistence restore path); by default the plan
         comes from :func:`separator_plan`.
+    saved:
+        Saved region engines and Schur matrices (persistence restore
+        path); every piece it lacks is built.
 
     Notes
     -----
+    The constructor builds everything — the plan, every region engine,
+    every separator system and the rim resistances of every coupled
+    region — and nothing changes afterwards, so queries only read.
     Queries are grouped by region and translated through global↔local id
     maps; pairs crossing regions (or touching the separator) of a split
     component are answered through that component's
@@ -308,8 +325,8 @@ class PartitionedEngine(ResistanceEngine):
         self,
         graph: Graph,
         config: EngineConfig,
-        lazy: bool = False,
         plan: "ShardPlan | None" = None,
+        saved: "SavedParts | None" = None,
     ):
         require(
             config.max_shard_nodes is not None,
@@ -321,7 +338,8 @@ class PartitionedEngine(ResistanceEngine):
         self.timer = Timer()
         self.config = config
         self._shard_config = config.replace(max_shard_nodes=None)
-        self.lazy = bool(lazy)
+        if saved is None:
+            saved = SavedParts(regions={}, schurs={})
 
         with self.timer.section("plan"):
             if plan is None:
@@ -334,19 +352,49 @@ class PartitionedEngine(ResistanceEngine):
             self.component_labels = plan.component_labels
             self.num_shards = plan.num_shards
             self._index_plan()
-        self._engines: "list[ResistanceEngine | None]" = [None] * self.num_shards
-        self._systems: "dict[int, SeparatorSystem]" = {}
-        self._rim_cache: "dict[int, np.ndarray]" = {}
-        # lazy builds under concurrency: one lock per in-flight shard build
-        # (created on demand), so distinct shards build in parallel while a
-        # given shard is never built twice
-        self._build_locks: "dict[int, threading.Lock]" = {}
-        self._system_locks: "dict[int, threading.Lock]" = {}
-        self._locks_guard = threading.Lock()
-        self._systems_lock = threading.Lock()
-        self._rim_lock = threading.Lock()
-        if not self.lazy:
-            self.warm_up()
+
+        with self.timer.section("shard_build"):
+            self._engines: "list[ResistanceEngine | None]" = [None] * self.num_shards
+            for shard, load in saved.regions.items():
+                engine = load(self._shard_graph(shard), self._shard_config)
+                require(
+                    engine.n == self._shard_graph_size(shard),
+                    f"restored engine for shard {shard} has {engine.n} "
+                    f"nodes, expected {self._shard_graph_size(shard)}",
+                )
+                self._engines[shard] = engine
+            pending = [
+                s
+                for s in range(self.num_shards)
+                if self._engines[s] is None and self._shard_graph_size(s) > 1
+            ]
+            for shard, engine in zip(pending, self._build_shards(pending)):
+                self._engines[shard] = engine
+
+        with self.timer.section("separator_system"):
+            self._systems: "dict[int, SeparatorSystem]" = {}
+            for component in self._split_components.tolist():
+                sep_nodes = self._sep_nodes_of[component]
+                schur = saved.schurs.get(component)
+                if schur is None:
+                    schur = self._build_schur(component)
+                require(
+                    schur.shape == (sep_nodes.size, sep_nodes.size),
+                    "separator system shape does not match the plan",
+                )
+                self._systems[component] = SeparatorSystem(
+                    component=component,
+                    sep_nodes=sep_nodes,
+                    schur=np.ascontiguousarray(schur, dtype=np.float64),
+                )
+
+        # R_H(v, rim) for every boundary node v of every coupled region
+        self._rim_base: "dict[int, np.ndarray]" = {}
+        for shard, boundary in self._boundary.items():
+            rim = self._members[shard].size
+            self._rim_base[shard] = self._engines[shard].query_pairs(
+                np.column_stack([boundary, np.full(boundary.size, rim)])
+            )
 
     # ------------------------------------------------------------------
     # plan indexing (pure derivation from the plan — no factorisation)
@@ -437,38 +485,14 @@ class PartitionedEngine(ResistanceEngine):
         )
 
     # ------------------------------------------------------------------
-    # region engine builds (lazy / eager / parallel — as component shards)
+    # region engines and separator systems (built once, in __init__)
     # ------------------------------------------------------------------
-    @property
-    def shards_built(self) -> int:
-        """How many region engines exist right now (grows lazily)."""
-        return sum(engine is not None for engine in self._engines)  # repro: ignore[atomicity] — monitoring snapshot; list cells flip None→engine monotonically
-
     def shard_sizes(self) -> np.ndarray:
         """Node count of every region (rim nodes not counted)."""
         return np.array([m.size for m in self._members], dtype=np.int64)
 
-    def _shard(
-        self, shard: int, config: "EngineConfig | None" = None
-    ) -> ResistanceEngine:
-        engine = self._engines[shard]  # repro: ignore[atomicity] — double-checked fast path; cells flip None→engine exactly once, under the shard's build lock
-        if engine is not None:
-            return engine
-        with self._locks_guard:
-            lock = self._build_locks.setdefault(shard, threading.Lock())
-        with lock:
-            engine = self._engines[shard]
-            if engine is None:
-                with self.timer.section("shard_build"):
-                    sub = self._shard_graph(shard)
-                    engine = build_engine(  # repro: ignore[blocking-under-lock] — the per-shard build lock exists to serialise exactly this build; queries on built shards never take it
-                        sub, self._shard_config if config is None else config
-                    )
-                self._engines[shard] = engine
-        return engine
-
-    def _build_shards(self, shards: "list[int]", workers: int) -> None:
-        """Build the given shards, fanning out over ``workers`` threads.
+    def _build_shards(self, shards: "list[int]") -> "list[ResistanceEngine]":
+        """Build the given shards, fanning out over ``build_workers`` threads.
 
         The shards are the primary parallel unit; any whole-number worker
         surplus beyond the shard count is divided among the sub-builds as
@@ -477,6 +501,7 @@ class PartitionedEngine(ResistanceEngine):
         engines are bit-identical — worker counts never change engine
         math.
         """
+        workers = self.config.build_workers
         if workers > 1 and len(shards) > 1:
             per_shard = self._shard_config.replace(
                 build_workers=max(1, workers // len(shards))
@@ -485,62 +510,17 @@ class PartitionedEngine(ResistanceEngine):
                 max_workers=min(workers, len(shards)),
                 thread_name_prefix="shard-build",
             ) as pool:
-                # list() drains the iterator so worker exceptions propagate
-                list(pool.map(lambda c: self._shard(c, per_shard), shards))
-        elif workers > 1:
-            # a single pending shard gets the whole budget as Alg. 2
-            # level parallelism
-            per_shard = self._shard_config.replace(build_workers=workers)
-            for c in shards:
-                self._shard(c, per_shard)
-        else:
-            for c in shards:
-                self._shard(c)
+                return list(
+                    pool.map(
+                        lambda s: build_engine(self._shard_graph(s), per_shard),
+                        shards,
+                    )
+                )
+        # serially, each shard gets the whole budget as Alg. 2 level
+        # parallelism
+        return [build_engine(self._shard_graph(s), self._shard_config) for s in shards]
 
-    def warm_up(self, workers: "int | None" = None) -> int:
-        """Build every not-yet-built region engine (and separator system).
-
-        Gives a lazy engine the cold-start profile of an eager one without
-        giving up lazy construction.  Safe to call from several threads
-        and concurrently with queries — every build goes through the same
-        per-shard locks as lazy first-touch builds, so no shard is ever
-        built twice.
-
-        Returns the number of shards that were cold when this call
-        started (0 means the engine was already fully warm).
-        """
-        effective = self.config.build_workers if workers is None else int(workers)
-        require(effective >= 1, f"workers must be >= 1, got {workers}")
-        for comp in self._split_components.tolist():
-            self._system(int(comp))
-        pending = [
-            s
-            for s in range(self.num_shards)
-            if self._shard_graph_size(s) > 1 and self._engines[s] is None  # repro: ignore[atomicity] — racy pending snapshot; per-shard build locks make double-builds impossible anyway
-        ]
-        if pending:
-            self._build_shards(pending, effective)
-        return len(pending)
-
-    # ------------------------------------------------------------------
-    # the separator system
-    # ------------------------------------------------------------------
-    def _system(self, component: int) -> SeparatorSystem:
-        system = self._systems.get(component)  # repro: ignore[atomicity] — double-checked fast path; entries appear exactly once, under the component's build lock
-        if system is not None:
-            return system
-        with self._locks_guard:
-            lock = self._system_locks.setdefault(component, threading.Lock())
-        with lock:  # per-component: one slow assembly never blocks others
-            system = self._systems.get(component)
-            if system is None:
-                with self.timer.section("separator_system"):
-                    system = self._build_system(component)  # repro: ignore[blocking-under-lock] — the per-component build lock exists to serialise exactly this Schur assembly
-                with self._systems_lock:
-                    self._systems[component] = system
-        return system
-
-    def _build_system(self, component: int) -> SeparatorSystem:
+    def _build_schur(self, component: int) -> np.ndarray:
         """Assemble ``S_c`` for one split component via per-region Schur.
 
         Per-region reductions run on ``config.build_workers`` threads;
@@ -591,29 +571,11 @@ class PartitionedEngine(ResistanceEngine):
             reduced = [reduce_region(s) for s in shards]
         for cols, contribution in reduced:  # fixed order: bit-stable sum
             schur[np.ix_(cols, cols)] += contribution
-        return SeparatorSystem(
-            component=int(component), sep_nodes=sep_nodes, schur=schur
-        )
+        return schur
 
     # ------------------------------------------------------------------
-    # u-vectors and rim resistances (the correction machinery)
+    # u-vectors (the correction machinery)
     # ------------------------------------------------------------------
-    def _rim_base(self, shard: int) -> np.ndarray:
-        """Cached ``R_H(v, rim)`` for every boundary node ``v`` of a region."""
-        cached = self._rim_cache.get(shard)
-        if cached is not None:
-            return cached
-        engine = self._shard(shard)
-        boundary = self._boundary[shard]
-        rim = self._members[shard].size
-        values = engine.query_pairs(
-            np.column_stack([boundary, np.full(boundary.size, rim)])
-        )
-        with self._rim_lock:
-            # concurrent first computations are identical; keep the first
-            self._rim_cache.setdefault(shard, values)
-        return self._rim_cache[shard]
-
     def _u_block(
         self, shard: int, endpoints: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
@@ -623,13 +585,13 @@ class PartitionedEngine(ResistanceEngine):
         and ``m_diag[j] = m_{p_j p_j} = R_H(p_j, rim)``, both via plain
         engine queries per the rim-node identity.
         """
-        engine = self._shard(shard)
+        engine = self._engines[shard]
         boundary = self._boundary[shard]
         rim = self._members[shard].size
         rim_p = engine.query_pairs(
             np.column_stack([endpoints, np.full(endpoints.size, rim)])
         )
-        rim_b = self._rim_base(shard)
+        rim_b = self._rim_base[shard]
         grid = engine.query_pairs(
             np.column_stack(
                 [
@@ -730,8 +692,9 @@ class PartitionedEngine(ResistanceEngine):
 
         Region ids (``< num_shards``) take shard-local pairs; pseudo ids
         (``>= num_shards``) take global pairs and run the Schur path.
-        Builds whatever the group needs first if the engine is lazy and
-        cold; safe to call from several threads at once.
+        A singleton region has no engine and answers ``0`` for its one
+        pair.  Only reads built state, so it is safe from several threads
+        at once.
         """
         total = self.num_shards + self._split_components.size
         require(
@@ -742,19 +705,22 @@ class PartitionedEngine(ResistanceEngine):
         if shard_id >= self.num_shards:
             component = int(self._split_components[shard_id - self.num_shards])
             return self._query_cross(component, pairs)
-        base = self._shard(shard_id).query_pairs(pairs)
+        engine = self._engines[shard_id]
+        if engine is None:
+            return np.zeros(pairs.shape[0])
+        base = engine.query_pairs(pairs)
         if shard_id not in self._coupling:
             return base
         # same-region pair in a split component: exact Schur correction
         component = int(self.component_labels[self._members[shard_id][0]])
-        system = self._system(component)
+        system = self._systems[component]
         endpoints, inverse = np.unique(pairs.ravel(), return_inverse=True)
         u, _ = self._u_block(shard_id, endpoints)
         return base + self._correction(system, u, inverse.reshape(-1, 2))
 
     def _query_cross(self, component: int, pairs: np.ndarray) -> np.ndarray:
         """Cross-region / separator pairs of one split component (global ids)."""
-        system = self._system(component)
+        system = self._systems[component]
         endpoints, inverse = np.unique(pairs.ravel(), return_inverse=True)
         u, m_diag = self._endpoint_vectors(component, endpoints)
         pair_index = inverse.reshape(-1, 2)
@@ -804,49 +770,7 @@ class PartitionedEngine(ResistanceEngine):
         }
 
     def save(self, path):
-        """Serialise the plan, separator systems and built region factors."""
+        """Serialise the plan, separator systems and region factors."""
         from repro.core.persistence import save_engine
 
         return save_engine(self, path)
-
-    @classmethod
-    def _restore(
-        cls, graph: Graph, config: EngineConfig, plan: ShardPlan
-    ) -> "PartitionedEngine":
-        """Cold shell for the persistence layer: plan applied, nothing built.
-
-        :mod:`repro.core.persistence` follows up with
-        :meth:`_install_system` / :meth:`_install_shard` for every piece
-        that was built (and therefore saved); everything else rebuilds
-        lazily exactly like a cold lazy engine.
-        """
-        return cls(graph, config, lazy=True, plan=plan)
-
-    def _install_system(self, component: int, schur: np.ndarray) -> None:
-        """Adopt a persisted Schur matrix (refactored with ``cho_factor``)."""
-        component = int(component)
-        require(
-            component in self._sep_nodes_of,
-            f"component {component} has no separator in the plan",
-        )
-        sep_nodes = self._sep_nodes_of[component]
-        require(
-            schur.shape == (sep_nodes.size, sep_nodes.size),
-            "separator system shape does not match the plan",
-        )
-        with self._systems_lock:
-            self._systems[component] = SeparatorSystem(
-                component=component,
-                sep_nodes=sep_nodes,
-                schur=np.ascontiguousarray(schur),
-            )
-
-    def _install_shard(self, shard: int, engine: ResistanceEngine) -> None:
-        """Adopt a persisted region engine (must match the halo graph size)."""
-        require(
-            engine.n == self._shard_graph_size(shard),
-            f"restored engine for shard {shard} has {engine.n} nodes, "
-            f"expected {self._shard_graph_size(shard)}",
-        )
-        with self._locks_guard:
-            self._engines[shard] = engine

@@ -21,12 +21,13 @@ engines"):
 Partitioned engines (:class:`~repro.core.partitioned.PartitionedEngine`,
 i.e. a config with a ``max_shard_nodes`` cap) persist too (format
 v2): the file carries the :class:`~repro.core.partitioned.ShardPlan`
-arrays, every *built* separator Schur system and every *built* region
-factor under per-shard key prefixes — unbuilt pieces are simply absent and
-rebuild lazily after load, exactly like a cold lazy engine.  Region halo
+arrays, every separator Schur system and every region factor under
+per-shard key prefixes (singleton regions have no factor).  Region halo
 graphs and the region config are not stored: they are a deterministic
 function of the graph, the plan and the engine config, so the loader
-reconstructs them.  Reload is bit-identical for everything that was built.
+reconstructs them.  Reload is bit-identical.  A half-built archive from
+a v4 ``lazy_shards`` engine lacks some pieces; the loader builds them,
+with the same answers as the engine that wrote the archive.
 
 Archives before v5 spelled the sharding choice as ``shard_strategy``
 (before v4 also a ``sharded`` flag), ``separator`` and ``lazy_shards``;
@@ -80,8 +81,8 @@ def save_engine(engine, path: "str | Path") -> Path:
     :class:`~repro.core.effective_resistance.CholInvEffectiveResistance`
     persists directly (its post-build state is plain arrays),
     :class:`~repro.core.partitioned.PartitionedEngine` persists whenever
-    its region engines are ``cholinv`` (plan + separator systems + built
-    region factors), and
+    its region engines are ``cholinv`` (plan + separator systems + region
+    factors), and
     :class:`~repro.estimators.landmark.LandmarkEffectiveResistance`
     persists its projection tables (``kind="landmark"`` — the internal
     cholinv base engine is not stored, the tables answer every query).
@@ -187,10 +188,10 @@ def _save_landmark(engine, config: EngineConfig, path: "str | Path") -> Path:
 
 
 def _save_partitioned(engine, path: "str | Path") -> Path:
-    """Serialise a partitioned engine: plan + built systems + built shards.
+    """Serialise a partitioned engine: plan + Schur systems + region factors.
 
-    Only what exists is written — a half-warm lazy engine saves exactly
-    its built pieces, and the loader leaves the rest cold.  Region
+    ``built_shards`` lists every region with an engine (all but the
+    singletons) and ``system_components`` every split component.  Region
     engines must be ``cholinv`` (the only sub-engine with array state).
     """
     from repro.core.effective_resistance import CholInvEffectiveResistance
@@ -315,8 +316,8 @@ def load_engine(path: "str | Path", mmap: bool = False):
     The returned engine is a real
     :class:`~repro.core.effective_resistance.CholInvEffectiveResistance`
     (or, for a saved partitioned engine, a
-    :class:`~repro.core.partitioned.PartitionedEngine` with every persisted
-    piece installed) whose ``query_pairs`` output is bit-identical to the
+    :class:`~repro.core.partitioned.PartitionedEngine` built from its saved
+    pieces) whose ``query_pairs`` output is bit-identical to the
     saved one; its ``config`` attribute carries the settings it was built
     with so :class:`~repro.service.ResistanceService` can refresh it after
     graph edits.  With ``mmap=True`` the large arrays (``Z̃``
@@ -327,7 +328,8 @@ def load_engine(path: "str | Path", mmap: bool = False):
     Every persisted factor is checked against its graph's node count
     ``n`` — ``perm`` an integer permutation of ``range(n)``, ``z_shape``
     ``(n, n)``, ``column_sq_norms`` and ``component_labels`` of length
-    ``n`` — and a failed check raises ``ValueError`` naming the member.
+    ``n`` — and so are the shard and component ids a partitioned archive
+    lists; a failed check raises ``ValueError`` naming the member.
     """
     path = _npz_path(path)
     require(path.exists(), f"no saved engine at {path}")
@@ -524,7 +526,7 @@ def _engine_from_arrays(data, config: EngineConfig, engine_cls):
 
 
 def _partitioned_from_arrays(data, config: EngineConfig):
-    """Rebuild a partitioned engine: cold shell + every persisted piece.
+    """Rebuild a partitioned engine from its plan and its saved pieces.
 
     The plan is restored verbatim (no re-partitioning — the saved region
     layout is authoritative), region halo graphs are reconstructed
@@ -532,12 +534,10 @@ def _partitioned_from_arrays(data, config: EngineConfig):
     rehydrated through ``CholInvEffectiveResistance.from_state`` exactly
     like a monolithic save, with the region config the engine derives
     from ``config`` (a pre-v4 ``shard_config_json`` member is ignored).
-    Shards and Schur systems that were never built are absent from the
-    file and stay cold, rebuilding lazily on first touch.
+    Regions and Schur systems absent from the file (a half-built v4
+    ``lazy_shards`` archive, or a re-save of one) are built at load.
     """
-    from repro.core.effective_resistance import CholInvEffectiveResistance
-    from repro.core.partitioned import PartitionedEngine, ShardPlan
-    from repro.graphs.components import connected_components
+    from repro.core.partitioned import PartitionedEngine, SavedParts, ShardPlan
 
     graph = Graph(
         int(data["num_nodes"]),
@@ -553,15 +553,63 @@ def _partitioned_from_arrays(data, config: EngineConfig):
         separator=np.asarray(data["plan_separator"], dtype=np.int64),
     )
     plan.validate(graph)
-    engine = PartitionedEngine._restore(graph, config, plan)
-    for component in np.asarray(data["system_components"]).tolist():
-        engine._install_system(
-            int(component),
-            np.asarray(data[f"sys{int(component)}_schur"], dtype=np.float64),
-        )
-    for shard in np.asarray(data["built_shards"]).tolist():
-        prefix = f"shard{int(shard)}_"
-        halo = engine._shard_graph(int(shard))
+    # a singleton region (an isolated node) has no engine to save
+    isolated = np.bincount(plan.component_labels)[plan.component_labels] == 1
+    built = _saved_ids(
+        data,
+        "built_shards",
+        np.setdiff1d(np.arange(plan.num_shards), plan.shard_of[isolated]),
+        "non-singleton shard",
+    )
+    components = _saved_ids(
+        data, "system_components", plan.split_components, "split component"
+    )
+    return PartitionedEngine(  # repro: ignore[registry-purity] — the restore path: build_engine cannot take the saved plan and pieces
+        graph,
+        config,
+        plan=plan,
+        saved=SavedParts(
+            regions={
+                shard: _region_loader(data, f"shard{shard}_") for shard in built
+            },
+            schurs={
+                component: np.asarray(
+                    data[f"sys{component}_schur"], dtype=np.float64
+                )
+                for component in components
+            },
+        ),
+    )
+
+
+def _saved_ids(data, member: str, allowed: np.ndarray, what: str) -> "list[int]":
+    """The ids listed in ``member``, checked to be distinct ``allowed`` ones."""
+    ids = np.asarray(data[member])
+    _check_member(
+        ids.ndim == 1 and ids.dtype.kind in "iu",
+        member,
+        "is not a 1-D integer array",
+    )
+    listed = ids.tolist()
+    _check_member(
+        len(set(listed)) == len(listed), member, f"repeats an id: {listed}"
+    )
+    stray = sorted(set(listed) - set(allowed.tolist()))
+    _check_member(
+        not stray,
+        member,
+        f"lists {stray}, which {'is' if len(stray) == 1 else 'are'} not a "
+        f"{what} of the saved plan",
+    )
+    return listed
+
+
+def _region_loader(data, prefix: str):
+    """Loader for one saved region factor, given its halo graph."""
+    from repro.core.effective_resistance import CholInvEffectiveResistance
+    from repro.graphs.components import connected_components
+
+    def load(halo: Graph, config: EngineConfig):
         _check_factor_members(data, halo.num_nodes, prefix)
         labels, _ = connected_components(halo)
         z_tilde = sp.csc_matrix(
@@ -578,9 +626,9 @@ def _partitioned_from_arrays(data, config: EngineConfig):
             columns_truncated=int(data[prefix + "stats_columns_truncated"]),
             columns_kept_whole=int(data[prefix + "stats_columns_kept_whole"]),
         )
-        sub = CholInvEffectiveResistance.from_state(
+        return CholInvEffectiveResistance.from_state(
             graph=halo,
-            config=engine._shard_config,
+            config=config,
             z_tilde=z_tilde,
             perm=data[prefix + "perm"],
             column_sq_norms=data[prefix + "column_sq_norms"],
@@ -588,5 +636,5 @@ def _partitioned_from_arrays(data, config: EngineConfig):
             stats=stats,
             ground_value=float(data[prefix + "ground_value"]),
         )
-        engine._install_shard(int(shard), sub)
-    return engine
+
+    return load

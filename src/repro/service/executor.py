@@ -76,10 +76,10 @@ class ThreadedExecutor(Executor):
     workers:
         Pool size (>= 1).  Sub-batches of one planned batch run
         concurrently; engine query math only reads built state (the
-        engines' stage timers take their own lock), lazy shard builds
-        are serialised per shard by
-        :class:`~repro.core.partitioned.PartitionedEngine`, so the fan-out is
-        safe for every registered engine.
+        engines' stage timers take their own lock, and a
+        :class:`~repro.core.partitioned.PartitionedEngine` is fully built
+        by its constructor), so the fan-out is safe for every registered
+        engine.
     """
 
     name = "threaded"

@@ -23,7 +23,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.framework import load_project
-from repro.analysis.lockgraph import build_lock_graph, cycle_findings
+from repro.analysis.lockgraph import (
+    build_lock_graph,
+    cycle_findings,
+    export_lock_graph,
+)
 from repro.analysis.model import LOCK_CTORS, build_model
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -118,7 +122,7 @@ class TestLockInventory:
     def test_real_tree_has_locks_to_find(self):
         # guards the self-check itself against a refactor that moves the
         # concurrency surface: if this drops to zero the walk is broken
-        assert len(_expected_class_locks()) >= 8
+        assert len(_expected_class_locks()) >= 7
 
     def test_model_inventory_is_complete(self, model):
         inventory = {
@@ -143,6 +147,15 @@ class TestLockInventory:
         graph = build_lock_graph(model)
         assert graph.cycles() == []
         assert len(graph.edges) >= 5  # the tree genuinely nests locks
+
+    def test_partitioned_engine_owns_no_lock(self, tmp_path):
+        # a PartitionedEngine is fully built by its constructor and only
+        # read afterwards, so it needs no lock of its own
+        export_lock_graph([SRC], json_path=str(tmp_path / "locks.json"))
+        payload = json.loads((tmp_path / "locks.json").read_text(encoding="utf-8"))
+        assert payload["nodes"], "the exported graph is empty"
+        owners = {node["owner"] for node in payload["nodes"]}
+        assert not [o for o in owners if o.endswith(".PartitionedEngine")], owners
 
 
 # ----------------------------------------------------------------------

@@ -42,8 +42,9 @@ from repro.service import ResistanceService
 # structural answers stable on tiny graphs; the landmark tier gets a seed
 # (determinism) and a landmark count sized for the tiny fixture.  The
 # sharded composites cap shards at the fixture's 10 nodes, which no
-# component exceeds: one shard per component.  The LAZY ones start with
-# no shard built, the way every restored partitioned archive does.
+# component exceeds: one shard per component.  The RESTORED ones are
+# saved and memory-mapped back with load_engine, so the battery also
+# runs on the persistence restore path.
 CONFIGS = {
     "cholinv": EngineConfig(),
     "exact": EngineConfig(method="exact"),
@@ -53,9 +54,10 @@ CONFIGS = {
     ),
     "landmark": EngineConfig(method="landmark", num_landmarks=4, seed=0),
     "sharded-cholinv": EngineConfig(max_shard_nodes=10),
+    "sharded-cholinv-restored": EngineConfig(max_shard_nodes=10),
     "sharded-exact": EngineConfig(method="exact", max_shard_nodes=10),
 }
-LAZY = {"sharded-exact"}
+RESTORED = {"sharded-cholinv-restored"}
 
 
 @pytest.fixture
@@ -72,22 +74,27 @@ def test_every_registered_engine_has_a_conformance_config():
 
 
 @pytest.fixture(params=sorted(CONFIGS), name="engine")
-def engine_fixture(request, multi_component) -> ResistanceEngine:
-    config = CONFIGS[request.param]
-    if request.param in LAZY:
-        engine = PartitionedEngine(multi_component, config, lazy=True)
-        assert engine.shards_built == 0
-        return engine
-    return build_engine(multi_component, config)
+def engine_fixture(request, multi_component, tmp_path) -> ResistanceEngine:
+    engine = build_engine(multi_component, CONFIGS[request.param])
+    if request.param in RESTORED:
+        engine = load_engine(engine.save(tmp_path / "engine.npz"), mmap=True)
+    return engine
 
 
 class TestProtocolConformance:
-    def test_protocol_surface(self, engine, multi_component):
+    def test_protocol_surface(self, engine, multi_component, request):
         assert isinstance(engine, ResistanceEngine)
         assert engine.n == multi_component.num_nodes
         assert engine.component_labels.shape == (multi_component.num_nodes,)
         assert hasattr(engine.timer, "section")
-        assert engine.graph is multi_component
+        if request.node.callspec.params["engine"] in RESTORED:
+            # a loaded engine serves the archive's copy of the graph
+            assert np.array_equal(
+                engine.graph.edge_array(), multi_component.edge_array()
+            )
+            assert np.array_equal(engine.graph.weights, multi_component.weights)
+        else:
+            assert engine.graph is multi_component
         assert engine.config is not None
 
     def test_empty_batch(self, engine):
@@ -323,25 +330,18 @@ class TestShardedEngine:
         rel = np.abs(sharded[finite] - truth[finite]) / truth[finite]
         assert rel.max() < 2e-2
 
-    def test_lazy_builds_only_touched_shards(self, multi_component):
-        engine = PartitionedEngine(
-            multi_component,
-            EngineConfig(method="exact", max_shard_nodes=10),
-            lazy=True,
-        )
-        assert engine.shards_built == 0
-        assert np.isinf(engine.query(0, 3))  # cross-component: no build
-        assert engine.shards_built == 0
-        engine.query(3, 5)
-        assert engine.shards_built == 1
-
     def test_singleton_components_never_build(self, multi_component):
         engine = build_engine(
             multi_component, EngineConfig(method="exact", max_shard_nodes=10)
         )
         assert engine.num_shards == 4
-        assert engine.shards_built == 3  # the isolated node builds nothing
+        singleton = int(engine.plan.shard_of[9])
+        # the isolated node builds nothing
+        assert [s for s, e in enumerate(engine._engines) if e is None] == [singleton]
         assert engine.query(9, 9) == 0.0
+        # its one local pair answers 0 without building an engine
+        assert np.array_equal(engine.query_shard(singleton, [(0, 0)]), [0.0])
+        assert engine._engines[singleton] is None
 
     def test_shard_sizes(self, multi_component):
         engine = PartitionedEngine(

@@ -6,9 +6,9 @@ Covers the three layers the build knob threads through:
   parallel vs serial runs across mode, epsilon, complete/incomplete
   factors and worker counts (chunking is forced with a tiny chunk target
   so the parallel code path actually executes on test-sized graphs);
-* the component-sharded engine — parallel eager builds, ``warm_up`` on a
-  lazy engine, and a thread hammer mixing concurrent ``warm_up`` calls
-  with live queries (no shard may ever build twice);
+* the component-sharded engine — parallel shard builds at construction,
+  bit-identical to serial ones, and a ``shard_build`` timer that reads
+  wall-clock time;
 * the surrounding plumbing — ``EngineConfig`` validation, persistence
   round-trip, ``refresh_after_edge_update(build_workers=...)`` and the
   CLI flag.
@@ -16,7 +16,7 @@ Covers the three layers the build knob threads through:
 
 from __future__ import annotations
 
-import threading
+import time
 
 import numpy as np
 import pytest
@@ -173,87 +173,21 @@ class TestShardedParallelBuild:
         config = EngineConfig(max_shard_nodes=graph.num_nodes)
         serial = PartitionedEngine(graph, config.replace(build_workers=1))
         parallel = PartitionedEngine(graph, config.replace(build_workers=4))
-        assert parallel.shards_built == serial.shards_built == 6
+        assert parallel.num_shards == serial.num_shards == 6
         pairs = _probe_pairs(graph)
         assert np.array_equal(serial.query_pairs(pairs), parallel.query_pairs(pairs))
         for sub_s, sub_p in zip(serial._engines, parallel._engines):
             _assert_same_csc(sub_s.z_tilde, sub_p.z_tilde)
 
-    def test_warm_up_builds_pending_shards(self):
-        graph = _multi_component()
-        config = EngineConfig(build_workers=3, max_shard_nodes=graph.num_nodes)
-        lazy = PartitionedEngine(graph, config, lazy=True)
-        assert lazy.shards_built == 0
-        with pytest.raises(ValueError):
-            lazy.warm_up(workers=0)
-        assert lazy.warm_up() == 6
-        assert lazy.shards_built == 6
-        assert lazy.warm_up() == 0  # already warm
-        with pytest.raises(ValueError):
-            lazy.warm_up(workers=0)  # invalid even when already warm
-
-    def test_warm_up_skips_singletons(self):
-        graph = Graph.from_edges(5, [(0, 1), (1, 2)])  # nodes 3, 4 isolated
-        lazy = PartitionedEngine(graph, EngineConfig(max_shard_nodes=5), lazy=True)
-        assert lazy.warm_up(workers=2) == 1
-        assert lazy.shards_built == 1
-        assert lazy.query(3, 4) == float("inf")
-        assert lazy.query(0, 2) > 0.0
-
-    def test_warm_up_query_thread_hammer(self, monkeypatch):
-        """Concurrent warm_up + queries: correct answers, one build per shard."""
-        graph = _multi_component(components=8, side=6)
-        reference = PartitionedEngine(
-            graph, EngineConfig(max_shard_nodes=graph.num_nodes)
-        )
-        pairs = _probe_pairs(graph)
-        expected = reference.query_pairs(pairs)
-
-        # every shard build extracts its subgraph exactly once (under the
-        # shard's build lock), and the member list identifies the shard —
-        # so counting subgraph extractions per smallest member catches a
-        # duplicate build of a *specific* shard, not just a global excess
-        build_counts: "dict[int, int]" = {}
-        count_lock = threading.Lock()
-        real_subgraph = Graph.subgraph
-
-        def counting_subgraph(self, nodes, *args, **kwargs):
-            with count_lock:
-                shard_key = int(np.min(np.asarray(nodes)))
-                build_counts[shard_key] = build_counts.get(shard_key, 0) + 1
-            return real_subgraph(self, nodes, *args, **kwargs)
-
-        monkeypatch.setattr(Graph, "subgraph", counting_subgraph)
+    def test_shard_build_timer_is_wall_clock(self):
+        # the shard threads' build times overlap; the stage timer must
+        # report the stage's elapsed time, not their sum
+        graph = _multi_component(components=4, side=12)
         config = EngineConfig(build_workers=2, max_shard_nodes=graph.num_nodes)
-        lazy = PartitionedEngine(graph, config, lazy=True)
-
-        results: "list[np.ndarray | None]" = [None] * 8
-        errors: "list[BaseException]" = []
-        start = threading.Barrier(8)
-
-        def worker(i: int):
-            try:
-                start.wait()
-                if i % 2 == 0:
-                    lazy.warm_up(workers=2)
-                results[i] = lazy.query_pairs(pairs)
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert not errors
-        assert lazy.shards_built == 8
-        for result in results:
-            assert result is not None
-            assert np.array_equal(result, expected)
-        # the per-shard locks must have prevented every duplicate build
-        assert len(build_counts) == 8
-        assert all(count == 1 for count in build_counts.values()), build_counts
+        start = time.perf_counter()
+        engine = PartitionedEngine(graph, config)
+        wall = time.perf_counter() - start
+        assert 0.0 < engine.timer["shard_build"] <= wall
 
 
 class TestCLIBuildWorkers:

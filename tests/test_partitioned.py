@@ -2,9 +2,11 @@
 
 Covers the plan layer (structure, determinism, fold edge cases), the
 Schur-complement cross-region query path (exactness against dense
-reference answers on grids / power-law graphs / SBMs), lazy builds under
-a concurrency hammer, persistence round-trips, planner routing of mixed
-batches, and the separator-aware partition diagnostics.
+reference answers on grids / power-law graphs / SBMs), concurrent queries
+on a built engine and worker-count bit-identity of the build,
+persistence round-trips (legacy and half-built archives, load-time
+index checks), planner routing of mixed batches, and the
+separator-aware partition diagnostics.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.core.partitioned as partitioned_module
 from repro.core.engine import EngineConfig, build_engine
 from repro.core.partitioned import PartitionedEngine, separator_plan
 from repro.core.persistence import load_engine
@@ -69,13 +72,17 @@ def _probe_pairs(engine: PartitionedEngine, rng: np.random.Generator,
 # ----------------------------------------------------------------------
 # plan layer
 # ----------------------------------------------------------------------
+def _isolated_node() -> Graph:
+    return Graph(1, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+
+
 def _four_components() -> Graph:
     """A grid, a BA graph, a path and an isolated node (4 components)."""
     return Graph.disjoint_union([
         grid_2d(9, 9, jitter=0.3, seed=1),
         barabasi_albert_graph(120, 3, seed=2),
         path_graph(7),
-        Graph(1, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
+        _isolated_node(),
     ])
 
 
@@ -281,24 +288,13 @@ class TestExactness:
 
 
 # ----------------------------------------------------------------------
-# lazy builds under concurrency
+# concurrent queries and build workers
 # ----------------------------------------------------------------------
-class TestLazyAndConcurrency:
-    def test_lazy_matches_eager_bit_identical(self):
-        graph = grid_2d(14, 14, jitter=0.2, seed=2)
-        config = EngineConfig(max_shard_nodes=70)
-        lazy = PartitionedEngine(graph, config, lazy=True)
-        eager = build_engine(graph, config)
-        assert lazy.shards_built == 0
-        rng = np.random.default_rng(5)
-        pairs = _probe_pairs(lazy, rng, count=200)
-        assert np.array_equal(lazy.query_pairs(pairs), eager.query_pairs(pairs))
-        assert lazy.shards_built == eager.shards_built
-
+class TestConcurrencyAndWorkers:
     def test_concurrent_cold_queries_agree(self):
         graph = barabasi_albert_graph(250, 3, seed=9)
         config = EngineConfig(method="exact", max_shard_nodes=60)
-        engine = PartitionedEngine(graph, config, lazy=True)
+        engine = PartitionedEngine(graph, config)
         expected = build_engine(graph, config)
         rng = np.random.default_rng(11)
         batches = [_probe_pairs(engine, rng, count=80) for _ in range(8)]
@@ -323,35 +319,43 @@ class TestLazyAndConcurrency:
         for batch, got in zip(batches, results):
             assert np.array_equal(got, expected.query_pairs(batch))
 
-    def test_warm_up_workers_bit_identical(self):
+    def test_build_workers_bit_identical(self):
         graph = grid_2d(16, 16, jitter=0.2, seed=3)
         config = EngineConfig(max_shard_nodes=80)
         rng = np.random.default_rng(2)
-        baseline_engine = PartitionedEngine(graph, config, lazy=True)
-        baseline_engine.warm_up(workers=1)
+        baseline_engine = PartitionedEngine(graph, config)
         pairs = _probe_pairs(baseline_engine, rng)
         baseline = baseline_engine.query_pairs(pairs)
         for workers in (2, 4):
-            engine = PartitionedEngine(graph, config, lazy=True)
-            built = engine.warm_up(workers=workers)
-            assert built == engine.num_shards
-            assert np.array_equal(engine.query_pairs(pairs), baseline)
+            engine = PartitionedEngine(
+                graph, config.replace(build_workers=workers)
+            )
+            assert all(sub is not None for sub in engine._engines)
+            assert engine.query_pairs(pairs).tobytes() == baseline.tobytes()
 
 
 # ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------
 class TestPartitionedPersistence:
-    def _engine(self, lazy: bool = False) -> PartitionedEngine:
+    def _engine(self) -> PartitionedEngine:
         graph = grid_2d(14, 14, jitter=0.3, seed=8)
         return PartitionedEngine(
-            graph, EngineConfig(epsilon=1e-3, max_shard_nodes=70), lazy=lazy
+            graph, EngineConfig(epsilon=1e-3, max_shard_nodes=70)
         )
 
-    def test_round_trip_bit_identical(self, tmp_path):
+    def test_round_trip_bit_identical(self, tmp_path, monkeypatch):
         engine = self._engine()
         path = engine.save(tmp_path / "partitioned.npz")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a full archive loads without building")
+
+        # every region and Schur system comes from the archive
+        monkeypatch.setattr(partitioned_module, "build_engine", no_build)
+        monkeypatch.setattr(PartitionedEngine, "_build_schur", no_build)
         restored = load_engine(path)
+        monkeypatch.undo()
         assert isinstance(restored, PartitionedEngine)
         assert restored.config == engine.config
         assert restored.plan.separator.size > 0
@@ -361,8 +365,6 @@ class TestPartitionedPersistence:
         assert np.array_equal(
             restored.query_pairs(pairs), engine.query_pairs(pairs)
         )
-        # restore is warm: nothing rebuilt to answer
-        assert restored.shards_built == engine.shards_built
 
     def test_round_trip_mmap(self, tmp_path):
         engine = self._engine()
@@ -374,22 +376,35 @@ class TestPartitionedPersistence:
             restored.query_pairs(pairs), engine.query_pairs(pairs)
         )
 
-    def test_partial_warm_save(self, tmp_path):
-        engine = self._engine(lazy=True)
-        rng = np.random.default_rng(6)
-        # touch one region so exactly some (not all) shards are built
-        members = engine.plan.members(0)
-        warm_pairs = np.column_stack(
-            [rng.choice(members, 30), rng.choice(members, 30)]
-        )
-        engine.query_pairs(warm_pairs)
-        assert 0 < engine.shards_built < engine.num_shards
-        restored = load_engine(engine.save(tmp_path / "partial.npz"))
-        assert restored.shards_built == engine.shards_built
-        pairs = _probe_pairs(engine, rng)
-        assert np.array_equal(
-            restored.query_pairs(pairs), engine.query_pairs(pairs)
-        )
+    @pytest.mark.parametrize(
+        "member, value, message",
+        [
+            ("built_shards", [0, 1, 999], r"\[999\]"),
+            ("built_shards", [-1, 0], r"\[-1\]"),
+            ("built_shards", [0, 0], "repeats"),
+            ("built_shards", [0, 4], r"\[4\], which is not a non-singleton"),
+            ("system_components", [0, 1], r"\[1\], which is not a split"),
+            ("system_components", [0, 5], r"\[5\], which is not a split"),
+            ("system_components", [0, 0], "repeats"),
+        ],
+    )
+    def test_saved_ids_checked_at_load(self, tmp_path, member, value, message):
+        # a 20 x 20 grid split into 4 regions, plus an isolated node
+        # (region 4, component 1)
+        graph = Graph.disjoint_union([
+            grid_2d(20, 20),
+            _isolated_node(),
+        ])
+        engine = build_engine(graph, EngineConfig(max_shard_nodes=120))
+        assert engine.num_shards == 5 and int(engine.plan.shard_of[-1]) == 4
+        assert engine.plan.split_components.tolist() == [0]
+        data = dict(np.load(engine.save(tmp_path / "fresh.npz")))
+        data[member] = np.asarray(value, dtype=np.int64)
+        damaged = tmp_path / "damaged.npz"
+        np.savez(damaged, **data)
+        for mmap in (False, True):
+            with pytest.raises(ValueError, match=f"'{member}' .*{message}"):
+                load_engine(damaged, mmap=mmap)
 
     def test_non_cholinv_regions_refuse(self, tmp_path):
         graph = grid_2d(10, 10)
@@ -450,10 +465,30 @@ def _as_legacy_archive(path, tmp_path, version: int, sharding: dict):
                 config.replace(max_shard_nodes=None),
                 dict(sharding, shard_strategy="none", lazy_shards=False),
             )
+    if sharding["lazy_shards"]:
+        _keep_half_built(data)
     data["format_version"] = np.int64(version)
     legacy = tmp_path / f"v{version}.npz"
     np.savez(legacy, **data)
     return legacy
+
+
+def _keep_half_built(data: dict) -> None:
+    """Trim a full partitioned archive to what a half-built lazy engine
+    saved: the first built region only, and no Schur system."""
+    built = data["built_shards"]
+    assert built.size > 1
+    for shard in built[1:].tolist():
+        for name in [k for k in data if k.startswith(f"shard{shard}_")]:
+            del data[name]
+    data["built_shards"] = built[:1]
+    for component in data["system_components"].tolist():
+        del data[f"sys{component}_schur"]
+    data["system_components"] = np.empty(0, dtype=np.int64)
+
+
+def _built(engine: PartitionedEngine) -> "list[int]":
+    return [s for s, sub in enumerate(engine._engines) if sub is not None]
 
 
 def _legacy_sharding(strategy="none", cap=None, separator="bisection", lazy=False):
@@ -486,14 +521,9 @@ def _legacy_case(kind: str):
         # no stored cap: the old automatic max(512, ceil(n / 4))
         engine = build_engine(grid, EngineConfig(epsilon=1e-3, max_shard_nodes=70))
         return engine, _legacy_sharding("separator"), 512
-    engine = PartitionedEngine(
-        grid, EngineConfig(epsilon=1e-3, max_shard_nodes=70), lazy=kind == "lazy"
-    )
+    engine = PartitionedEngine(grid, EngineConfig(epsilon=1e-3, max_shard_nodes=70))
     if kind == "lazy":
-        # half warm: one region built, the rest saved cold
-        members = engine.plan.members(0)
-        engine.query_pairs(np.column_stack([members[:10], members[-10:]]))
-        assert 0 < engine.shards_built < engine.num_shards
+        # _as_legacy_archive saves it half built
         return engine, _legacy_sharding("separator", 70, lazy=True), 70
     method = "kway" if kind == "separator-kway" else "bisection"
     return engine, _legacy_sharding("separator", 70, method), 70
@@ -518,13 +548,9 @@ class TestLegacyArchives:
         legacy = _as_legacy_archive(
             engine.save(tmp_path / "fresh.npz"), tmp_path, version, sharding
         )
-        saved_built = getattr(engine, "shards_built", None)
         for restored in (load_engine(legacy), load_engine(legacy, mmap=True)):
             assert type(restored) is type(engine)
             assert restored.config.max_shard_nodes == cap
-            if isinstance(engine, PartitionedEngine):
-                # exactly the saved regions come back built
-                assert restored.shards_built == saved_built
             rng = np.random.default_rng(5)
             pairs = rng.integers(0, graph.num_nodes, size=(300, 2))
             assert (
@@ -536,17 +562,39 @@ class TestLegacyArchives:
                 assert np.array_equal(restored.plan.shard_of, engine.plan.shard_of)
                 assert restored._shard_config == engine._shard_config
                 assert restored._shard_config.max_shard_nodes is None
-                assert restored.shards_built == engine.shards_built
+                # every non-singleton region is built, saved or not
+                assert _built(restored) == _built(engine)
 
-    def test_half_warm_archive_stays_half_warm(self, tmp_path):
-        engine, sharding, _ = _legacy_case("lazy")
-        built = engine.shards_built
-        legacy = _as_legacy_archive(
-            engine.save(tmp_path / "fresh.npz"), tmp_path, 4, sharding
+    def test_half_built_archive_builds_the_rest_at_load(self, tmp_path):
+        # a split grid, a small whole component and an isolated node
+        graph = Graph.disjoint_union([
+            grid_2d(14, 14, jitter=0.3, seed=8),
+            path_graph(6),
+            _isolated_node(),
+        ])
+        engine = build_engine(
+            graph, EngineConfig(epsilon=1e-3, max_shard_nodes=70)
         )
-        restored = load_engine(legacy)
-        assert restored.lazy
-        assert restored.shards_built == built
+        assert engine.plan.split_components.size == 1
+        singleton = int(engine.plan.shard_of[-1])
+        assert _built(engine) == [
+            s for s in range(engine.num_shards) if s != singleton
+        ]
+        legacy = _as_legacy_archive(
+            engine.save(tmp_path / "fresh.npz"), tmp_path, 4,
+            _legacy_sharding("separator", 70, lazy=True),
+        )
+        with np.load(legacy) as data:
+            assert data["built_shards"].tolist() == [0]
+            assert data["system_components"].size == 0
+            assert "shard1_z_data" not in data
+        rng = np.random.default_rng(12)
+        pairs = _probe_pairs(engine, rng)
+        expected = engine.query_pairs(pairs)
+        for restored in (load_engine(legacy), load_engine(legacy, mmap=True)):
+            assert _built(restored) == _built(engine)
+            assert sorted(restored._systems) == sorted(engine._systems)
+            assert restored.query_pairs(pairs).tobytes() == expected.tobytes()
 
     def test_kway_archive_refresh_replans_with_bisection(self, tmp_path):
         engine, sharding, cap = _legacy_case("separator-kway")

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, build_engine
-from repro.core.partitioned import PartitionedEngine
 from repro.graphs.generators import grid_2d
 from repro.graphs.graph import Graph
 from repro.service import ResistanceService, ThreadedExecutor
@@ -125,34 +124,6 @@ def test_hammer_tiny_result_table_never_crosses_pairs(multi_component, capacity)
     errors = _hammer(service, multi_component, reference, pairs, threads=6, reps=8)
     assert errors == []
     assert np.array_equal(service.query_pairs(pairs), reference)
-
-
-def test_lazy_shards_build_once_under_concurrency(multi_component):
-    engine = PartitionedEngine(
-        multi_component,
-        EngineConfig(max_shard_nodes=multi_component.num_nodes),
-        lazy=True,
-    )
-    assert engine.shards_built == 0
-    pairs = np.array([(0, 5), (30, 31), (60, 61)])
-    expected = build_engine(
-        multi_component, EngineConfig(max_shard_nodes=multi_component.num_nodes)
-    ).query_pairs(pairs)
-    results = [None] * 8
-    barrier = threading.Barrier(8)
-
-    def worker(i):
-        barrier.wait(timeout=30)
-        results[i] = engine.query_pairs(pairs)
-
-    workers = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join(timeout=60)
-    assert engine.shards_built == 3  # one engine per touched component
-    for got in results:
-        assert got is not None and np.array_equal(got, expected)
 
 
 def test_refresh_during_inflight_query_does_not_poison_cache(tiny_path):

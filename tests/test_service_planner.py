@@ -205,7 +205,6 @@ class TestShardedSubBatchAPI:
         engine = PartitionedEngine(
             multi_component,
             EngineConfig(max_shard_nodes=multi_component.num_nodes),
-            lazy=True,
         )
         pairs = np.array([(0, 5), (1, 7), (40, 41)])
         full = engine.query_pairs(pairs)
