@@ -13,7 +13,15 @@ time, for both, and asserts that the answers are byte-identical:
 * ``ba`` — a Barabási–Albert graph (dense ``Z̃`` columns), the same;
 * ``pg_blocks`` — the Schur-reduced blocks of a synthetic power grid
   (Alg. 1 step 3): all edges of every block, one call per block, the
-  per-call-overhead regime of the PG reduction.
+  per-call-overhead regime of the PG reduction;
+* ``grid72_all_edges`` — all edges of the full-size 72² mesh in one call
+  (about 2.5M gathered entries; not run with ``--smoke``).
+
+For both paths it also records the minor page faults of a call
+(``getrusage`` ``ru_minflt``, the mean over the case's calls, each
+measured right after a warm-up call of its own) and the largest
+``tracemalloc`` peak of a call.  Both are recorded, not gated: fault
+counts depend on the allocator and on what ran before.
 
 Results print as JSON and are written as ``BENCH_pair_queries.json``
 (``--output`` picks the path; default ``benchmarks/out/``).
@@ -25,8 +33,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +64,32 @@ def _best_of(repeat: int, run) -> float:
     return best
 
 
+def _minflt_per_call(work, run) -> float:
+    """Mean minor page faults of ``run(engine, pairs)`` over ``work``,
+    each call measured right after a warm-up call of its own."""
+    faults = 0
+    for engine, pairs in work:
+        run(engine, pairs)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run(engine, pairs)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return faults / len(work)
+
+
+def _tracemalloc_peak(work, run) -> int:
+    """Largest ``tracemalloc`` peak of one ``run(engine, pairs)`` call."""
+    peak = 0
+    tracemalloc.start()
+    try:
+        for engine, pairs in work:
+            tracemalloc.reset_peak()
+            run(engine, pairs)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def run_case(name: str, engines: list, batches: list, repeat: int) -> dict:
     """Time ``engine.query_pairs`` against the reference over every
     ``(engine, batch)``; assert byte-identical answers."""
@@ -68,8 +104,13 @@ def run_case(name: str, engines: list, batches: list, repeat: int) -> dict:
     # re-fault its pages, which the order of the calls would then decide
     kernel = sum(_best_of(repeat, lambda: e.query_pairs(p)) for e, p in work)
     reference = sum(_best_of(repeat, lambda: _reference_query_pairs(e, p)) for e, p in work)
+    paths = {"kernel": lambda e, p: e.query_pairs(p), "reference": _reference_query_pairs}
+    minflt = {side: _minflt_per_call(work, run) for side, run in paths.items()}
+    peak = {side: _tracemalloc_peak(work, run) for side, run in paths.items()}
     print(
-        f"  {name}: kernel {kernel * 1e3:.2f} ms, reference {reference * 1e3:.2f} ms",
+        f"  {name}: kernel {kernel * 1e3:.2f} ms, {minflt['kernel']:.0f} faults/call, "
+        f"peak {peak['kernel'] / 1e6:.1f} MB; reference {reference * 1e3:.2f} ms, "
+        f"{minflt['reference']:.0f} faults/call, peak {peak['reference'] / 1e6:.1f} MB",
         file=sys.stderr,
     )
     return {
@@ -82,6 +123,10 @@ def run_case(name: str, engines: list, batches: list, repeat: int) -> dict:
         "kernel_seconds": kernel,
         "reference_seconds": reference,
         "speedup": reference / kernel if kernel else 0.0,
+        "kernel_minflt_per_call": minflt["kernel"],
+        "reference_minflt_per_call": minflt["reference"],
+        "kernel_tracemalloc_peak_bytes": peak["kernel"],
+        "reference_tracemalloc_peak_bytes": peak["reference"],
         "bit_identical": True,
     }
 
@@ -127,6 +172,10 @@ def main(argv=None) -> int:
         ),
         run_case("pg_blocks", *_pg_blocks(pg_side, args.seed + 2), repeat),
     ]
+    if not args.smoke:
+        mesh = grid_2d(72, 72, jitter=0.3, seed=args.seed)
+        engine = build_engine(mesh, EngineConfig())
+        cases.append(run_case("grid72_all_edges", [engine], [[mesh.edge_array()]], repeat))
     result = {
         "bench": "pair_queries",
         "smoke": bool(args.smoke),

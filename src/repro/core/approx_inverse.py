@@ -93,7 +93,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.cholesky.depth import filled_graph_depth
-from repro.core.truncation import truncation_keep_mask
+from repro.core.truncation import truncation_budgets, truncation_keep_mask
 from repro.linalg.sparse_utils import csr_matmat_sorted
 from repro.utils.validation import check_finite_nonnegative, check_square_sparse
 
@@ -645,8 +645,8 @@ def _truncate_block(
     Mirrors :func:`repro.core.truncation.truncation_keep_mask` column by
     column: exact zeros are discarded, entries are stably sorted by magnitude
     within their column, the within-column prefix masses are compared against
-    ``ε·‖column‖₁``, and columns at or below the ``log n`` nnz threshold are
-    kept whole.
+    ``ε·‖column‖₁`` (:func:`~repro.core.truncation.truncation_budgets`), and
+    columns at or below the ``log n`` nnz threshold are kept whole.
 
     Pure function of its arguments (no shared state), so the level-parallel
     kernel runs one call per chunk on pool threads.  Returns the surviving
@@ -679,7 +679,7 @@ def _truncate_block(
     starts, ends = bindptr[:-1], bindptr[1:]
     base = np.where(starts > 0, running[np.maximum(starts, 1) - 1], 0.0)
     dep_totals = np.where(ends > starts, running[np.maximum(ends, 1) - 1], 0.0) - base
-    budget = np.where(big, epsilon * (dep_totals + diag_vals), -1.0)
+    budget = np.where(big, truncation_budgets(epsilon, dep_totals + diag_vals), -1.0)
     magnitudes = vals if nonnegative else np.abs(vals)
     # only entries with |v| ≤ ε·‖col‖₁ can belong to the dropped prefix
     # (any larger entry's inclusive prefix mass already exceeds the

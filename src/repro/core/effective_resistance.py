@@ -50,7 +50,6 @@ from repro.linalg.sparse_utils import column_pair_dots
 from repro.utils.timing import Timer
 from repro.utils.validation import require
 
-_PAIR_CHUNK = 65536
 _SOLVE_CHUNK = 64
 
 
@@ -400,38 +399,29 @@ class CholInvEffectiveResistance(ResistanceEngine):
     def query_pairs(self, pairs) -> np.ndarray:
         """Approximate effective resistances for ``(m, 2)`` node pairs.
 
-        Evaluates ``‖z̃_p − z̃_q‖² = ‖z̃_p‖² + ‖z̃_q‖² − 2·z̃_pᵀz̃_q`` in
-        chunks.  The cross terms come from
+        Evaluates ``‖z̃_p − z̃_q‖² = ‖z̃_p‖² + ‖z̃_q‖² − 2·z̃_pᵀz̃_q`` over
+        the whole batch.  The cross terms come from
         :func:`~repro.linalg.sparse_utils.column_pair_dots`, which merges
         the two columns' sorted row lists with scipy's compiled kernels,
         so the cost is linear in the touched nonzeros with no per-call
-        O(nnz(Z̃)) pass.  The answers are bit-identical to the scipy
-        expression ``(Z̃[:, P].multiply(Z̃[:, Q])).sum(axis=0)``.  Column
-        norms that are all finite imply a finite ``Z̃``, which lets the
-        product buffer be sized by the shorter column of each pair.
+        O(nnz(Z̃)) pass.  That kernel alone bounds the working set: it
+        walks the batch in cache-sized segments through one set of
+        reused buffers, so a large batch neither page-faults fresh
+        scratch memory nor evicts the columns it reads.  The answers are
+        bit-identical to the scipy expression
+        ``(Z̃[:, P].multiply(Z̃[:, Q])).sum(axis=0)``.  Column norms that
+        are all finite imply a finite ``Z̃``, which lets the product
+        buffer be sized by the shorter column of each pair.
         """
         ps, qs = as_pair_columns(pairs)
         cols_p = self._position[ps]
         cols_q = self._position[qs]
-        out = np.empty(ps.shape[0])
-        # bound the materialised column-slice size: dense Z̃ columns (social
-        # graphs) get small chunks, sparse ones (meshes) get large chunks
-        average_nnz = max(1.0, self.z_tilde.nnz / max(self.n, 1))
-        chunk = int(min(_PAIR_CHUNK, max(1024, 2e7 / average_nnz)))
         with self.timer.section("queries"):
-            for start in range(0, ps.shape[0], chunk):
-                stop = min(start + chunk, ps.shape[0])
-                dots = column_pair_dots(
-                    self.z_tilde,
-                    cols_p[start:stop],
-                    cols_q[start:stop],
-                    assume_finite=self._z_finite,
-                )
-                out[start:stop] = (
-                    self._column_sq_norms[cols_p[start:stop]]
-                    + self._column_sq_norms[cols_q[start:stop]]
-                    - 2.0 * dots
-                )
+            dots = column_pair_dots(
+                self.z_tilde, cols_p, cols_q, assume_finite=self._z_finite
+            )
+            norms = self._column_sq_norms
+            out = norms[cols_p] + norms[cols_q] - 2.0 * dots
         np.maximum(out, 0.0, out=out)
         same = self.component_labels[ps] == self.component_labels[qs]
         out[~same] = np.inf

@@ -12,9 +12,13 @@ magnitudes, one sort plus one cumulative sum answers the search exactly.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from repro.utils.validation import check_finite_nonnegative
+
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 def truncation_keep_mask(values: np.ndarray, epsilon: float) -> np.ndarray:
@@ -40,10 +44,30 @@ def truncation_keep_mask(values: np.ndarray, epsilon: float) -> np.ndarray:
         return np.zeros(values.shape[0], dtype=bool)
     order = np.argsort(magnitudes, kind="stable")
     dropped_mass = np.cumsum(magnitudes[order])
-    k = int(np.searchsorted(dropped_mass, epsilon * total, side="right"))
+    budget = truncation_budgets(epsilon, np.array([total]))[0]
+    k = int(np.searchsorted(dropped_mass, budget, side="right"))
     mask = np.ones(values.shape[0], dtype=bool)
     mask[order[:k]] = False
     return mask
+
+
+def truncation_budgets(epsilon: float, totals: np.ndarray) -> np.ndarray:
+    """``ε·total`` for each column 1-norm in ``totals``, never above the
+    exact product.
+
+    Rounding to nearest puts the product within half an ulp of the exact
+    value: a relative 2⁻⁵³ among normal numbers, but below 2⁻¹⁰²² half a
+    subnormal step can be most of the product — ``0.375 · 1e-323``
+    rounds *up* to ``5e-324``, which would let half the column's mass
+    drop.  A subnormal product that rounded up steps down one ulp
+    instead.  A real factor has no such columns, so the exact check
+    costs nothing there.
+    """
+    budgets = epsilon * totals
+    for i in np.flatnonzero((budgets > 0.0) & (budgets <= _SMALLEST_NORMAL)):
+        if Fraction(budgets[i]) > Fraction(epsilon) * Fraction(totals[i]):
+            budgets[i] = np.nextafter(budgets[i], 0.0)
+    return budgets
 
 
 def truncate_relative_1norm(

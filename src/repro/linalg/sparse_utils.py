@@ -9,6 +9,14 @@ index-dtype scans and ``prune`` copies, which dominate when the kernels
 run on many small matrices (the blocks of Alg. 1).  This is the only
 module that depends on scipy internals; should they ever move, both
 kernels fall back to the public API with the same results.
+
+:func:`column_pair_dots` also owns its working set.  It walks any batch
+in segments of at most ``_PAIR_SEGMENT_ENTRIES`` gathered entries
+through one set of reused buffers, so its scratch stays a few MB
+whatever the batch.  Scratch sized to the whole batch (a 46 MB peak for
+all edges of a 72² mesh) comes back from the allocator as fresh
+``mmap`` pages, thousands of minor page faults per call, and streams
+through the cache on every pass.
 """
 
 from __future__ import annotations
@@ -25,6 +33,11 @@ if not all(hasattr(_sparsetools, name) for name in _KERNELS):  # pragma: no cove
     _sparsetools = None
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
+# Gathered entries (Σ nnz_p + nnz_q) per segment of column_pair_dots:
+# about 1.5 MB of gathers, within a core's L2.  Swept on a 2-core Xeon
+# (2 MB L2 per core) over grid72, BA-3000 and the pg-reduce blocks:
+# 3.2e4–2.5e5 are equally fast and fault-free, 5e5–1e6 start to fault.
+_PAIR_SEGMENT_ENTRIES = 128_000
 
 
 def nnz_per_column(matrix: sp.spmatrix) -> np.ndarray:
@@ -79,8 +92,16 @@ def column_pair_dots(
     ``csr_row_index`` gathers of the columns, one ``csr_elmul_csr`` merge
     of each pair of sorted row lists (products that come out exactly 0
     are dropped, as scipy does), and ``np.add.reduceat`` over the
-    non-empty products, which is what scipy's ``sum`` applies.  The
-    gathers use :func:`gather_index_dtype`.
+    non-empty products, which is what scipy's ``sum`` applies.
+
+    The batch runs in consecutive segments of at most
+    ``_PAIR_SEGMENT_ENTRIES`` gathered entries, ``Σ (nnz_p + nnz_q)``
+    (a pair larger than that is a segment of its own), through one set
+    of gather and product buffers sized for the largest segment: the
+    scratch stays cache-sized and fault-free whatever the batch (see the
+    module docstring).  Every pair's dot is its own ``reduceat`` sum, so
+    segmenting cannot change it.  The index dtype comes from
+    :func:`gather_index_dtype` on the largest segment.
 
     With ``assume_finite`` (every stored value is finite) the product
     buffer holds ``Σ min(nnz_p, nnz_q)`` entries — only rows present in
@@ -99,41 +120,61 @@ def column_pair_dots(
     indptr = csc.indptr
     nnz_p = indptr[cols_p + 1] - indptr[cols_p]
     nnz_q = indptr[cols_q + 1] - indptr[cols_q]
-    total_p = int(nnz_p.sum(dtype=np.int64))
-    total_q = int(nnz_q.sum(dtype=np.int64))
-    if assume_finite:
-        bound = int(np.minimum(nnz_p, nnz_q).sum(dtype=np.int64))
+    products = np.minimum(nnz_p, nnz_q) if assume_finite else nnz_p + nnz_q
+    bounds = _pair_segments(nnz_p + nnz_q)
+    if len(bounds) == 2:  # one segment: the batch totals size the buffers
+        k_max = m
+        caps = [int(counts.sum(dtype=np.int64)) for counts in (nnz_p, nnz_q, products)]
     else:
-        bound = total_p + total_q
-    dtype = gather_index_dtype(max(total_p, total_q, bound), csc.indices.dtype)
+        k_max = int(np.diff(bounds).max())
+        caps = [
+            int(np.add.reduceat(counts, bounds[:-1], dtype=np.int64).max())
+            for counts in (nnz_p, nnz_q, products)
+        ]
+    dtype = gather_index_dtype(max(caps), csc.indices.dtype)
     src_ptr = indptr.astype(dtype, copy=False)
     src_idx = csc.indices.astype(dtype, copy=False)
-
-    def gather(cols, counts, total):
-        ptr = np.zeros(m + 1, dtype=dtype)
-        np.cumsum(counts, out=ptr[1:])
-        idx = np.empty(total, dtype=dtype)
-        val = np.empty(total, dtype=csc.data.dtype)
-        _sparsetools.csr_row_index(
-            m, cols.astype(dtype, copy=False), src_ptr, src_idx, csc.data, idx, val
+    ptr_p, ptr_q, out_ptr = (np.zeros(k_max + 1, dtype=dtype) for _ in range(3))
+    idx_p, idx_q, out_idx = (np.empty(cap, dtype=dtype) for cap in caps)
+    val_p, val_q, out_val = (np.empty(cap, dtype=csc.data.dtype) for cap in caps)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        k = stop - start
+        for cols, counts, ptr, idx, val in (
+            (cols_p, nnz_p, ptr_p, idx_p, val_p), (cols_q, nnz_q, ptr_q, idx_q, val_q)
+        ):
+            counts[start:stop].cumsum(out=ptr[1:k + 1])
+            _sparsetools.csr_row_index(
+                k, cols[start:stop].astype(dtype, copy=False),
+                src_ptr, src_idx, csc.data, idx, val,
+            )
+        seg_ptr = out_ptr[:k + 1]
+        _sparsetools.csr_elmul_csr(
+            k, csc.shape[0], ptr_p[:k + 1], idx_p, val_p, ptr_q[:k + 1], idx_q, val_q,
+            seg_ptr, out_idx, out_val,
         )
-        return ptr, idx, val
-
-    ptr_p, idx_p, val_p = gather(cols_p, nnz_p, total_p)
-    ptr_q, idx_q, val_q = gather(cols_q, nnz_q, total_q)
-    out_ptr = np.empty(m + 1, dtype=dtype)
-    out_idx = np.empty(bound, dtype=dtype)
-    out_val = np.empty(bound, dtype=np.result_type(val_p, val_q))
-    _sparsetools.csr_elmul_csr(
-        m, csc.shape[0], ptr_p, idx_p, val_p, ptr_q, idx_q, val_q,
-        out_ptr, out_idx, out_val,
-    )
-    nonempty = np.flatnonzero(np.diff(out_ptr))
-    if nonempty.size:
-        dots[nonempty] = np.add.reduceat(
-            out_val[: int(out_ptr[-1])], out_ptr[nonempty].astype(np.intp)
-        )
+        nonempty = np.flatnonzero(seg_ptr[1:] != seg_ptr[:-1])
+        if nonempty.size:
+            dots[start + nonempty] = np.add.reduceat(
+                out_val[: int(seg_ptr[-1])], seg_ptr[nonempty].astype(np.intp)
+            )
     return dots
+
+
+def _pair_segments(gathered: np.ndarray) -> "list[int]":
+    """Boundaries of consecutive pair segments that each gather at most
+    ``_PAIR_SEGMENT_ENTRIES`` entries (``gathered[i]`` is pair ``i``'s
+    count); a pair over the budget gets a segment of its own."""
+    m = gathered.shape[0]
+    cum = gathered.cumsum(dtype=np.int64)
+    if cum[-1] <= _PAIR_SEGMENT_ENTRIES:
+        return [0, m]
+    bounds = [0]
+    while bounds[-1] < m:
+        start = bounds[-1]
+        base = int(cum[start - 1]) if start else 0
+        stop = int(cum.searchsorted(base + _PAIR_SEGMENT_ENTRIES, side="right"))
+        bounds.append(max(stop, start + 1))
+    return bounds
 
 
 def csr_matmat_sorted(

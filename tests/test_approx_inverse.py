@@ -255,6 +255,19 @@ class TestDiagonalTruncation:
         assert (0 in first_column) == (first_diag == 1.0)
         assert out_rows[out_ptr[1]] == 1, "ordinary diagonal must stay"
 
+    @pytest.mark.parametrize("epsilon, kept", [(0.375, 2), (0.5, 1)])
+    def test_subnormal_budget_never_rounds_up(self, epsilon, kept):
+        # ε·(5e-324 + 5e-324) = 0.375 · 1e-323 rounds up to 5e-324: one
+        # entry, half the column's mass, must not fit under it
+        vals = np.array([5e-324, 5e-324])
+        out_ptr, out_rows, out_vals, truncated = approx_inverse_module._truncate_block(
+            np.array([0]), np.array([0, 1]), np.array([1], dtype=np.int32), vals[1:],
+            vals[:1], epsilon, np.zeros(1),
+        )
+        assert truncated.tolist() == [True]
+        assert out_ptr.tolist() == [0, kept]
+        assert np.count_nonzero(truncation_keep_mask(vals, epsilon)) == kept
+
 
 # graphs spanning the level shapes Alg. 2 meets, with their orderings;
 # natural order on a path gives a chain etree, one column per level

@@ -1,10 +1,12 @@
 """Tests for the effective-resistance engines against closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import repro.core.effective_resistance as effective_resistance_module
+import repro.linalg.sparse_utils as sparse_utils_module
 from repro.core.effective_resistance import (
     CholInvEffectiveResistance,
     ExactEffectiveResistance,
@@ -282,18 +284,20 @@ class TestSpanningEdgeCentrality:
 
 
 # ----------------------------------------------------------------------
+_REFERENCE_CHUNK = 65536
+
+
 def _reference_query_pairs(engine, pairs) -> np.ndarray:
     """``CholInvEffectiveResistance.query_pairs`` through scipy's public
     sparse API — the specification the raw pair-dot kernel must match
-    bit for bit (same chunking, same Eq. 22 arithmetic)."""
+    bit for bit (same Eq. 22 arithmetic).  Each pair's dot is its own
+    column sum, so the chunk size bounds memory and not the answers."""
     ps, qs = as_pair_columns(pairs)
     cols_p = engine._position[ps]
     cols_q = engine._position[qs]
     out = np.empty(ps.shape[0])
-    average_nnz = max(1.0, engine.z_tilde.nnz / max(engine.n, 1))
-    chunk = int(min(effective_resistance_module._PAIR_CHUNK, max(1024, 2e7 / average_nnz)))
-    for start in range(0, ps.shape[0], chunk):
-        stop = min(start + chunk, ps.shape[0])
+    for start in range(0, ps.shape[0], _REFERENCE_CHUNK):
+        stop = min(start + _REFERENCE_CHUNK, ps.shape[0])
         a = engine.z_tilde[:, cols_p[start:stop]]
         b = engine.z_tilde[:, cols_q[start:stop]]
         dots = np.asarray(a.multiply(b).sum(axis=0)).ravel()
@@ -333,6 +337,14 @@ def _probe_pairs(n: int, seed: int, count: int = 2000) -> np.ndarray:
     pairs = rng.integers(0, n, size=(count, 2))
     diagonal = np.repeat(rng.integers(0, n, size=(20, 1)), 2, axis=1)
     return np.concatenate([pairs, diagonal, pairs[:50, ::-1], pairs[:50]])
+
+
+def _gathered_per_pair(engine, pairs) -> np.ndarray:
+    """``nnz_p + nnz_q`` of each pair's two Z̃ columns, the count the
+    kernel's segment budget is measured in."""
+    ps, qs = as_pair_columns(pairs)
+    nnz = np.diff(engine.z_tilde.indptr)
+    return nnz[engine._position[ps]] + nnz[engine._position[qs]]
 
 
 def _assert_same(engine, pairs) -> None:
@@ -379,18 +391,33 @@ class TestPairDotKernelMatchesScipy:
             _assert_same(engine, graph.edge_array())
             _assert_same(engine, _probe_pairs(graph.num_nodes, seed=graph.num_nodes))
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_batch_spanning_several_chunks(self, monkeypatch, chunk):
-        monkeypatch.setattr(effective_resistance_module, "_PAIR_CHUNK", chunk)
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_batch_spanning_several_chunks(self, monkeypatch, budget):
+        # 1 and 7 entries: pairs over the budget, each pair a segment of
+        # its own; 64: no pair over it, segments of up to four pairs
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
         graph = KERNEL_GRAPHS["disconnected"]()
         engine = CholInvEffectiveResistance(graph)
-        _assert_same(engine, _probe_pairs(graph.num_nodes, seed=11, count=300))
+        pairs = _probe_pairs(graph.num_nodes, seed=11, count=300)
+        gathered = _gathered_per_pair(engine, pairs)
+        bounds = sparse_utils_module._pair_segments(gathered)
+        sizes = np.diff(bounds)
+        totals = np.add.reduceat(gathered, bounds[:-1])
+        # within budget unless alone, and greedy: the next pair did not fit
+        assert np.all((totals <= budget) | (sizes == 1))
+        assert np.all(totals[:-1] + gathered[bounds[1:-1]] > budget)
+        assert (gathered > budget).any() == (budget < 64)
+        assert (sizes > 1).any() == (budget == 64)
+        _assert_same(engine, pairs)
 
     def test_batch_over_the_natural_chunk(self):
         graph = grid_2d(12, 12, seed=3)
         engine = CholInvEffectiveResistance(graph)
-        # more pairs than _PAIR_CHUNK: the batch runs in two chunks
-        _assert_same(engine, _probe_pairs(graph.num_nodes, seed=12, count=70000))
+        pairs = _probe_pairs(graph.num_nodes, seed=12, count=70000)
+        # more pairs than the reference's chunk, and many segments
+        bounds = sparse_utils_module._pair_segments(_gathered_per_pair(engine, pairs))
+        assert len(bounds) > 3
+        _assert_same(engine, pairs)
 
     def test_engine_reloaded_with_mmap(self, tmp_path):
         graph = KERNEL_GRAPHS["ba"]()
@@ -456,9 +483,137 @@ class TestColumnPairDots:
     def test_large_gather_switches_dtype(self, monkeypatch):
         """Past the int32 range the gather runs on int64 indices (the
         limit is lowered here, so nothing large is allocated)."""
-        import repro.linalg.sparse_utils as sparse_utils_module
-
         monkeypatch.setattr(sparse_utils_module, "_INT32_MAX", 50)
         engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
         pairs = _probe_pairs(engine.n, seed=16, count=300)
         _assert_same(engine, pairs)
+
+
+class TestSegmentedPairDots:
+    """``column_pair_dots`` walks a batch in segments of at most
+    ``_PAIR_SEGMENT_ENTRIES`` gathered entries through one set of reused
+    buffers; every segmentation gives the scipy answers byte for byte."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        kernels = sparse_utils_module._sparsetools
+        kernel = getattr(kernels, name)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_ba_batch_weighted_to_hub_columns(self, monkeypatch, budget):
+        graph = KERNEL_GRAPHS["ba"]()
+        engine = CholInvEffectiveResistance(graph)
+        nnz = np.diff(engine.z_tilde.indptr)[engine._position].astype(float)
+        rng = np.random.default_rng(17)
+        pairs = rng.choice(graph.num_nodes, size=(3000, 2), p=nnz**2 / (nnz**2).sum())
+        if budget is not None:
+            monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
+            assert (_gathered_per_pair(engine, pairs) > budget).any()
+        _assert_same(engine, pairs)
+
+    def test_exactly_at_budget_boundary(self, monkeypatch):
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
+        pairs = _probe_pairs(engine.n, seed=18, count=400)
+        gathered = _gathered_per_pair(engine, pairs)
+        # the first 100 pairs fill a segment exactly; the rest follow
+        budget = int(gathered[:100].sum())
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
+        bounds = sparse_utils_module._pair_segments(gathered)
+        assert bounds[1] == 100 and bounds[-1] == pairs.shape[0]
+        _assert_same(engine, pairs)
+        # a whole batch exactly at the budget is one segment
+        monkeypatch.setattr(
+            sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", int(gathered.sum())
+        )
+        assert sparse_utils_module._pair_segments(gathered) == [0, pairs.shape[0]]
+        _assert_same(engine, pairs)
+
+    @pytest.mark.parametrize("budget", [1, 64, None])
+    def test_int64_source_indices(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["sbm"]())
+        pairs = _probe_pairs(engine.n, seed=19, count=500)
+        before = engine.query_pairs(pairs)
+        z = engine.z_tilde
+        z.indptr = z.indptr.astype(np.int64)
+        z.indices = z.indices.astype(np.int64)
+        _assert_same(engine, pairs)
+        gathers = self._count_calls(monkeypatch, "csr_row_index")
+        assert engine.query_pairs(pairs).tobytes() == before.tobytes()
+        assert {args[1].dtype for args in gathers} == {np.dtype(np.int64)}
+
+    @pytest.mark.parametrize("divisor, dtype", [(1, np.int32), (3, np.int64)])
+    def test_index_dtype_from_the_largest_segment(self, monkeypatch, divisor, dtype):
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
+        pairs = _probe_pairs(engine.n, seed=20, count=300)
+        largest_pair = int(_gathered_per_pair(engine, pairs).max())
+        # segments of at most the largest pair: the whole batch is far
+        # past the lowered int32 limit, every segment within it; a third
+        # of it is below the larger column of that pair
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", largest_pair)
+        monkeypatch.setattr(sparse_utils_module, "_INT32_MAX", largest_pair // divisor)
+        _assert_same(engine, pairs)
+        gathers = self._count_calls(monkeypatch, "csr_row_index")
+        engine.query_pairs(pairs)
+        assert len(gathers) > 2
+        assert {args[1].dtype for args in gathers} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("budget", [1, 3, 10])
+    def test_non_finite_values_need_the_full_buffer(self, monkeypatch, budget):
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
+        rng = np.random.default_rng(21)
+        dense = rng.choice([0.0, 0.0, 0.0, 1.5, -2.0], size=(12, 9))
+        dense[0, 0], dense[5, 3] = np.inf, np.nan
+        matrix = sp.csc_matrix(dense)
+        cols_p, cols_q = rng.integers(0, 9, size=(2, 200))
+        got = column_pair_dots(matrix, cols_p, cols_q)
+        want = TestColumnPairDots._scipy(matrix, cols_p, cols_q)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got).any() and np.isfinite(got).any()
+
+    def test_empty_batch_runs_no_kernel(self, monkeypatch):
+        elmul = self._count_calls(monkeypatch, "csr_elmul_csr")
+        matrix = sp.csc_matrix(np.eye(4))
+        empty = np.empty(0, dtype=np.int64)
+        out = column_pair_dots(matrix, empty, empty)
+        assert out.shape == (0,) and out.dtype == np.float64
+        assert not elmul
+
+    def test_batch_under_the_budget_is_one_segment(self, monkeypatch):
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
+        pairs = _probe_pairs(engine.n, seed=22, count=64)
+        gathered = _gathered_per_pair(engine, pairs)
+        assert gathered.sum() <= sparse_utils_module._PAIR_SEGMENT_ENTRIES
+        _assert_same(engine, pairs)
+        elmul = self._count_calls(monkeypatch, "csr_elmul_csr")
+        engine.query_pairs(pairs)
+        assert len(elmul) == 1
+
+
+class TestPairQueryWorkingSet:
+    def test_all_edge_peak_is_bounded_by_the_segment_budget(self):
+        """The all-edge pass on grid72 used to build one 30 MB batch of
+        gather and product buffers; now its scratch is the segment
+        budget's, plus O(1) arrays per pair."""
+        engine = CholInvEffectiveResistance(grid_2d(72, 72, jitter=0.3, seed=1))
+        engine.all_edge_resistances()
+        tracemalloc.start()
+        try:
+            engine.all_edge_resistances()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an int32 index and a float64 value (12 bytes) per entry: both
+        # gathers and the product buffer hold at most a budget each
+        buffers = 3 * 12 * sparse_utils_module._PAIR_SEGMENT_ENTRIES
+        per_pair = 256 * engine.graph.num_edges
+        assert peak < buffers + per_pair

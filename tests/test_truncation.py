@@ -6,6 +6,7 @@ import pytest
 from repro.core.truncation import (
     dropped_fraction,
     truncate_relative_1norm,
+    truncation_budgets,
     truncation_keep_mask,
 )
 
@@ -62,6 +63,30 @@ class TestKeepMask:
         mask = truncation_keep_mask(values, 0.01)
         assert mask[0]
         assert not mask[1] and not mask[2]
+
+    def test_subnormal_budget_never_rounds_up(self):
+        # 0.375 · 1e-323 rounds up to 5e-324, which would drop half the mass
+        values = np.array([5e-324, 5e-324])
+        mask = truncation_keep_mask(values, 0.375)
+        assert mask.all()
+        assert dropped_fraction(values, mask) <= 0.375
+        # an exact subnormal budget still drops what it covers
+        assert truncation_keep_mask(values, 0.5).tolist() == [False, True]
+
+
+class TestBudgets:
+    def test_subnormal_products_round_down(self):
+        totals = np.array([1e-323, 1e-323, 1.5e-323, 1.0, 0.0])
+        budgets = truncation_budgets(0.375, totals.copy())
+        assert budgets.tolist() == [0.0, 0.0, 5e-324, 0.375, 0.0]
+        exact = truncation_budgets(0.5, totals.copy())
+        assert exact.tolist() == [5e-324, 5e-324, 5e-324, 0.5, 0.0]
+
+    def test_normal_products_unchanged(self):
+        rng = np.random.default_rng(2)
+        totals = rng.exponential(size=1000) * 10.0 ** rng.integers(-290, 290, size=1000)
+        for epsilon in (0.0, 1e-3, 0.3):
+            assert np.array_equal(truncation_budgets(epsilon, totals), epsilon * totals)
 
 
 class TestTruncateColumn:
