@@ -405,9 +405,14 @@ class CholInvEffectiveResistance(ResistanceEngine):
         the two columns' sorted row lists with scipy's compiled kernels,
         so the cost is linear in the touched nonzeros with no per-call
         O(nnz(Z̃)) pass.  That kernel alone bounds the working set: it
-        walks the batch in cache-sized segments through one set of
-        reused buffers, so a large batch neither page-faults fresh
-        scratch memory nor evicts the columns it reads.  The answers are
+        walks the batch in cache-sized segments through reused buffers,
+        so a large batch neither page-faults fresh scratch memory nor
+        evicts the columns it reads.  It also owns the cores inside the
+        batch: a batch of several segments is shared between this thread
+        and the kernel's ``cores − 1`` helper threads, while any fan-out
+        between batches belongs to the service's executor (see
+        :mod:`repro.linalg.sparse_utils`); this call never waits for a
+        helper that has not started.  The answers are
         bit-identical to the scipy expression
         ``(Z̃[:, P].multiply(Z̃[:, Q])).sum(axis=0)``.  Column norms that
         are all finite imply a finite ``Z̃``, which lets the product

@@ -12,14 +12,33 @@ kernels fall back to the public API with the same results.
 
 :func:`column_pair_dots` also owns its working set.  It walks any batch
 in segments of at most ``_PAIR_SEGMENT_ENTRIES`` gathered entries
-through one set of reused buffers, so its scratch stays a few MB
-whatever the batch.  Scratch sized to the whole batch (a 46 MB peak for
-all edges of a 72² mesh) comes back from the allocator as fresh
-``mmap`` pages, thousands of minor page faults per call, and streams
-through the cache on every pass.
+through reused buffers, one set per participating thread, so its
+scratch stays a few MB per core whatever the batch.  Scratch sized to
+the whole batch (a 46 MB peak for all edges of a 72² mesh) comes back
+from the allocator as fresh ``mmap`` pages, thousands of minor page
+faults per call, and streams through the cache on every pass.
+
+Cores are owned in two layers.  The service's executor
+(:mod:`repro.service.executor`) owns the fan-out *between* the
+sub-batches of a planned batch; :func:`column_pair_dots` owns the
+fan-out *inside* one batch.  Its segments are independent, and scipy's
+gather and merge kernels release the GIL, so a batch of several
+segments is shared out between the calling thread and the helpers of
+one process-wide pool of ``cores − 1`` threads (none on a 1-core host).
+The two layers compose without oversubscribing the host or stalling a
+caller because the caller always works on its own batch and never waits
+for a helper that has not started: when its segments run out it cancels
+any helper task still queued (say, behind another caller's segments) and
+waits only for helpers already running.  However many threads query at
+once, the process holds at most ``cores − 1`` helpers.  A one-segment
+batch (a small request) runs inline without touching the pool.
 """
 
 from __future__ import annotations
+
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +57,40 @@ _INT32_MAX = int(np.iinfo(np.int32).max)
 # (2 MB L2 per core) over grid72, BA-3000 and the pg-reduce blocks:
 # 3.2e4–2.5e5 are equally fast and fault-free, 5e5–1e6 start to fault.
 _PAIR_SEGMENT_ENTRIES = 128_000
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API on this OS
+        return os.cpu_count() or 1
+
+
+# A multi-segment column_pair_dots call has at most _CORES participants:
+# its caller and up to _CORES - 1 helpers from one pool, which a 1-core
+# host never makes.
+_CORES = _usable_cores()
+_HELPER_PREFIX = "repro-pair-dots"
+_HELPERS: "dict[str, ThreadPoolExecutor]" = {}
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads and may hold its locks
+    # as the parent left them: it makes a pool of its own on first use
+    os.register_at_fork(after_in_child=_HELPERS.clear)
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The process-wide pool of ``_CORES − 1`` pair-dot helpers, made on
+    first use; its threads start as work is first submitted to them."""
+    pool = _HELPERS.get("pool")
+    if pool is None:
+        # two first callers may both build one; dict.setdefault is atomic
+        # under the GIL, so both use the same pool and the other (which
+        # never started a thread) is dropped
+        pool = _HELPERS.setdefault(
+            "pool", ThreadPoolExecutor(_CORES - 1, thread_name_prefix=_HELPER_PREFIX)
+        )
+    return pool
 
 
 def nnz_per_column(matrix: sp.spmatrix) -> np.ndarray:
@@ -96,18 +149,27 @@ def column_pair_dots(
 
     The batch runs in consecutive segments of at most
     ``_PAIR_SEGMENT_ENTRIES`` gathered entries, ``Σ (nnz_p + nnz_q)``
-    (a pair larger than that is a segment of its own), through one set
-    of gather and product buffers sized for the largest segment: the
+    (a pair larger than that is a segment of its own), each through
+    gather and product buffers sized for the largest segment: the
     scratch stays cache-sized and fault-free whatever the batch (see the
     module docstring).  Every pair's dot is its own ``reduceat`` sum, so
     segmenting cannot change it.  The index dtype comes from
     :func:`gather_index_dtype` on the largest segment.
 
+    A batch of one segment runs inline.  A batch of several is shared
+    out, one segment at a time, between the calling thread and up to
+    ``cores − 1`` helpers of the process-wide pool, each with a buffer
+    set of its own; each pair's dot is written by exactly one of them,
+    so the bytes are the same however the segments fall.  The caller
+    never waits for a helper that has not started (see the module
+    docstring), and a helper's exception re-raises here.
+
     With ``assume_finite`` (every stored value is finite) the product
     buffer holds ``Σ min(nnz_p, nnz_q)`` entries — only rows present in
     both columns can give a nonzero product — instead of
     ``Σ (nnz_p + nnz_q)``, which an ``inf`` or ``nan`` times an implicit
-    zero needs.
+    zero needs.  (A one-segment batch takes the bound
+    ``min(Σ nnz_p, Σ nnz_q)`` instead, which needs no per-pair pass.)
     """
     cols_p = np.asarray(cols_p, dtype=np.int64)
     cols_q = np.asarray(cols_q, dtype=np.int64)
@@ -120,44 +182,101 @@ def column_pair_dots(
     indptr = csc.indptr
     nnz_p = indptr[cols_p + 1] - indptr[cols_p]
     nnz_q = indptr[cols_q + 1] - indptr[cols_q]
-    products = np.minimum(nnz_p, nnz_q) if assume_finite else nnz_p + nnz_q
     bounds = _pair_segments(nnz_p + nnz_q)
     if len(bounds) == 2:  # one segment: the batch totals size the buffers
         k_max = m
-        caps = [int(counts.sum(dtype=np.int64)) for counts in (nnz_p, nnz_q, products)]
+        cap_p, cap_q = int(nnz_p.sum(dtype=np.int64)), int(nnz_q.sum(dtype=np.int64))
+        # Σ min(nnz_p, nnz_q) is at most min(Σ nnz_p, Σ nnz_q)
+        caps = [cap_p, cap_q, min(cap_p, cap_q) if assume_finite else cap_p + cap_q]
     else:
+        products = np.minimum(nnz_p, nnz_q) if assume_finite else nnz_p + nnz_q
         k_max = int(np.diff(bounds).max())
         caps = [
             int(np.add.reduceat(counts, bounds[:-1], dtype=np.int64).max())
             for counts in (nnz_p, nnz_q, products)
         ]
     dtype = gather_index_dtype(max(caps), csc.indices.dtype)
-    src_ptr = indptr.astype(dtype, copy=False)
-    src_idx = csc.indices.astype(dtype, copy=False)
-    ptr_p, ptr_q, out_ptr = (np.zeros(k_max + 1, dtype=dtype) for _ in range(3))
-    idx_p, idx_q, out_idx = (np.empty(cap, dtype=dtype) for cap in caps)
-    val_p, val_q, out_val = (np.empty(cap, dtype=csc.data.dtype) for cap in caps)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
+    source = (indptr.astype(dtype, copy=False), csc.indices.astype(dtype, copy=False), csc.data)
+    # next() on an itertools.count is one C call, atomic under the GIL:
+    # every segment number goes to exactly one participant, with no lock
+    tickets = itertools.count()
+    work = (tickets, bounds, dtype, csc.shape[0], source, ((cols_p, nnz_p), (cols_q, nnz_q)), dots)
+    participants = min(_CORES, len(bounds) - 1)
+    if participants == 1:
+        _dot_segments(*work, _segment_buffers(k_max, caps, dtype, csc.data.dtype))
+        return dots
+    # the caller allocates every participant's buffers: a helper thread
+    # allocates from a malloc arena of its own, whose freed pages the
+    # builds on the calling thread never reuse (in perfbench that raised
+    # peak RSS by 3–5 MB)
+    buffers = [
+        _segment_buffers(k_max, caps, dtype, csc.data.dtype) for _ in range(participants)
+    ]
+    pool = _helper_pool()
+    helpers = [pool.submit(_dot_segments, *work, own) for own in buffers[1:]]
+    try:
+        _dot_segments(*work, buffers[0])
+    finally:
+        # a helper still queued (behind another caller's segments) would
+        # only find the tickets used up: drop it instead of waiting; wait
+        # for a running one, which holds its last segment, and re-raise
+        # its exception
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+    return dots
+
+
+def _segment_buffers(k_max, caps, dtype, value_dtype) -> "tuple":
+    """One participant's buffers for segments of at most ``k_max`` pairs
+    that gather and multiply at most ``caps`` entries: the row pointers,
+    indices and values of the ``p`` gather, the ``q`` gather and the
+    products (one allocation per dtype, cut into the three)."""
+    cap_p, cap_pq = caps[0], caps[0] + caps[1]
+    indices = np.empty(cap_pq + caps[2], dtype=dtype)
+    values = np.empty(cap_pq + caps[2], dtype=value_dtype)
+    return (
+        np.zeros((3, k_max + 1), dtype=dtype),
+        (indices[:cap_p], indices[cap_p:cap_pq], indices[cap_pq:]),
+        (values[:cap_p], values[cap_p:cap_pq], values[cap_pq:]),
+    )
+
+
+def _dot_segments(tickets, bounds, dtype, n_rows, source, sides, dots, buffers) -> None:
+    """Take segment numbers from ``tickets`` until they pass the last
+    segment of ``bounds``, and write each segment's pair dots into
+    ``dots``, through this participant's own ``buffers``
+    (:func:`_segment_buffers`).  ``source`` is the matrix's
+    ``(indptr, indices, data)`` in ``dtype`` indices, ``sides`` the
+    ``(columns, nnz)`` of the ``p`` and the ``q`` ends."""
+    segments = len(bounds) - 1
+    src_ptr, src_idx, src_val = source
+    (cols_p, nnz_p), (cols_q, nnz_q) = sides
+    (ptr_p, ptr_q, out_ptr), (idx_p, idx_q, out_idx), (val_p, val_q, out_val) = buffers
+    gathers = ((cols_p, nnz_p, ptr_p, idx_p, val_p), (cols_q, nnz_q, ptr_q, idx_q, val_q))
+    i = next(tickets)
+    while i < segments:
+        start, stop = bounds[i], bounds[i + 1]
         k = stop - start
-        for cols, counts, ptr, idx, val in (
-            (cols_p, nnz_p, ptr_p, idx_p, val_p), (cols_q, nnz_q, ptr_q, idx_q, val_q)
-        ):
+        for cols, counts, ptr, idx, val in gathers:
             counts[start:stop].cumsum(out=ptr[1:k + 1])
             _sparsetools.csr_row_index(
                 k, cols[start:stop].astype(dtype, copy=False),
-                src_ptr, src_idx, csc.data, idx, val,
+                src_ptr, src_idx, src_val, idx, val,
             )
         seg_ptr = out_ptr[:k + 1]
         _sparsetools.csr_elmul_csr(
-            k, csc.shape[0], ptr_p[:k + 1], idx_p, val_p, ptr_q[:k + 1], idx_q, val_q,
+            k, n_rows, ptr_p[:k + 1], idx_p, val_p, ptr_q[:k + 1], idx_q, val_q,
             seg_ptr, out_idx, out_val,
         )
         nonempty = np.flatnonzero(seg_ptr[1:] != seg_ptr[:-1])
         if nonempty.size:
-            dots[start + nonempty] = np.add.reduceat(
+            # segments are disjoint pair ranges and each goes to one
+            # participant, so no two threads write the same entry
+            dots[start + nonempty] = np.add.reduceat(  # repro: ignore[executor-escape]
                 out_val[: int(seg_ptr[-1])], seg_ptr[nonempty].astype(np.intp)
             )
-    return dots
+        i = next(tickets)
 
 
 def _pair_segments(gathered: np.ndarray) -> "list[int]":

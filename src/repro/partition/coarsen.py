@@ -9,8 +9,10 @@ referring to original vertex counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.utils.rng import ensure_rng
@@ -34,9 +36,20 @@ class CoarseLevel:
     node_weights: np.ndarray
     fine_to_coarse: np.ndarray
 
+    @cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        """The coarse graph's CSR adjacency, built once on first use and
+        shared by the matching that coarsens this level further, the
+        initial cut and the refinement.  (It is held here, not on the
+        :class:`Graph`, whose arrays stay mutable.)"""
+        return self.graph.adjacency()
+
 
 def heavy_edge_matching(
-    graph: Graph, node_weights: np.ndarray, rng: np.random.Generator
+    graph: Graph,
+    node_weights: np.ndarray,
+    rng: np.random.Generator,
+    adjacency: "sp.csr_matrix | None" = None,
 ) -> np.ndarray:
     """Greedy heavy-edge matching; returns ``match`` with partners or self.
 
@@ -47,9 +60,10 @@ def heavy_edge_matching(
 
     The greedy loop is inherently sequential, so it runs on Python lists:
     indexing numpy arrays one scalar at a time cost about 3x as much.
+    ``adjacency`` is ``graph.adjacency()`` when the caller already has it.
     """
     n = graph.num_nodes
-    adj = graph.adjacency().tocsr()
+    adj = graph.adjacency() if adjacency is None else adjacency
     indptr = adj.indptr.tolist()
     indices = adj.indices.tolist()
     data = adj.data.tolist()
@@ -83,10 +97,14 @@ def _relabel(match: np.ndarray) -> "tuple[np.ndarray, int]":
 
 
 def coarsen_once(
-    graph: Graph, node_weights: np.ndarray, rng: np.random.Generator
+    graph: Graph,
+    node_weights: np.ndarray,
+    rng: np.random.Generator,
+    adjacency: "sp.csr_matrix | None" = None,
 ) -> CoarseLevel:
-    """Collapse a heavy-edge matching into a coarse graph."""
-    match = heavy_edge_matching(graph, node_weights, rng)
+    """Collapse a heavy-edge matching into a coarse graph (``adjacency``:
+    ``graph.adjacency()`` when the caller already has it)."""
+    match = heavy_edge_matching(graph, node_weights, rng, adjacency)
     fine_to_coarse, next_id = _relabel(match)
 
     coarse_weights = np.zeros(next_id)
@@ -111,11 +129,14 @@ def coarsen_to(
     seed: "int | np.random.Generator | None" = None,
     max_levels: int = 40,
     node_weights: "np.ndarray | None" = None,
+    adjacency: "sp.csr_matrix | None" = None,
 ) -> "list[CoarseLevel]":
     """Repeatedly coarsen until at most ``target_nodes`` nodes remain.
 
     ``node_weights`` are the finest-level vertex masses (``None``: all
     ones); every level's ``node_weights`` sums them over its super-nodes.
+    ``adjacency`` is ``graph.adjacency()`` when the caller already has it;
+    each coarser level's comes from :attr:`CoarseLevel.adjacency`.
     Stops early when a level shrinks by less than 10% (matching saturated,
     typical for star-like graphs).  Returns the hierarchy finest-first.
     """
@@ -126,10 +147,11 @@ def coarsen_to(
     for _ in range(max_levels):
         if current.num_nodes <= target_nodes:
             break
-        level = coarsen_once(current, weights, rng)
+        level = coarsen_once(current, weights, rng, adjacency)
         if level.graph.num_nodes > 0.9 * current.num_nodes:
             break
         levels.append(level)
         current = level.graph
         weights = level.node_weights
+        adjacency = level.adjacency
     return levels

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 from repro.partition.coarsen import coarsen_to
@@ -27,7 +28,11 @@ from repro.utils.validation import require
 
 
 def _bfs_grow_initial(
-    graph: Graph, node_weights: np.ndarray, target_mass: float, rng: np.random.Generator
+    graph: Graph,
+    node_weights: np.ndarray,
+    target_mass: float,
+    rng: np.random.Generator,
+    adjacency: "sp.csr_matrix | None" = None,
 ) -> np.ndarray:
     """Grow one side by weighted BFS until it holds ``target_mass``.
 
@@ -36,12 +41,13 @@ def _bfs_grow_initial(
     before the target is reached, it restarts at the smallest unvisited
     node, found by a pointer that only moves forward.  The walk runs on
     Python lists, like :func:`repro.partition.coarsen.heavy_edge_matching`.
+    ``adjacency`` is ``graph.adjacency()`` when the caller already has it.
     """
     n = graph.num_nodes
     side = np.zeros(n, dtype=bool)
     if n == 0:
         return side
-    adj = graph.adjacency().tocsr()
+    adj = graph.adjacency() if adjacency is None else adjacency
     indptr = adj.indptr.tolist()
     indices = adj.indices.tolist()
     weights = node_weights.tolist()
@@ -104,21 +110,32 @@ def multilevel_bisection(
     rng = ensure_rng(seed)
     if node_weights is None:
         node_weights = np.ones(graph.num_nodes)
-    levels = coarsen_to(graph, coarse_target, seed=rng, node_weights=node_weights)
+    # every level's CSR adjacency is built once and serves its matching,
+    # the initial cut and its refinement
+    adjacency = graph.adjacency()
+    levels = coarsen_to(
+        graph, coarse_target, seed=rng, node_weights=node_weights, adjacency=adjacency
+    )
     coarse_graph = levels[-1].graph if levels else graph
     coarse_weights = levels[-1].node_weights if levels else node_weights
+    coarse_adjacency = levels[-1].adjacency if levels else adjacency
 
     total = float(node_weights.sum())
-    side = _bfs_grow_initial(coarse_graph, coarse_weights, target_fraction * total, rng)
+    side = _bfs_grow_initial(
+        coarse_graph, coarse_weights, target_fraction * total, rng, coarse_adjacency
+    )
     side = refine_bisection(
-        coarse_graph, side, coarse_weights, balance_tolerance=balance_tolerance
+        coarse_graph, side, coarse_weights, balance_tolerance=balance_tolerance,
+        adjacency=coarse_adjacency,
     )
     for i in range(len(levels) - 1, -1, -1):
         side = side[levels[i].fine_to_coarse]
         finer_graph = graph if i == 0 else levels[i - 1].graph
         finer_weights = node_weights if i == 0 else levels[i - 1].node_weights
+        finer_adjacency = adjacency if i == 0 else levels[i - 1].adjacency
         side = refine_bisection(
-            finer_graph, side, finer_weights, balance_tolerance=balance_tolerance
+            finer_graph, side, finer_weights, balance_tolerance=balance_tolerance,
+            adjacency=finer_adjacency,
         )
     return side
 

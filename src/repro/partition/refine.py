@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.graphs.graph import Graph
 
@@ -39,6 +40,7 @@ def refine_bisection(
     node_weights: np.ndarray,
     balance_tolerance: float = 0.1,
     max_passes: int = 4,
+    adjacency: "sp.csr_matrix | None" = None,
 ) -> np.ndarray:
     """Greedy FM refinement; returns the improved side assignment.
 
@@ -54,11 +56,13 @@ def refine_bisection(
         Each side must keep at least ``(0.5 − tol)`` of the total mass.
     max_passes:
         Upper bound on full passes; each pass locks moved nodes.
+    adjacency:
+        ``graph.adjacency()`` when the caller already has it.
     """
     side = side.copy()
     total = float(node_weights.sum())
     low = (0.5 - balance_tolerance) * total
-    adj = graph.adjacency().tocsr()
+    adj = graph.adjacency() if adjacency is None else adjacency
 
     for _ in range(max_passes):
         gains = bisection_gains(graph, side)

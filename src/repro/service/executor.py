@@ -15,6 +15,18 @@ process- or RPC-backed executor can slot in later without touching the
 service; everything an executor runs is a pure function of its sub-batch,
 which is what makes the fan-out safe and the results bit-identical to the
 serial path.
+
+Cores are owned in two layers: the executor fans out *between*
+sub-batches, and the Eq. 22 pair kernel
+(:func:`repro.linalg.sparse_utils.column_pair_dots`) fans out *inside*
+one sub-batch, sharing its segments with the ``cores − 1`` helper
+threads of one process-wide pool.  Each executor worker is just another
+caller of that kernel: it always works on its own sub-batch, cancels
+any helper task still queued behind other callers' segments, and waits
+only for helpers already running.  So ``W`` workers add at most
+``cores − 1`` helper threads to the process, whatever ``W`` is, and no
+worker stalls behind another's batch.  Small sub-batches (one segment,
+such as the async service's requests) never touch the helper pool.
 """
 
 from __future__ import annotations

@@ -1,5 +1,11 @@
 """Tests for the effective-resistance engines against closed forms."""
 
+import concurrent.futures
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,6 +36,7 @@ from repro.graphs.graph import Graph
 from repro.linalg.sparse_utils import column_pair_dots, gather_index_dtype
 from repro.powergrid.generators import PGConfig, synthetic_ibmpg_like
 from repro.reduction.pipeline import PGReducer, ReductionConfig
+from repro.service import ResistanceService, ThreadedExecutor
 
 
 class TestClosedForms:
@@ -597,6 +604,230 @@ class TestSegmentedPairDots:
         elmul = self._count_calls(monkeypatch, "csr_elmul_csr")
         engine.query_pairs(pairs)
         assert len(elmul) == 1
+
+
+class _QueuedForever:
+    """A helper pool whose submitted tasks never start, as when every
+    helper is busy with another caller's segments or a forked child's
+    pool has no threads."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        self.submitted.append(future)
+        return future
+
+    def shutdown(self):
+        pass
+
+
+@pytest.fixture
+def participants(monkeypatch):
+    """``participants(n)`` makes multi-segment ``column_pair_dots`` calls
+    use ``n`` participants, with helpers from a fresh pool of ``n − 1``
+    threads (shut down after the test); returns the dict that holds it."""
+    pools = {}
+    monkeypatch.setattr(sparse_utils_module, "_HELPERS", pools)
+
+    def use(count):
+        monkeypatch.setattr(sparse_utils_module, "_CORES", count)
+        return pools
+
+    yield use
+    for pool in pools.values():
+        pool.shutdown()
+
+
+def _helper_threads() -> int:
+    return sum(
+        thread.name.startswith(sparse_utils_module._HELPER_PREFIX)
+        for thread in threading.enumerate()
+    )
+
+
+class TestPairDotHelpers:
+    """A multi-segment batch is shared out between the caller and the
+    helper pool; every participant count and segmentation gives the
+    reference bytes, and no caller waits for a helper that has not
+    started."""
+
+    @staticmethod
+    def _hub_weighted_pairs(engine, seed):
+        nnz = np.diff(engine.z_tilde.indptr)[engine._position].astype(float)
+        rng = np.random.default_rng(seed)
+        return rng.choice(engine.n, size=(3000, 2), p=nnz**2 / (nnz**2).sum())
+
+    @pytest.mark.parametrize("budget", [1, 7, 64, None])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["grid", "ba-hubs", "int64", "non-finite"])
+    def test_bytes_independent_of_participants(self, monkeypatch, participants,
+                                               case, count, budget):
+        pools = participants(count)
+        if budget is not None:
+            monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
+        if case == "non-finite":
+            rng = np.random.default_rng(24)
+            dense = rng.choice([0.0, 0.0, 0.0, 1.5, -2.0], size=(12, 9))
+            dense[0, 0], dense[5, 3] = np.inf, np.nan
+            matrix = sp.csc_matrix(dense)
+            cols_p, cols_q = rng.integers(0, 9, size=(2, 200))
+            got = column_pair_dots(matrix, cols_p, cols_q)
+            want = TestColumnPairDots._scipy(matrix, cols_p, cols_q)
+            assert got.tobytes() == want.tobytes()
+            assert np.isnan(got).any() and np.isfinite(got).any()
+            gathered = np.diff(matrix.indptr)[cols_p] + np.diff(matrix.indptr)[cols_q]
+        else:
+            graph = KERNEL_GRAPHS["sbm" if case == "int64" else case.split("-")[0]]()
+            engine = CholInvEffectiveResistance(graph)
+            if case == "ba-hubs":
+                pairs = self._hub_weighted_pairs(engine, seed=25)
+            else:
+                pairs = _probe_pairs(engine.n, seed=26, count=500)
+            if case == "int64":
+                z = engine.z_tilde
+                z.indptr = z.indptr.astype(np.int64)
+                z.indices = z.indices.astype(np.int64)
+            _assert_same(engine, pairs)
+            gathered = _gathered_per_pair(engine, pairs)
+            # every segment is merged once: no ticket lost or handed out twice
+            merges = TestSegmentedPairDots._count_calls(monkeypatch, "csr_elmul_csr")
+            engine.query_pairs(pairs)
+            segments = len(sparse_utils_module._pair_segments(gathered)) - 1
+            assert len(merges) == segments
+        several = len(sparse_utils_module._pair_segments(gathered)) > 2
+        assert several or budget is None
+        # the pool is made only when a call has a helper to give work to
+        assert bool(pools) == (several and count > 1)
+
+    def test_one_segment_batch_stays_inline(self, monkeypatch, participants):
+        pool = participants(3)["pool"] = _QueuedForever()
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
+        pairs = _probe_pairs(engine.n, seed=27, count=64)
+        elmul = TestSegmentedPairDots._count_calls(monkeypatch, "csr_elmul_csr")
+        engine.query_pairs(pairs)
+        assert len(elmul) == 1
+        assert not pool.submitted
+
+    def test_helper_that_never_starts_is_not_waited_for(self, monkeypatch, participants):
+        pool = participants(3)["pool"] = _QueuedForever()
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", 7)
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["ba"]())
+        pairs = _probe_pairs(engine.n, seed=28, count=300)
+        answers = []
+        caller = threading.Thread(
+            target=lambda: answers.append(engine.query_pairs(pairs)), daemon=True
+        )
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the call waited for a helper that never started"
+        assert answers[0].tobytes() == _reference_query_pairs(engine, pairs).tobytes()
+        assert len(pool.submitted) == 2
+        assert all(future.cancelled() for future in pool.submitted)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads
+    def test_forked_child_answers(self, monkeypatch):
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", 7)
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
+        pairs = _probe_pairs(engine.n, seed=31, count=300)
+        want = _reference_query_pairs(engine, pairs).tobytes()
+        assert engine.query_pairs(pairs).tobytes() == want  # helpers started
+        pid = os.fork()
+        if pid == 0:  # the child: answer once more, report by exit status
+            try:
+                os._exit(0 if engine.query_pairs(pairs).tobytes() == want else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch, participants):
+        participants(2)
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", 1)
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
+        pairs = _probe_pairs(engine.n, seed=29, count=200)
+        kernels = sparse_utils_module._sparsetools
+        merge = kernels.csr_elmul_csr
+        caller = threading.get_ident()
+        helper_failed = threading.Event()
+
+        def flaky(*args):
+            if threading.get_ident() != caller:
+                helper_failed.set()
+                raise RuntimeError("helper failed")
+            # hold the caller's first segment until the helper has failed
+            assert helper_failed.wait(timeout=60)
+            return merge(*args)
+
+        monkeypatch.setattr(kernels, "csr_elmul_csr", flaky)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            engine.query_pairs(pairs)
+        monkeypatch.setattr(kernels, "csr_elmul_csr", merge)
+        _assert_same(engine, pairs)
+
+    def test_many_callers_share_at_most_cores_minus_one_helpers(self, monkeypatch):
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", 4000)
+        graph = grid_2d(30, 30, jitter=0.3, seed=7)
+        engine = build_engines([graph], EngineConfig())[0]
+        edges = graph.edge_array()
+        want_edges = _reference_query_pairs(engine, edges).tobytes()
+        batches = [_probe_pairs(graph.num_nodes, seed=30 + i, count=3000) for i in range(4)]
+        want_batches = [_reference_query_pairs(engine, b).tobytes() for b in batches]
+        assert len(sparse_utils_module._pair_segments(_gathered_per_pair(engine, edges))) > 3
+        helper_cap = max(sparse_utils_module._CORES - 1, 0)
+        errors, most = [], [0]
+        done = threading.Event()
+        start = threading.Barrier(10)
+
+        def edge_caller():
+            start.wait(timeout=60)
+            for _ in range(6):
+                if engine.all_edge_resistances().tobytes() != want_edges:
+                    errors.append("all-edge answers differ")
+
+        def service_caller():
+            start.wait(timeout=60)
+            with ThreadedExecutor(workers=4) as executor:
+                service = ResistanceService.from_engine(
+                    engine, result_cache_size=0, executor=executor, max_task_pairs=1000
+                )
+                for _ in range(3):
+                    for batch, want in zip(batches, want_batches):
+                        if service.query_pairs(batch).tobytes() != want:
+                            errors.append("service answers differ")
+
+        def count_helpers():
+            start.wait(timeout=60)
+            while not done.is_set():
+                most[0] = max(most[0], _helper_threads())
+                done.wait(0.001)
+
+        callers = [threading.Thread(target=edge_caller) for _ in range(8)]
+        callers.append(threading.Thread(target=service_caller))
+        counter = threading.Thread(target=count_helpers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many more hand-offs between threads
+        try:
+            for thread in [*callers, counter]:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=300)
+        finally:
+            done.set()
+            counter.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == []
+        assert most[0] <= helper_cap and _helper_threads() <= helper_cap
+        assert most[0] >= min(helper_cap, 1)  # the callers did share helpers
 
 
 class TestPairQueryWorkingSet:

@@ -28,9 +28,11 @@ from repro.utils.rng import ensure_rng
 # ----------------------------------------------------------------------
 # Executable specifications: the partitioner's hot loops written plainly
 # over numpy scalars.  The shipped list/deque/vectorised versions must
-# reproduce them exactly (same rng draws, same ties, same outputs).
+# reproduce them exactly (same rng draws, same ties, same outputs).  The
+# references build their own adjacency from the graph and ignore the one
+# the partitioner hands them.
 # ----------------------------------------------------------------------
-def _reference_heavy_edge_matching(graph, node_weights, rng):
+def _reference_heavy_edge_matching(graph, node_weights, rng, adjacency=None):
     n = graph.num_nodes
     adj = graph.adjacency().tocsr()
     match = -np.ones(n, dtype=np.int64)
@@ -65,7 +67,7 @@ def _reference_relabel(match):
     return fine_to_coarse, next_id
 
 
-def _reference_bfs_grow_initial(graph, node_weights, target_mass, rng):
+def _reference_bfs_grow_initial(graph, node_weights, target_mass, rng, adjacency=None):
     n = graph.num_nodes
     side = np.zeros(n, dtype=bool)
     if n == 0:
@@ -161,6 +163,23 @@ class TestCoarsening:
         for level in levels:
             mapping = level.fine_to_coarse[mapping]
         assert mapping.max() < levels[-1].graph.num_nodes
+
+    def test_each_level_builds_its_adjacency_once(self, monkeypatch):
+        # matching, initial cut and refinement share one CSR per level
+        built = []
+        adjacency = Graph.adjacency
+
+        def counted(graph):
+            built.append(id(graph))
+            return adjacency(graph)
+
+        graph = grid_2d(30, 30, jitter=0.3, seed=4)
+        levels = coarsen_to(graph, 160, seed=5)
+        assert len(levels) > 2
+        monkeypatch.setattr(Graph, "adjacency", counted)
+        multilevel_bisection(graph, seed=5)
+        # the input graph and every kept level, each once
+        assert len(built) == len(set(built)) == len(levels) + 1
 
 
 class TestShippedLoopsMatchTheReference:
