@@ -80,12 +80,12 @@ def _one_participant():
         sparse_utils._CORES = cores
 
 
-def _segments(engine, pairs) -> int:
-    """Segments ``column_pair_dots`` splits the batch into."""
+def _participants(engine, pairs) -> int:
+    """Threads ``column_pair_dots`` shares the batch between."""
     ps, qs = as_pair_columns(pairs)
     nnz = np.diff(engine.z_tilde.indptr)
     gathered = nnz[engine._position[ps]] + nnz[engine._position[qs]]
-    return len(sparse_utils._pair_segments(gathered)) - 1
+    return sparse_utils._pair_plan(gathered)[1]
 
 
 def _best_of(repeat: int, run) -> float:
@@ -142,7 +142,7 @@ def run_case(name: str, engines: list, batches: list, repeat: int) -> dict:
     with _one_participant():
         kernel_alone = sum(_best_of(repeat, lambda: e.query_pairs(p)) for e, p in work)
     reference = sum(_best_of(repeat, lambda: _reference_query_pairs(e, p)) for e, p in work)
-    participants = min(sparse_utils._CORES, max(_segments(e, p) for e, p in work))
+    participants = max(_participants(e, p) for e, p in work)
     paths = {"kernel": lambda e, p: e.query_pairs(p), "reference": _reference_query_pairs}
     minflt = {side: _minflt_per_call(work, run) for side, run in paths.items()}
     peak = {side: _tracemalloc_peak(work, run) for side, run in paths.items()}

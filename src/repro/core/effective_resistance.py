@@ -409,7 +409,8 @@ class CholInvEffectiveResistance(ResistanceEngine):
         so a large batch neither page-faults fresh scratch memory nor
         evicts the columns it reads.  It also owns the cores inside the
         batch: a batch of several segments is shared between this thread
-        and the kernel's ``cores − 1`` helper threads, while any fan-out
+        and helpers from the kernel's pool of ``cores − 1`` threads,
+        within one segment budget of scratch, while any fan-out
         between batches belongs to the service's executor (see
         :mod:`repro.linalg.sparse_utils`); this call never waits for a
         helper that has not started.  The answers are

@@ -10,13 +10,14 @@ run on many small matrices (the blocks of Alg. 1).  This is the only
 module that depends on scipy internals; should they ever move, both
 kernels fall back to the public API with the same results.
 
-:func:`column_pair_dots` also owns its working set.  It walks any batch
-in segments of at most ``_PAIR_SEGMENT_ENTRIES`` gathered entries
-through reused buffers, one set per participating thread, so its
-scratch stays a few MB per core whatever the batch.  Scratch sized to
-the whole batch (a 46 MB peak for all edges of a 72² mesh) comes back
-from the allocator as fresh ``mmap`` pages, thousands of minor page
-faults per call, and streams through the cache on every pass.
+:func:`column_pair_dots` also owns its working set.  A batch of more
+than ``_PAIR_SEGMENT_ENTRIES`` gathered entries is walked in segments
+through reused buffers, and one call's buffers stay within that budget
+however many threads share the call, so its scratch is a few MB whatever
+the batch and the host.  Scratch sized to the whole batch (a 46 MB peak
+for all edges of a 72² mesh) comes back from the allocator as fresh
+``mmap`` pages, thousands of minor page faults per call, and streams
+through the cache on every pass.
 
 Cores are owned in two layers.  The service's executor
 (:mod:`repro.service.executor`) owns the fan-out *between* the
@@ -25,20 +26,24 @@ fan-out *inside* one batch.  Its segments are independent, and scipy's
 gather and merge kernels release the GIL, so a batch of several
 segments is shared out between the calling thread and the helpers of
 one process-wide pool of ``cores − 1`` threads (none on a 1-core host).
-The two layers compose without oversubscribing the host or stalling a
+A call's segments shrink to ``1 / min(cores, _MAX_PARTICIPANTS)`` of
+the budget, and it has at most that many participants (see
+:func:`_pair_plan`).  The two layers compose without oversubscribing the host or stalling a
 caller because the caller always works on its own batch and never waits
 for a helper that has not started: when its segments run out it cancels
 any helper task still queued (say, behind another caller's segments) and
 waits only for helpers already running.  However many threads query at
 once, the process holds at most ``cores − 1`` helpers.  A one-segment
-batch (a small request) runs inline without touching the pool.
+batch (a small request) runs inline without touching the pool, and so
+does every batch once the interpreter is shutting down and the pool
+takes no more work.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,11 +57,17 @@ if not all(hasattr(_sparsetools, name) for name in _KERNELS):  # pragma: no cove
     _sparsetools = None
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
-# Gathered entries (Σ nnz_p + nnz_q) per segment of column_pair_dots:
-# about 1.5 MB of gathers, within a core's L2.  Swept on a 2-core Xeon
-# (2 MB L2 per core) over grid72, BA-3000 and the pg-reduce blocks:
-# 3.2e4–2.5e5 are equally fast and fault-free, 5e5–1e6 start to fault.
+# Gathered entries (Σ nnz_p + nnz_q) per call of column_pair_dots that
+# walks a batch in segments: about 1.5 MB of gathers, within a core's L2.
+# Swept on a 2-core Xeon (2 MB L2 per core) over grid72, BA-3000 and the
+# pg-reduce blocks: segments of 3.2e4–2.5e5 are equally fast and
+# fault-free, 5e5–1e6 start to fault, and below 3.2e4 the per-segment
+# calls show (one thread, all edges: +12–17% at 1.6e4, +35–55% at 8e3).
 _PAIR_SEGMENT_ENTRIES = 128_000
+# Participants in one call, whose segments take 1/participants of the
+# budget each: four keeps them at 3.2e4 entries, the smallest of the
+# flat range above.
+_MAX_PARTICIPANTS = 4
 
 
 def _usable_cores() -> int:
@@ -67,9 +78,9 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# A multi-segment column_pair_dots call has at most _CORES participants:
-# its caller and up to _CORES - 1 helpers from one pool, which a 1-core
-# host never makes.
+# A multi-segment column_pair_dots call has at most
+# min(_CORES, _MAX_PARTICIPANTS) participants: its caller and helpers
+# from one pool of _CORES - 1 threads, which a 1-core host never makes.
 _CORES = _usable_cores()
 _HELPER_PREFIX = "repro-pair-dots"
 _HELPERS: "dict[str, ThreadPoolExecutor]" = {}
@@ -147,22 +158,21 @@ def column_pair_dots(
     are dropped, as scipy does), and ``np.add.reduceat`` over the
     non-empty products, which is what scipy's ``sum`` applies.
 
-    The batch runs in consecutive segments of at most
-    ``_PAIR_SEGMENT_ENTRIES`` gathered entries, ``Σ (nnz_p + nnz_q)``
-    (a pair larger than that is a segment of its own), each through
-    gather and product buffers sized for the largest segment: the
-    scratch stays cache-sized and fault-free whatever the batch (see the
-    module docstring).  Every pair's dot is its own ``reduceat`` sum, so
-    segmenting cannot change it.  The index dtype comes from
-    :func:`gather_index_dtype` on the largest segment.
-
-    A batch of one segment runs inline.  A batch of several is shared
-    out, one segment at a time, between the calling thread and up to
-    ``cores − 1`` helpers of the process-wide pool, each with a buffer
-    set of its own; each pair's dot is written by exactly one of them,
-    so the bytes are the same however the segments fall.  The caller
-    never waits for a helper that has not started (see the module
-    docstring), and a helper's exception re-raises here.
+    A batch of at most ``_PAIR_SEGMENT_ENTRIES`` gathered entries,
+    ``Σ (nnz_p + nnz_q)``, runs inline as one segment.  A larger batch
+    runs in consecutive segments, through gather and product buffers
+    sized for the largest segment, shared out one segment at a time
+    between the calling thread and helpers of the process-wide pool
+    (:func:`_pair_plan` sets the segments and the participant count).
+    Each participant has a buffer set of its own, and participants ×
+    largest segment stays within the budget, so a call's scratch stays
+    cache-sized and fault-free whatever the batch and the core count
+    (see the module docstring).  Every pair's dot is its own
+    ``reduceat`` sum, written by exactly one participant, so neither the
+    segmentation nor the participant count can change it.  The index
+    dtype comes from :func:`gather_index_dtype` on the largest segment.
+    The caller never waits for a helper that has not started (see the
+    module docstring), and a helper's exception re-raises here.
 
     With ``assume_finite`` (every stored value is finite) the product
     buffer holds ``Σ min(nnz_p, nnz_q)`` entries — only rows present in
@@ -182,7 +192,7 @@ def column_pair_dots(
     indptr = csc.indptr
     nnz_p = indptr[cols_p + 1] - indptr[cols_p]
     nnz_q = indptr[cols_q + 1] - indptr[cols_q]
-    bounds = _pair_segments(nnz_p + nnz_q)
+    bounds, participants = _pair_plan(nnz_p + nnz_q)
     if len(bounds) == 2:  # one segment: the batch totals size the buffers
         k_max = m
         cap_p, cap_q = int(nnz_p.sum(dtype=np.int64)), int(nnz_q.sum(dtype=np.int64))
@@ -201,30 +211,49 @@ def column_pair_dots(
     # every segment number goes to exactly one participant, with no lock
     tickets = itertools.count()
     work = (tickets, bounds, dtype, csc.shape[0], source, ((cols_p, nnz_p), (cols_q, nnz_q)), dots)
-    participants = min(_CORES, len(bounds) - 1)
-    if participants == 1:
-        _dot_segments(*work, _segment_buffers(k_max, caps, dtype, csc.data.dtype))
-        return dots
     # the caller allocates every participant's buffers: a helper thread
     # allocates from a malloc arena of its own, whose freed pages the
     # builds on the calling thread never reuse (in perfbench that raised
     # peak RSS by 3–5 MB)
-    buffers = [
-        _segment_buffers(k_max, caps, dtype, csc.data.dtype) for _ in range(participants)
-    ]
-    pool = _helper_pool()
-    helpers = [pool.submit(_dot_segments, *work, own) for own in buffers[1:]]
+    own = _segment_buffers(k_max, caps, dtype, csc.data.dtype)
+    if participants == 1:
+        _dot_segments(*work, own)
+        return dots
+    # what the helper tasks share: the call's work and one buffer set per
+    # helper, task i taking set i
+    shared = [work]
+    for _ in range(participants - 1):
+        shared.append(_segment_buffers(k_max, caps, dtype, csc.data.dtype))
+    helpers = []
     try:
-        _dot_segments(*work, buffers[0])
+        pool = _helper_pool()
+        for i in range(1, participants):
+            helpers.append(pool.submit(_help, shared, i))
+    except RuntimeError:
+        # the interpreter is shutting down (or the pool broke) and takes
+        # no more work: the caller answers alone, with the same bytes
+        pass
+    try:
+        _dot_segments(*work, own)
     finally:
         # a helper still queued (behind another caller's segments) would
         # only find the tickets used up: drop it instead of waiting; wait
-        # for a running one, which holds its last segment, and re-raise
-        # its exception
-        for helper in helpers:
-            if not helper.cancel():
-                helper.result()
+        # for a running one, which holds its last segment
+        running = [helper for helper in helpers if not helper.cancel()]
+        wait(running)
+        # a cancelled task stays in the pool's queue until a helper takes
+        # it off: leave it an empty list, not the buffers and the batch
+        shared.clear()
+    for helper in running:
+        helper.result()  # re-raises a helper's exception
     return dots
+
+
+def _help(shared: list, i: int) -> None:
+    """A helper's part of a call: run segments through buffer set
+    ``shared[i]`` until the call's tickets are used up (``shared[0]`` is
+    the call's work)."""
+    _dot_segments(*shared[0], shared[i])
 
 
 def _segment_buffers(k_max, caps, dtype, value_dtype) -> "tuple":
@@ -279,21 +308,34 @@ def _dot_segments(tickets, bounds, dtype, n_rows, source, sides, dots, buffers) 
         i = next(tickets)
 
 
-def _pair_segments(gathered: np.ndarray) -> "list[int]":
-    """Boundaries of consecutive pair segments that each gather at most
-    ``_PAIR_SEGMENT_ENTRIES`` entries (``gathered[i]`` is pair ``i``'s
-    count); a pair over the budget gets a segment of its own."""
+def _pair_plan(gathered: np.ndarray) -> "tuple[list[int], int]":
+    """Segment boundaries and participant count of a batch whose pair
+    ``i`` gathers ``gathered[i]`` entries.
+
+    A batch within ``_PAIR_SEGMENT_ENTRIES`` is one segment for the
+    caller alone.  A larger one is cut into consecutive segments of at
+    most ``_PAIR_SEGMENT_ENTRIES // c`` entries, ``c = min(_CORES,
+    _MAX_PARTICIPANTS)`` (a pair over that is a segment of its own), and
+    shared by at most ``c`` participants — but only by as many as can
+    each hold the largest segment within the budget, so the buffers of
+    one call never take more than one budget (or, with a pair over it,
+    the buffers of that pair alone).
+    """
     m = gathered.shape[0]
     cum = gathered.cumsum(dtype=np.int64)
     if cum[-1] <= _PAIR_SEGMENT_ENTRIES:
-        return [0, m]
-    bounds = [0]
+        return [0, m], 1
+    cores = min(_CORES, _MAX_PARTICIPANTS)
+    budget = _PAIR_SEGMENT_ENTRIES // cores
+    bounds, largest = [0], 0
     while bounds[-1] < m:
         start = bounds[-1]
         base = int(cum[start - 1]) if start else 0
-        stop = int(cum.searchsorted(base + _PAIR_SEGMENT_ENTRIES, side="right"))
-        bounds.append(max(stop, start + 1))
-    return bounds
+        stop = max(int(cum.searchsorted(base + budget, side="right")), start + 1)
+        bounds.append(stop)
+        largest = max(largest, int(cum[stop - 1]) - base)
+    participants = min(cores, len(bounds) - 1, max(1, _PAIR_SEGMENT_ENTRIES // largest))
+    return bounds, participants
 
 
 def csr_matmat_sorted(

@@ -49,7 +49,7 @@ def heavy_edge_matching(
     graph: Graph,
     node_weights: np.ndarray,
     rng: np.random.Generator,
-    adjacency: "sp.csr_matrix | None" = None,
+    adjacency: sp.csr_matrix,
 ) -> np.ndarray:
     """Greedy heavy-edge matching; returns ``match`` with partners or self.
 
@@ -60,13 +60,12 @@ def heavy_edge_matching(
 
     The greedy loop is inherently sequential, so it runs on Python lists:
     indexing numpy arrays one scalar at a time cost about 3x as much.
-    ``adjacency`` is ``graph.adjacency()`` when the caller already has it.
+    ``adjacency`` is ``graph.adjacency()``, built once by the caller.
     """
     n = graph.num_nodes
-    adj = graph.adjacency() if adjacency is None else adjacency
-    indptr = adj.indptr.tolist()
-    indices = adj.indices.tolist()
-    data = adj.data.tolist()
+    indptr = adjacency.indptr.tolist()
+    indices = adjacency.indices.tolist()
+    data = adjacency.data.tolist()
     match = [-1] * n
     for v in rng.permutation(n).tolist():
         if match[v] != -1:
@@ -100,10 +99,10 @@ def coarsen_once(
     graph: Graph,
     node_weights: np.ndarray,
     rng: np.random.Generator,
-    adjacency: "sp.csr_matrix | None" = None,
+    adjacency: sp.csr_matrix,
 ) -> CoarseLevel:
-    """Collapse a heavy-edge matching into a coarse graph (``adjacency``:
-    ``graph.adjacency()`` when the caller already has it)."""
+    """Collapse a heavy-edge matching into a coarse graph (``adjacency``
+    is ``graph.adjacency()``)."""
     match = heavy_edge_matching(graph, node_weights, rng, adjacency)
     fine_to_coarse, next_id = _relabel(match)
 
@@ -126,17 +125,17 @@ def coarsen_once(
 def coarsen_to(
     graph: Graph,
     target_nodes: int,
+    adjacency: sp.csr_matrix,
     seed: "int | np.random.Generator | None" = None,
     max_levels: int = 40,
     node_weights: "np.ndarray | None" = None,
-    adjacency: "sp.csr_matrix | None" = None,
 ) -> "list[CoarseLevel]":
     """Repeatedly coarsen until at most ``target_nodes`` nodes remain.
 
     ``node_weights`` are the finest-level vertex masses (``None``: all
     ones); every level's ``node_weights`` sums them over its super-nodes.
-    ``adjacency`` is ``graph.adjacency()`` when the caller already has it;
-    each coarser level's comes from :attr:`CoarseLevel.adjacency`.
+    ``adjacency`` is ``graph.adjacency()``; each coarser level's comes
+    from :attr:`CoarseLevel.adjacency`.
     Stops early when a level shrinks by less than 10% (matching saturated,
     typical for star-like graphs).  Returns the hierarchy finest-first.
     """

@@ -32,7 +32,7 @@ def _bfs_grow_initial(
     node_weights: np.ndarray,
     target_mass: float,
     rng: np.random.Generator,
-    adjacency: "sp.csr_matrix | None" = None,
+    adjacency: sp.csr_matrix,
 ) -> np.ndarray:
     """Grow one side by weighted BFS until it holds ``target_mass``.
 
@@ -41,15 +41,14 @@ def _bfs_grow_initial(
     before the target is reached, it restarts at the smallest unvisited
     node, found by a pointer that only moves forward.  The walk runs on
     Python lists, like :func:`repro.partition.coarsen.heavy_edge_matching`.
-    ``adjacency`` is ``graph.adjacency()`` when the caller already has it.
+    ``adjacency`` is ``graph.adjacency()``, built once by the caller.
     """
     n = graph.num_nodes
     side = np.zeros(n, dtype=bool)
     if n == 0:
         return side
-    adj = graph.adjacency() if adjacency is None else adjacency
-    indptr = adj.indptr.tolist()
-    indices = adj.indices.tolist()
+    indptr = adjacency.indptr.tolist()
+    indices = adjacency.indices.tolist()
     weights = node_weights.tolist()
     # pseudo-peripheral start: BFS twice from a random node
     start = int(rng.integers(n))
@@ -114,7 +113,7 @@ def multilevel_bisection(
     # the initial cut and its refinement
     adjacency = graph.adjacency()
     levels = coarsen_to(
-        graph, coarse_target, seed=rng, node_weights=node_weights, adjacency=adjacency
+        graph, coarse_target, adjacency, seed=rng, node_weights=node_weights
     )
     coarse_graph = levels[-1].graph if levels else graph
     coarse_weights = levels[-1].node_weights if levels else node_weights
@@ -125,8 +124,8 @@ def multilevel_bisection(
         coarse_graph, coarse_weights, target_fraction * total, rng, coarse_adjacency
     )
     side = refine_bisection(
-        coarse_graph, side, coarse_weights, balance_tolerance=balance_tolerance,
-        adjacency=coarse_adjacency,
+        coarse_graph, side, coarse_weights, coarse_adjacency,
+        balance_tolerance=balance_tolerance,
     )
     for i in range(len(levels) - 1, -1, -1):
         side = side[levels[i].fine_to_coarse]
@@ -134,8 +133,8 @@ def multilevel_bisection(
         finer_weights = node_weights if i == 0 else levels[i - 1].node_weights
         finer_adjacency = adjacency if i == 0 else levels[i - 1].adjacency
         side = refine_bisection(
-            finer_graph, side, finer_weights, balance_tolerance=balance_tolerance,
-            adjacency=finer_adjacency,
+            finer_graph, side, finer_weights, finer_adjacency,
+            balance_tolerance=balance_tolerance,
         )
     return side
 

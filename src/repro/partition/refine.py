@@ -38,9 +38,9 @@ def refine_bisection(
     graph: Graph,
     side: np.ndarray,
     node_weights: np.ndarray,
+    adjacency: sp.csr_matrix,
     balance_tolerance: float = 0.1,
     max_passes: int = 4,
-    adjacency: "sp.csr_matrix | None" = None,
 ) -> np.ndarray:
     """Greedy FM refinement; returns the improved side assignment.
 
@@ -52,17 +52,16 @@ def refine_bisection(
         Boolean array: current side of each node.
     node_weights:
         Vertex masses (original-node counts when used multilevel).
+    adjacency:
+        ``graph.adjacency()``, built once by the caller.
     balance_tolerance:
         Each side must keep at least ``(0.5 − tol)`` of the total mass.
     max_passes:
         Upper bound on full passes; each pass locks moved nodes.
-    adjacency:
-        ``graph.adjacency()`` when the caller already has it.
     """
     side = side.copy()
     total = float(node_weights.sum())
     low = (0.5 - balance_tolerance) * total
-    adj = graph.adjacency() if adjacency is None else adjacency
 
     for _ in range(max_passes):
         gains = bisection_gains(graph, side)
@@ -93,8 +92,8 @@ def refine_bisection(
             side_mass[1 - source] += node_weights[v]
             moved += 1
             # update neighbour gains incrementally
-            start, end = adj.indptr[v], adj.indptr[v + 1]
-            for u, w in zip(adj.indices[start:end], adj.data[start:end]):
+            start, end = adjacency.indptr[v], adjacency.indptr[v + 1]
+            for u, w in zip(adjacency.indices[start:end], adjacency.data[start:end]):
                 u = int(u)
                 if locked[u]:
                     continue

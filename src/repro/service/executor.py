@@ -19,8 +19,8 @@ serial path.
 Cores are owned in two layers: the executor fans out *between*
 sub-batches, and the Eq. 22 pair kernel
 (:func:`repro.linalg.sparse_utils.column_pair_dots`) fans out *inside*
-one sub-batch, sharing its segments with the ``cores − 1`` helper
-threads of one process-wide pool.  Each executor worker is just another
+one sub-batch, sharing its segments with helpers from one
+process-wide pool of ``cores − 1`` threads.  Each executor worker is just another
 caller of that kernel: it always works on its own sub-batch, cancels
 any helper task still queued behind other callers' segments, and waits
 only for helpers already running.  So ``W`` workers add at most

@@ -401,13 +401,15 @@ class TestPairDotKernelMatchesScipy:
     @pytest.mark.parametrize("budget", [1, 7, 64])
     def test_batch_spanning_several_chunks(self, monkeypatch, budget):
         # 1 and 7 entries: pairs over the budget, each pair a segment of
-        # its own; 64: no pair over it, segments of up to four pairs
+        # its own; 64: no pair over it, segments of up to four pairs (one
+        # participant, whose segments take the whole budget)
+        monkeypatch.setattr(sparse_utils_module, "_CORES", 1)
         monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
         graph = KERNEL_GRAPHS["disconnected"]()
         engine = CholInvEffectiveResistance(graph)
         pairs = _probe_pairs(graph.num_nodes, seed=11, count=300)
         gathered = _gathered_per_pair(engine, pairs)
-        bounds = sparse_utils_module._pair_segments(gathered)
+        bounds = sparse_utils_module._pair_plan(gathered)[0]
         sizes = np.diff(bounds)
         totals = np.add.reduceat(gathered, bounds[:-1])
         # within budget unless alone, and greedy: the next pair did not fit
@@ -422,7 +424,7 @@ class TestPairDotKernelMatchesScipy:
         engine = CholInvEffectiveResistance(graph)
         pairs = _probe_pairs(graph.num_nodes, seed=12, count=70000)
         # more pairs than the reference's chunk, and many segments
-        bounds = sparse_utils_module._pair_segments(_gathered_per_pair(engine, pairs))
+        bounds = sparse_utils_module._pair_plan(_gathered_per_pair(engine, pairs))[0]
         assert len(bounds) > 3
         _assert_same(engine, pairs)
 
@@ -530,17 +532,19 @@ class TestSegmentedPairDots:
         engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
         pairs = _probe_pairs(engine.n, seed=18, count=400)
         gathered = _gathered_per_pair(engine, pairs)
-        # the first 100 pairs fill a segment exactly; the rest follow
+        # the first 100 pairs fill a segment exactly; the rest follow (one
+        # participant, whose segments take the whole budget)
         budget = int(gathered[:100].sum())
+        monkeypatch.setattr(sparse_utils_module, "_CORES", 1)
         monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
-        bounds = sparse_utils_module._pair_segments(gathered)
+        bounds = sparse_utils_module._pair_plan(gathered)[0]
         assert bounds[1] == 100 and bounds[-1] == pairs.shape[0]
         _assert_same(engine, pairs)
         # a whole batch exactly at the budget is one segment
         monkeypatch.setattr(
             sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", int(gathered.sum())
         )
-        assert sparse_utils_module._pair_segments(gathered) == [0, pairs.shape[0]]
+        assert sparse_utils_module._pair_plan(gathered) == ([0, pairs.shape[0]], 1)
         _assert_same(engine, pairs)
 
     @pytest.mark.parametrize("budget", [1, 64, None])
@@ -613,10 +617,12 @@ class _QueuedForever:
 
     def __init__(self):
         self.submitted = []
+        self.arguments = []
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
         self.submitted.append(future)
+        self.arguments.append(args)
         return future
 
     def shutdown(self):
@@ -640,6 +646,14 @@ def participants(monkeypatch):
         pool.shutdown()
 
 
+def _share_budget(gathered, count: int, pairs_per_segment: int = 1) -> int:
+    """A segment budget at which ``count`` participants each get segments
+    of at least ``pairs_per_segment`` of the largest pair: the plan keeps
+    all of them (at smaller budgets every pair is over a participant's
+    share, and the caller runs them alone)."""
+    return count * pairs_per_segment * int(gathered.max())
+
+
 def _helper_threads() -> int:
     return sum(
         thread.name.startswith(sparse_utils_module._HELPER_PREFIX)
@@ -659,24 +673,18 @@ class TestPairDotHelpers:
         rng = np.random.default_rng(seed)
         return rng.choice(engine.n, size=(3000, 2), p=nnz**2 / (nnz**2).sum())
 
-    @pytest.mark.parametrize("budget", [1, 7, 64, None])
+    @pytest.mark.parametrize("budget", [1, 7, 64, "one-pair", "three-pairs", None])
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("case", ["grid", "ba-hubs", "int64", "non-finite"])
     def test_bytes_independent_of_participants(self, monkeypatch, participants,
                                                case, count, budget):
         pools = participants(count)
-        if budget is not None:
-            monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
         if case == "non-finite":
             rng = np.random.default_rng(24)
             dense = rng.choice([0.0, 0.0, 0.0, 1.5, -2.0], size=(12, 9))
             dense[0, 0], dense[5, 3] = np.inf, np.nan
             matrix = sp.csc_matrix(dense)
             cols_p, cols_q = rng.integers(0, 9, size=(2, 200))
-            got = column_pair_dots(matrix, cols_p, cols_q)
-            want = TestColumnPairDots._scipy(matrix, cols_p, cols_q)
-            assert got.tobytes() == want.tobytes()
-            assert np.isnan(got).any() and np.isfinite(got).any()
             gathered = np.diff(matrix.indptr)[cols_p] + np.diff(matrix.indptr)[cols_q]
         else:
             graph = KERNEL_GRAPHS["sbm" if case == "int64" else case.split("-")[0]]()
@@ -689,17 +697,52 @@ class TestPairDotHelpers:
                 z = engine.z_tilde
                 z.indptr = z.indptr.astype(np.int64)
                 z.indices = z.indices.astype(np.int64)
-            _assert_same(engine, pairs)
             gathered = _gathered_per_pair(engine, pairs)
+        if isinstance(budget, str):
+            per_segment = {"one-pair": 1, "three-pairs": 3}[budget]
+            budget = _share_budget(gathered, count, per_segment)
+        if budget is not None:
+            monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
+        bounds, used = sparse_utils_module._pair_plan(gathered)
+        several = len(bounds) > 2
+        assert several or budget is None
+        if case == "non-finite":
+            got = column_pair_dots(matrix, cols_p, cols_q)
+            want = TestColumnPairDots._scipy(matrix, cols_p, cols_q)
+            assert got.tobytes() == want.tobytes()
+            assert np.isnan(got).any() and np.isfinite(got).any()
+        else:
+            _assert_same(engine, pairs)
             # every segment is merged once: no ticket lost or handed out twice
             merges = TestSegmentedPairDots._count_calls(monkeypatch, "csr_elmul_csr")
             engine.query_pairs(pairs)
-            segments = len(sparse_utils_module._pair_segments(gathered)) - 1
-            assert len(merges) == segments
-        several = len(sparse_utils_module._pair_segments(gathered)) > 2
-        assert several or budget is None
+            assert len(merges) == len(bounds) - 1
+        if several and sparse_utils_module._PAIR_SEGMENT_ENTRIES >= _share_budget(gathered, count):
+            assert used == count
         # the pool is made only when a call has a helper to give work to
-        assert bool(pools) == (several and count > 1)
+        assert bool(pools) == (used > 1)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4, 8, 32])
+    @pytest.mark.parametrize("budget", [1, 64, 4000, None])
+    def test_plan_keeps_one_calls_buffers_within_the_budget(self, monkeypatch,
+                                                            cores, budget):
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["ba"]())
+        gathered = _gathered_per_pair(engine, self._hub_weighted_pairs(engine, seed=32))
+        monkeypatch.setattr(sparse_utils_module, "_CORES", cores)
+        if budget is not None:
+            monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
+        budget = sparse_utils_module._PAIR_SEGMENT_ENTRIES
+        bounds, used = sparse_utils_module._pair_plan(gathered)
+        assert bounds[0] == 0 and bounds[-1] == gathered.size
+        assert np.all(np.diff(bounds) > 0)
+        segments = np.add.reduceat(gathered, bounds[:-1])
+        assert 1 <= used <= min(cores, sparse_utils_module._MAX_PARTICIPANTS, segments.size)
+        share = budget // min(cores, sparse_utils_module._MAX_PARTICIPANTS)
+        # a segment over a participant's share is a single pair
+        assert np.all((segments <= share) | (np.diff(bounds) == 1))
+        # every participant's buffers hold the largest segment: together
+        # they stay within the budget, or the caller runs alone
+        assert used == 1 or used * segments.max() <= budget
 
     def test_one_segment_batch_stays_inline(self, monkeypatch, participants):
         pool = participants(3)["pool"] = _QueuedForever()
@@ -712,9 +755,10 @@ class TestPairDotHelpers:
 
     def test_helper_that_never_starts_is_not_waited_for(self, monkeypatch, participants):
         pool = participants(3)["pool"] = _QueuedForever()
-        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", 7)
         engine = CholInvEffectiveResistance(KERNEL_GRAPHS["ba"]())
         pairs = _probe_pairs(engine.n, seed=28, count=300)
+        budget = _share_budget(_gathered_per_pair(engine, pairs), 3)
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
         answers = []
         caller = threading.Thread(
             target=lambda: answers.append(engine.query_pairs(pairs)), daemon=True
@@ -725,13 +769,30 @@ class TestPairDotHelpers:
         assert answers[0].tobytes() == _reference_query_pairs(engine, pairs).tobytes()
         assert len(pool.submitted) == 2
         assert all(future.cancelled() for future in pool.submitted)
+        # the cancelled tasks, still queued, hold neither buffers nor batch
+        assert [args[0] for args in pool.arguments] == [[], []]
+
+    def test_interpreter_shutdown_leaves_the_caller_alone(self, monkeypatch, participants):
+        pools = participants(3)
+        engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
+        pairs = _probe_pairs(engine.n, seed=33, count=300)
+        budget = _share_budget(_gathered_per_pair(engine, pairs), 3)
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
+        # what concurrent.futures' exit hook sets before non-daemon threads
+        # are joined: every later submit raises RuntimeError
+        monkeypatch.setattr(concurrent.futures.thread, "_shutdown", True)
+        _assert_same(engine, pairs)
+        assert not pools["pool"]._threads
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads
     def test_forked_child_answers(self, monkeypatch):
-        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", 7)
         engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
         pairs = _probe_pairs(engine.n, seed=31, count=300)
+        budget = _share_budget(
+            _gathered_per_pair(engine, pairs), sparse_utils_module._MAX_PARTICIPANTS
+        )
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
         want = _reference_query_pairs(engine, pairs).tobytes()
         assert engine.query_pairs(pairs).tobytes() == want  # helpers started
         pid = os.fork()
@@ -751,9 +812,10 @@ class TestPairDotHelpers:
 
     def test_helper_error_reaches_the_caller(self, monkeypatch, participants):
         participants(2)
-        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", 1)
         engine = CholInvEffectiveResistance(KERNEL_GRAPHS["grid"]())
         pairs = _probe_pairs(engine.n, seed=29, count=200)
+        budget = _share_budget(_gathered_per_pair(engine, pairs), 2)
+        monkeypatch.setattr(sparse_utils_module, "_PAIR_SEGMENT_ENTRIES", budget)
         kernels = sparse_utils_module._sparsetools
         merge = kernels.csr_elmul_csr
         caller = threading.get_ident()
@@ -781,7 +843,8 @@ class TestPairDotHelpers:
         want_edges = _reference_query_pairs(engine, edges).tobytes()
         batches = [_probe_pairs(graph.num_nodes, seed=30 + i, count=3000) for i in range(4)]
         want_batches = [_reference_query_pairs(engine, b).tobytes() for b in batches]
-        assert len(sparse_utils_module._pair_segments(_gathered_per_pair(engine, edges))) > 3
+        bounds, used = sparse_utils_module._pair_plan(_gathered_per_pair(engine, edges))
+        assert len(bounds) > 3 and used == min(sparse_utils_module._CORES, 4)
         helper_cap = max(sparse_utils_module._CORES - 1, 0)
         errors, most = [], [0]
         done = threading.Event()
@@ -845,6 +908,28 @@ class TestPairQueryWorkingSet:
             tracemalloc.stop()
         # an int32 index and a float64 value (12 bytes) per entry: both
         # gathers and the product buffer hold at most a budget each
+        buffers = 3 * 12 * sparse_utils_module._PAIR_SEGMENT_ENTRIES
+        per_pair = 256 * engine.graph.num_edges
+        assert peak < buffers + per_pair
+
+    @pytest.mark.parametrize("cores", [4, 8])
+    def test_more_cores_share_the_same_budget(self, participants, cores):
+        """Each participant holds buffers of its own; on a host of more
+        cores the segments shrink, so one call's scratch stays the
+        budget's."""
+        participants(cores)
+        engine = CholInvEffectiveResistance(grid_2d(72, 72, jitter=0.3, seed=1))
+        gathered = _gathered_per_pair(engine, engine.graph.edge_array())
+        assert sparse_utils_module._pair_plan(gathered)[1] == min(
+            cores, sparse_utils_module._MAX_PARTICIPANTS
+        )
+        engine.all_edge_resistances()
+        tracemalloc.start()
+        try:
+            engine.all_edge_resistances()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         buffers = 3 * 12 * sparse_utils_module._PAIR_SEGMENT_ENTRIES
         per_pair = 256 * engine.graph.num_edges
         assert peak < buffers + per_pair

@@ -140,25 +140,25 @@ FAMILIES = ["jittered_grid", "uniform_grid", "ba", "path", "star", "union", "wid
 class TestCoarsening:
     def test_matching_is_symmetric(self):
         g = grid_2d(10, 10)
-        match = heavy_edge_matching(g, np.ones(100), ensure_rng(0))
+        match = heavy_edge_matching(g, np.ones(100), ensure_rng(0), g.adjacency())
         for v, m in enumerate(match):
             assert match[m] == v  # partner-of-partner is self
 
     def test_coarsen_preserves_mass(self):
         g = grid_2d(8, 8)
-        level = coarsen_once(g, np.ones(64), ensure_rng(1))
+        level = coarsen_once(g, np.ones(64), ensure_rng(1), g.adjacency())
         assert np.isclose(level.node_weights.sum(), 64.0)
         assert level.graph.num_nodes < 64
 
     def test_coarsen_to_target(self):
         g = grid_2d(20, 20)
-        levels = coarsen_to(g, 50, seed=2)
+        levels = coarsen_to(g, 50, g.adjacency(), seed=2)
         assert levels[-1].graph.num_nodes <= max(50, int(0.9 * 400))
         assert np.isclose(levels[-1].node_weights.sum(), 400.0)
 
     def test_mapping_composes(self):
         g = grid_2d(10, 10)
-        levels = coarsen_to(g, 30, seed=3)
+        levels = coarsen_to(g, 30, g.adjacency(), seed=3)
         mapping = np.arange(100)
         for level in levels:
             mapping = level.fine_to_coarse[mapping]
@@ -174,7 +174,7 @@ class TestCoarsening:
             return adjacency(graph)
 
         graph = grid_2d(30, 30, jitter=0.3, seed=4)
-        levels = coarsen_to(graph, 160, seed=5)
+        levels = coarsen_to(graph, 160, graph.adjacency(), seed=5)
         assert len(levels) > 2
         monkeypatch.setattr(Graph, "adjacency", counted)
         multilevel_bisection(graph, seed=5)
@@ -193,7 +193,7 @@ class TestShippedLoopsMatchTheReference:
     def test_matching_relabel_and_bfs_are_identical(self, family, size, seed, fraction):
         graph = _family_graph(family, size, seed)
         weights = np.random.default_rng(seed + 1).uniform(0.5, 3.0, size=graph.num_nodes)
-        match = heavy_edge_matching(graph, weights, ensure_rng(seed))
+        match = heavy_edge_matching(graph, weights, ensure_rng(seed), graph.adjacency())
         expected = _reference_heavy_edge_matching(graph, weights, ensure_rng(seed))
         assert match.dtype == expected.dtype
         assert match.tobytes() == expected.tobytes()
@@ -206,7 +206,7 @@ class TestShippedLoopsMatchTheReference:
 
         target = fraction * float(weights.sum())
         rng, reference_rng = ensure_rng(seed), ensure_rng(seed)
-        side = _bfs_grow_initial(graph, weights, target, rng)
+        side = _bfs_grow_initial(graph, weights, target, rng, graph.adjacency())
         expected_side = _reference_bfs_grow_initial(graph, weights, target, reference_rng)
         assert side.tobytes() == expected_side.tobytes()
         # both consumed the same draws, so later levels see the same stream
@@ -254,7 +254,7 @@ class TestRefinement:
         rng = ensure_rng(4)
         side = rng.random(64) < 0.5  # random cut: terrible
         before = edge_cut(g, side.astype(np.int64))
-        refined = refine_bisection(g, side, np.ones(64))
+        refined = refine_bisection(g, side, np.ones(64), g.adjacency())
         after = edge_cut(g, refined.astype(np.int64))
         assert after < before
 
@@ -262,7 +262,7 @@ class TestRefinement:
         g = grid_2d(8, 8)
         side = np.zeros(64, dtype=bool)
         side[:32] = True
-        refined = refine_bisection(g, side, np.ones(64), balance_tolerance=0.1)
+        refined = refine_bisection(g, side, np.ones(64), g.adjacency(), balance_tolerance=0.1)
         share = refined.sum() / 64
         assert 0.4 - 1e-9 <= share <= 0.6 + 1e-9
 
