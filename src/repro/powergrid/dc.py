@@ -4,6 +4,12 @@ Solves ``G_UU v_U = i_U − G_UK v_K`` with one sparse factorisation and
 reports node voltages plus IR-drop statistics.  This is both the reference
 solver ("Original" columns of Table II) and the workhorse behind the DC
 incremental-analysis application.
+
+``G_UU`` is symmetric positive definite (:func:`~repro.powergrid.mna.build_mna`
+rejects floating nodes), so it is factored as the paper's Cholesky flow
+would: :func:`repro.linalg.spd.spd_factor`, symmetric-mode SuperLU on a
+minimum-degree ordering of ``A + Aᵀ``.  Its answers agree with a general
+pivoting LU's to a few 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
+from repro.linalg.spd import spd_factor
 from repro.powergrid.mna import MNASystem, build_mna
 from repro.powergrid.netlist import PowerGrid
 from repro.utils.timing import Timer
@@ -79,7 +85,7 @@ def max_voltage_drop(grid: PowerGrid, voltages: np.ndarray) -> float:
 
 
 def dc_analysis(grid: "PowerGrid | MNASystem") -> DCResult:
-    """Run a DC analysis: assemble (if needed), factor once, solve."""
+    """Run a DC analysis: assemble (if needed), factor ``G_UU`` once, solve."""
     timer = Timer()
     if isinstance(grid, MNASystem):
         system = grid
@@ -87,7 +93,7 @@ def dc_analysis(grid: "PowerGrid | MNASystem") -> DCResult:
         with timer.section("assemble"):
             system = build_mna(grid)
     with timer.section("factorize"):
-        solver = spla.splu(system.g_uu())
+        solver = spd_factor(system.g_uu())
     with timer.section("solve"):
         rhs = system.injected_currents()[system.unknown] - system.g_uk_vk()
         v_unknown = solver.solve(rhs)

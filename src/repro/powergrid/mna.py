@@ -13,18 +13,29 @@ every power-grid simulator (including the paper's CHOLMOD-based flow) uses:
 * ``C`` is the capacitance matrix (diagonal for ground caps, Laplacian
   stamps for coupling caps), used by Backward-Euler transient analysis.
 
-The :class:`MNASystem` captures the partitioned system once so DC and
-transient solvers share the assembly.
+``G_UU`` is symmetric positive definite exactly when every node has a
+resistive path to a pad or to a ground shunt.  :func:`build_mna` checks
+that with one connected-components pass over ``G`` and rejects a grid
+with a floating node, naming it: the DC and transient solvers factor
+``G_UU`` as SPD (:func:`repro.linalg.spd.spd_factor`, symmetric-mode
+SuperLU on a minimum-degree ordering), and that factorisation answers a
+singular system silently instead of failing.
+
+The :class:`MNASystem` captures the partitioned system once — including
+the ``G_UU`` and ``G_UK`` blocks — so DC and transient solvers share the
+assembly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from repro.powergrid.netlist import GROUND, PowerGrid
+from repro.powergrid.validation import floating_nodes
 from repro.utils.validation import require
 
 
@@ -54,6 +65,13 @@ class MNASystem:
     pads: np.ndarray
     pad_voltages: np.ndarray
     grid: PowerGrid
+    _g_uu: sp.csc_matrix = field(init=False, repr=False)
+    _g_uk: sp.csc_matrix = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows = self.conductance[self.unknown, :]
+        self._g_uu = rows[:, self.unknown].tocsc()
+        self._g_uk = rows[:, self.pads].tocsc()
 
     @property
     def num_nodes(self) -> int:
@@ -62,14 +80,13 @@ class MNASystem:
 
     def g_uu(self) -> sp.csc_matrix:
         """Conductance block over unknown nodes (the SPD solve matrix)."""
-        return self.conductance[self.unknown, :][:, self.unknown].tocsc()
+        return self._g_uu
 
     def g_uk_vk(self) -> np.ndarray:
         """Constant pad coupling term ``G_UK · v_K`` of the solve RHS."""
         if self.pads.size == 0:
             return np.zeros(self.unknown.shape[0])
-        guk = self.conductance[self.unknown, :][:, self.pads]
-        return np.asarray(guk @ self.pad_voltages).ravel()
+        return np.asarray(self._g_uk @ self.pad_voltages).ravel()
 
     def c_uu(self) -> sp.csc_matrix:
         """Capacitance block over unknown nodes."""
@@ -81,13 +98,12 @@ class MNASystem:
         ``t=None`` uses the DC values; otherwise each source's waveform is
         evaluated at scalar time ``t``.
         """
+        sources = self.grid.isources
+        nodes = np.fromiter((s.node for s in sources), np.int64, len(sources))
+        values = (s.dc if t is None else float(s.current_at(t)) for s in sources)
+        drawn = np.fromiter(values, np.float64, len(sources))
         rhs = np.zeros(self.num_nodes)
-        for source in self.grid.isources:
-            if t is None:
-                drawn = source.dc
-            else:
-                drawn = float(source.current_at(t))
-            rhs[source.node] -= drawn
+        np.subtract.at(rhs, nodes, drawn)  # in source order, as one loop would
         return rhs
 
     def assemble_full_voltages(self, v_unknown: np.ndarray) -> np.ndarray:
@@ -130,6 +146,24 @@ def _laplacian_stamps(n, a, b, values) -> sp.csc_matrix:
     return matrix
 
 
+def _reject_floating_nodes(grid: PowerGrid, conductance: sp.csc_matrix) -> None:
+    """Raise naming the first node with no resistive path to a pad or shunt.
+
+    Such a node's voltage is undefined (``G_UU`` is singular), whatever
+    loads or capacitors it carries.
+    """
+    # G is symmetric, so its weak components are its components, found
+    # without the undirected mode's G + Gᵀ
+    count, labels = connected_components(conductance, connection="weak")
+    floating = floating_nodes(grid, labels, count)
+    if floating.size:
+        raise ValueError(
+            f"node {grid.name_of(int(floating[0]))!r} has no resistive path to "
+            f"a voltage source or a ground shunt, so its voltage is undefined "
+            f"({floating.size} floating node(s))"
+        )
+
+
 def build_mna(grid: PowerGrid) -> MNASystem:
     """Assemble the partitioned nodal system for ``grid``."""
     n = grid.num_nodes
@@ -156,6 +190,7 @@ def build_mna(grid: PowerGrid) -> MNASystem:
     capacitance = _laplacian_stamps(n, grid.cap_a, grid.cap_b, grid.cap_farads)
 
     pads = grid.pad_nodes()
+    _reject_floating_nodes(grid, conductance)
     pinned = grid.pad_voltage_vector()
     pad_voltages = pinned[pads] if pads.size else np.empty(0)
     mask = np.ones(n, dtype=bool)

@@ -22,6 +22,7 @@ nodes the reduction of Alg. 1 must preserve exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,16 +162,25 @@ class PowerGrid:
         self.cap_b.append(b)
         self.cap_farads.append(farads)
 
+    def _require_finite_source(self, node: int, value: float, what: str) -> None:
+        label = self.node_names[node] if 0 <= node < self.num_nodes else node
+        require(
+            math.isfinite(value),
+            f"{what} at node {label!r} must be a finite number, got {value!r}",
+        )
+
     def add_vsource(self, node: int, volts: float, name: str = "") -> None:
-        """Pin ``node`` to ``volts`` (a pad)."""
+        """Pin ``node`` to ``volts`` (a pad); ``volts`` must be finite."""
         require(node != GROUND, "cannot place a source on the ground node")
+        self._require_finite_source(node, volts, "voltage source")
         self.vsources.append(VoltageSource(node=node, voltage=volts, name=name))
 
     def add_isource(
         self, node: int, amps: float, waveform: "Waveform | None" = None, name: str = ""
     ) -> None:
-        """Current load drawing ``amps`` from ``node`` to ground."""
+        """Current load drawing ``amps`` (finite) from ``node`` to ground."""
         require(node != GROUND, "cannot place a source on the ground node")
+        self._require_finite_source(node, amps, "current source")
         self.isources.append(
             CurrentSource(node=node, dc=amps, waveform=waveform, name=name)
         )

@@ -8,8 +8,11 @@ RC system ``C v̇ + G v = i(t)`` with step ``h`` gives::
     (G + C/h) v_{t+1} = (C/h) v_t + i(t+1)
 
 Since ``h`` is fixed and pad voltages are constant, ``(G + C/h)`` restricted
-to unknown nodes is factorised exactly once (SuperLU) and every step is a
-pair of triangular solves — matching the paper's setup.
+to unknown nodes is factorised exactly once and every step is a pair of
+triangular solves — matching the paper's setup.  ``G_UU + C_UU/h`` is
+symmetric positive definite, so it is factored like the DC initial state's
+``G_UU``: :func:`repro.linalg.spd.spd_factor` (symmetric-mode SuperLU on a
+minimum-degree ordering, no pivoting).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
+from repro.linalg.spd import spd_factor
 from repro.powergrid.dc import dc_analysis
 from repro.powergrid.mna import MNASystem, build_mna
 from repro.powergrid.netlist import PowerGrid
@@ -173,7 +176,7 @@ def transient_analysis(
     with timer.section("factorize"):
         g_uu = system.g_uu()
         c_uu = system.c_uu() / step
-        solver = spla.splu((g_uu + c_uu).tocsc())
+        solver = spd_factor(g_uu + c_uu)
 
     # initial state: DC solve at t = 0 source values
     with timer.section("dc_init"):

@@ -53,23 +53,26 @@ class ValidationReport:
         return "PROBLEMS: " + "; ".join(problems)
 
 
+def floating_nodes(grid: PowerGrid, labels: np.ndarray, count: int) -> np.ndarray:
+    """Sorted nodes with no resistive path to a pad or a ground shunt.
+
+    ``labels`` gives each node's component (``count`` of them) in the
+    resistor network.  A component is anchored when it holds a pad or a
+    shunt — a shunt provides a DC path to ground, which is a valid return.
+    """
+    anchored = np.zeros(count, dtype=bool)
+    anchored[labels[grid.pad_nodes()]] = True
+    anchored[labels[np.asarray(grid.shunt_node, dtype=np.int64)]] = True
+    return np.flatnonzero(~anchored[labels])
+
+
 def validate_power_grid(grid: PowerGrid) -> ValidationReport:
     """Check a power grid for the defects described in the module docstring."""
     graph = grid.to_graph()
     labels, count = connected_components(graph)
 
-    # components electrically tied to a pad (directly or through shunts —
-    # a shunt provides a DC path to ground, which is a valid return)
-    anchored = np.zeros(count, dtype=bool)
-    for vs in grid.vsources:
-        anchored[labels[vs.node]] = True
-    for node in grid.shunt_node:
-        anchored[labels[node]] = True
-
-    floating_nodes = [
-        int(v) for v in range(grid.num_nodes) if not anchored[labels[v]]
-    ]
-    floating_set = set(floating_nodes)
+    floating = floating_nodes(grid, labels, count).tolist()
+    floating_set = set(floating)
     floating_loads = [cs.node for cs in grid.isources if cs.node in floating_set]
 
     # conflicting pads: one node pinned to two different voltages
@@ -95,7 +98,7 @@ def validate_power_grid(grid: PowerGrid) -> ValidationReport:
     return ValidationReport(
         num_nodes=grid.num_nodes,
         num_components=count,
-        floating_nodes=floating_nodes,
+        floating_nodes=floating,
         floating_loads=floating_loads,
         conflicting_pads=sorted(set(conflicting)),
         isolated_nodes=isolated,

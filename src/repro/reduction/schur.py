@@ -17,7 +17,11 @@ capacitance onto the kept nodes.  Reduction before sparsification is exact
 for DC port voltages; a test asserts that property.
 
 Floating interior components (no path to any kept node) have undefined
-voltage and carry no sources; they are detected and dropped.
+voltage and carry no sources; they are detected and dropped.  What remains
+of ``A_EE`` is then symmetric positive definite (each interior component
+is grounded through a kept node), so it is factored as SPD with
+:func:`repro.linalg.spd.spd_factor`: symmetric-mode SuperLU on a
+minimum-degree ordering, no pivoting.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components as _cc
 
+from repro.linalg.spd import spd_factor
 from repro.utils.validation import require
 
 
@@ -136,7 +140,7 @@ def schur_reduce(
     a_ee = csc[eliminate, :][:, eliminate].tocsc()
     a_ek = csc[eliminate, :][:, keep].tocsc()
     a_kk = csc[keep, :][:, keep].toarray()
-    solver = spla.splu(a_ee)
+    solver = spd_factor(a_ee)
     x = solver.solve(a_ek.toarray())  # X = A_EE^{-1} A_EK
     reduced = a_kk - a_ek.T @ x
     reduced = 0.5 * (reduced + reduced.T)  # enforce symmetry against roundoff

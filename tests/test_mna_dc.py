@@ -30,8 +30,9 @@ class TestMNA:
 
     def test_injected_currents_sign(self):
         pg = PowerGrid()
-        a = pg.node("a")
-        pg.add_vsource(pg.node("p"), 1.0)
+        a, p = pg.node("a"), pg.node("p")
+        pg.add_resistor(a, p, 1.0)  # a floating load node is rejected
+        pg.add_vsource(p, 1.0)
         pg.add_isource(a, 0.25)
         system = build_mna(pg)
         rhs = system.injected_currents()
@@ -49,8 +50,9 @@ class TestMNA:
 
     def test_ground_capacitor_is_diagonal(self):
         pg = PowerGrid()
-        a = pg.node("a")
-        pg.add_vsource(pg.node("p"), 1.0)
+        a, p = pg.node("a"), pg.node("p")
+        pg.add_resistor(a, p, 1.0)  # a floating node is rejected
+        pg.add_vsource(p, 1.0)
         pg.add_capacitor(a, 5e-13)
         system = build_mna(pg)
         cap = system.capacitance.toarray()
