@@ -20,7 +20,7 @@ import pytest
 
 from benchmarks.conftest import emit, full_scale
 from repro.bench.cases import TABLE2_CASES, quick_table2_names
-from repro.bench.table2 import render_table2, run_table2_transient
+from repro.bench.table2 import best_reduction_times, render_table2, run_table2_transient
 
 _ROWS = []
 
@@ -51,8 +51,11 @@ def test_table2_transient_case(benchmark, name, bench_out_dir):
     # accuracy: Alg. 3 must match the exact-ER reduction quality
     assert alg3.rel_pct < 6.0
     assert alg3.rel_pct < exact.rel_pct * 2.0 + 0.5
-    # speed: Alg. 3 reduction must beat the exact-ER reduction
-    assert alg3.time_reduction < exact.time_reduction
+    # speed: Alg. 3 reduction must beat the exact-ER reduction.  One timed
+    # reduction each is too noisy to order two methods tens of ms apart,
+    # so compare best-of-3 reductions, the methods taking turns
+    best = best_reduction_times(case, ("exact", "cholinv"), repeats=3)
+    assert best["cholinv"] < best["exact"]
     # the RP backend must not be more accurate than Alg. 3 by any margin
     assert rp.rel_pct > 0.5 * alg3.rel_pct
 

@@ -16,9 +16,11 @@ combinatorial-multigrid *PCG* solver.  Two solver substrates are offered:
   the iterative-SDD-solver stand-in for CMG (scipy's triangular solves are
   too slow for an IC-preconditioned variant to pay off — see the bench
   notes in EXPERIMENTS.md);
-* ``solver="splu"`` — one SuperLU factorisation reused for all ``k``
-  right-hand sides; a *stronger* substrate than the original (C-coded
-  direct solves), useful to bound the baseline's best case.
+* ``solver="splu"`` — one sparse SPD factorisation of the grounded
+  Laplacian (:func:`repro.linalg.spd.spd_factor`, symmetric-mode SuperLU)
+  reused for all ``k`` right-hand sides; a *stronger* substrate than the
+  original (C-coded direct solves), useful to bound the baseline's best
+  case.
 
 The grounded solve returns the pseudo-inverse solution plus a per-row
 multiple of the all-ones vector (each row of ``Y`` sums to zero); query
@@ -28,12 +30,12 @@ multiple of the all-ones vector (each row of ``Y`` sums to zero); query
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from repro.core.engine import ResistanceEngine, as_pair_columns, register_engine
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
 from repro.graphs.laplacian import component_ground_nodes, grounded_laplacian
+from repro.linalg.spd import spd_factor
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import Timer
 from repro.utils.validation import require
@@ -105,8 +107,7 @@ class RandomProjectionEffectiveResistance(ResistanceEngine):
                 graph, ground_value, ground_nodes=component_ground_nodes(self.component_labels)
             )
             if solver == "splu":
-                direct = spla.splu(matrix.tocsc())
-                solve_one = direct.solve
+                solve_one = spd_factor(matrix).solve
             else:
                 from repro.linalg.pcg import pcg
 

@@ -98,6 +98,25 @@ def run_table2_transient(
     return rows
 
 
+def best_reduction_times(
+    case: Table2Case, methods: "tuple[str, ...]", repeats: int
+) -> "dict[str, float]":
+    """Best-of-``repeats`` Alg. 1 reduction wall-clock (``Tred``) per method
+    on the transient grid of ``case``.
+
+    The methods take turns within each round, so a slow spell of the host
+    falls on all of them alike instead of on whichever ran during it.
+    """
+    grid = synthetic_ibmpg_like(case.config, seed=case.seed, transient=True)
+    best = dict.fromkeys(methods, float("inf"))
+    for _ in range(repeats):
+        for method in methods:
+            with timed() as elapsed:
+                PGReducer(grid, _method_config(method, case.seed)).reduce()
+            best[method] = min(best[method], elapsed())
+    return best
+
+
 def run_table2_incremental(case: Table2Case, methods=METHODS) -> "list[Table2Row]":
     """Table II lower half for one case."""
     grid = synthetic_ibmpg_like(case.config, seed=case.seed, transient=False)

@@ -10,9 +10,9 @@ The paper needs two factorisations of the grounded Laplacian:
 Neither scipy nor numpy provides a *sparse* Cholesky, so this package
 implements the standard toolchain from Davis, "Direct Methods for Sparse
 Linear Systems" (the paper's reference [19]): elimination trees, symbolic
-analysis, a numeric factorisation (via SuperLU), fill-reducing orderings, a
-threshold incomplete factorisation, triangular solves, and the filled-graph
-depth of Eq. (11).
+analysis, a numeric factorisation (via :func:`repro.linalg.spd.spd_factor`),
+fill-reducing orderings, a threshold incomplete factorisation, triangular
+solves, and the filled-graph depth of Eq. (11).
 """
 
 from repro.cholesky.depth import filled_graph_depth, max_depth

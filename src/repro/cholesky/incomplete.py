@@ -466,81 +466,3 @@ def ichol(
     lower.has_sorted_indices = True
     return ICholResult(lower=lower, perm=perm, shift=shift, drop_tol=drop_tol)
 
-
-def ic0(matrix: sp.spmatrix, ordering: str = "natural", perm: "np.ndarray | None" = None) -> ICholResult:
-    """Zero-fill incomplete Cholesky IC(0): keep only A's own pattern.
-
-    Implemented as ICT with an infinite drop threshold via ``max_fill`` on
-    the original pattern — simple and adequate as a PCG preconditioner
-    baseline in tests (ICT with the paper's τ is what Alg. 3 uses).
-    """
-    check_square_sparse(matrix, "matrix")
-    csc = sp.csc_matrix(matrix).astype(np.float64)
-    n = csc.shape[0]
-    if perm is None:
-        perm = compute_ordering(csc, method=ordering)
-    else:
-        perm = np.asarray(perm, dtype=np.int64)
-    permuted = permute_symmetric(csc, perm).tocsc()
-
-    a_lower = sp.csc_matrix(sp.tril(permuted))
-    a_lower.sort_indices()
-    base_diag = permuted.diagonal()
-    diag_mask = _stored_diag_mask(a_lower)
-    shift = 0.0
-    attempt = 0
-    while True:
-        # the tril structure is shift-invariant: clone it and bump only
-        # the stored diagonal values on a retry
-        lower = a_lower.copy()
-        if shift != 0.0:
-            lower.data[lower.indptr[:-1][diag_mask]] += shift * base_diag[diag_mask]
-        try:
-            _ic0_factor(lower)
-            break
-        except CholeskyBreakdownError:
-            attempt += 1
-            if attempt > 12:
-                raise
-            shift = max(shift * 2.0, 1e-6)
-    return ICholResult(lower=lower, perm=perm, shift=shift, drop_tol=float("inf"))
-
-
-def _ic0_factor(lower: sp.csc_matrix) -> sp.csc_matrix:
-    """IC(0) numeric sweep on A's own lower-triangular pattern (in place).
-
-    ``lower`` must be the (sorted) lower triangle of the matrix to factor;
-    its ``data`` is overwritten with the factor values.  The left-looking
-    update of column ``k`` locates its target positions with one
-    ``searchsorted`` over the column's sorted row indices per contributing
-    entry, instead of probing a per-column ``dict`` row by row — the same
-    subtractions in the same order, so the computed values match the
-    scalar reference bit for bit, without the quadratic Python inner loop.
-    """
-    n = lower.shape[0]
-    lp, li, lx = lower.indptr, lower.indices, lower.data
-    for j in range(n):
-        start, end = lp[j], lp[j + 1]
-        if start == end or li[start] != j:
-            raise CholeskyBreakdownError(f"missing diagonal at column {j}")
-        pivot = lx[start]
-        if pivot <= 0:
-            raise CholeskyBreakdownError(f"nonpositive pivot {pivot:g} at column {j}")
-        diag = np.sqrt(pivot)
-        lx[start] = diag
-        lx[start + 1:end] /= diag
-        for t in range(start + 1, end):
-            k = int(li[t])
-            ljk = lx[t]
-            rows_k = li[lp[k]:lp[k + 1]]
-            if rows_k.shape[0] == 0:
-                # structurally empty target column: nothing to update, and
-                # column k's own turn raises the clean breakdown error
-                continue
-            seg_rows = li[t:end]  # rows >= k, the only candidate targets
-            pos = np.minimum(
-                np.searchsorted(rows_k, seg_rows), rows_k.shape[0] - 1
-            )
-            hit = rows_k[pos] == seg_rows
-            lx[lp[k] + pos[hit]] -= ljk * lx[t:end][hit]
-    return lower

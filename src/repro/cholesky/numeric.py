@@ -1,9 +1,10 @@
 """Numeric sparse Cholesky factorisation.
 
 :func:`cholesky` obtains ``L`` from SuperLU's unpivoted LDU factorisation
-of the permuted SPD matrix: for SPD ``A = L_u · U`` with unit-diagonal
-``L_u`` and ``U = D·L_uᵀ``, the Cholesky factor is ``L = L_u · D^{1/2}``.
-It honours a caller-supplied fill-reducing permutation and returns a
+of the permuted SPD matrix, made by :func:`repro.linalg.spd.spd_factor` in
+the caller's order: for SPD ``A = L_u · U`` with unit-diagonal ``L_u`` and
+``U = D·L_uᵀ``, the Cholesky factor is ``L = L_u · D^{1/2}``.  It honours a
+caller-supplied fill-reducing permutation and returns a
 :class:`CholeskyFactor` carrying the factor, the permutation and solve
 helpers.  Tests cross-check it against a pure-Python up-looking
 factorisation (Davis, ch. 4) and against dense ``numpy.linalg.cholesky``.
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from repro.cholesky.ordering import compute_ordering, permute_symmetric
+from repro.cholesky.ordering import compute_ordering
 from repro.cholesky.triangular import solve_lower, solve_lower_transpose
+from repro.linalg.spd import spd_factor
 from repro.utils.validation import check_square_sparse
 
 
@@ -96,18 +97,7 @@ def cholesky(
         perm = compute_ordering(csc, method=ordering)
     else:
         perm = np.asarray(perm, dtype=np.int64)
-    permuted = permute_symmetric(csc, perm).tocsc()
-    lu = spla.splu(
-        permuted,
-        permc_spec="NATURAL",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    if not np.array_equal(lu.perm_r, np.arange(csc.shape[0])):
-        raise np.linalg.LinAlgError(
-            "SuperLU pivoted during SymmetricMode factorisation; "
-            "matrix is likely not positive definite"
-        )
+    lu = spd_factor(csc, perm)
     diag = lu.U.diagonal()
     if np.any(diag <= 0):
         raise np.linalg.LinAlgError("matrix is not positive definite")

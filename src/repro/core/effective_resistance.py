@@ -5,10 +5,13 @@ The public entry points are:
 * :class:`CholInvEffectiveResistance` — the paper's Alg. 3: incomplete
   Cholesky of the grounded Laplacian, Alg. 2 approximate inverse, then each
   query answered as ``R(p,q) ≈ ‖z̃_p − z̃_q‖²`` (Eq. 22);
-* :class:`ExactEffectiveResistance` — factor once (SuperLU), then each query
-  solved directly: ``R(p,q) = (e_p − e_q)ᵀ L_G⁻¹ (e_p − e_q)`` (Eq. 3) —
-  exact for the grounded SDD matrix, which equals the pseudo-inverse value
-  within connected components;
+* :class:`ExactEffectiveResistance` — factor the grounded Laplacian once
+  as SPD (:func:`repro.linalg.spd.spd_factor`: symmetric-mode SuperLU on a
+  minimum-degree ordering, the sparse Cholesky factor the paper's Eq. 7
+  builds on), then answer each query with a direct solve:
+  ``R(p,q) = (e_p − e_q)ᵀ L_G⁻¹ (e_p − e_q)`` (Eq. 3) — exact for the
+  grounded SDD matrix, which equals the pseudo-inverse value within
+  connected components;
 * :func:`effective_resistances` — one-shot convenience dispatcher;
 * :func:`spanning_edge_centrality` — the WWW'15 application: the centrality
   of edge ``e`` is ``w(e)·R(e)``, the probability that ``e`` appears in a
@@ -29,7 +32,6 @@ from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.cholesky.depth import filled_graph_depth
 from repro.cholesky.incomplete import ichol
@@ -47,6 +49,7 @@ from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
 from repro.graphs.laplacian import component_ground_nodes, grounded_laplacian
 from repro.linalg.sparse_utils import column_pair_dots
+from repro.linalg.spd import spd_factor
 from repro.utils.timing import Timer
 from repro.utils.validation import require
 
@@ -55,7 +58,11 @@ _SOLVE_CHUNK = 64
 
 @register_engine("exact", params=("ground_value",))
 class ExactEffectiveResistance(ResistanceEngine):
-    """Exact effective resistances via one sparse factorisation (Eq. 3).
+    """Exact effective resistances via one sparse SPD factorisation (Eq. 3).
+
+    The grounded Laplacian is SPD (one ground node per connected component,
+    positive weights), so :func:`~repro.linalg.spd.spd_factor` factors it
+    without pivoting; queries are solved 64 right-hand sides at a time.
 
     Parameters
     ----------
@@ -77,7 +84,7 @@ class ExactEffectiveResistance(ResistanceEngine):
             matrix, self.ground_nodes = grounded_laplacian(
                 graph, ground_value, ground_nodes=component_ground_nodes(self.component_labels)
             )
-            self._solver = spla.splu(matrix.tocsc())
+            self._solver = spd_factor(matrix)
         self.n = graph.num_nodes
 
     def query_pairs(self, pairs) -> np.ndarray:

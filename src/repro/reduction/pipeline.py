@@ -10,9 +10,9 @@ The :class:`PGReducer` runs the five steps of Alg. 1 on a
    the kept nodes through the current-divider map);
 3. for the reduced blocks: compute effective resistances for every edge
    with the engine ``ReductionConfig.engine`` describes — Table II compares
-   ``"exact"`` (batched triangular solves per edge, the accurate-but-slow
-   reference), ``"random_projection"`` (WWW'15) and ``"cholinv"`` (the
-   paper's Alg. 3);
+   ``"exact"`` (one sparse SPD factorisation, then direct solves for 64
+   edges at a time: the accurate-but-slow reference),
+   ``"random_projection"`` (WWW'15) and ``"cholinv"`` (the paper's Alg. 3);
 4. merge electrically-near non-port nodes, then sparsify the dense block by
    effective-resistance sampling;
 5. stitch the sparsified blocks together with the untouched cross-block

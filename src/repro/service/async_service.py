@@ -131,7 +131,7 @@ class AsyncResistanceService:
         ``workers`` sizes the executor of the underlying service (> 1 →
         :class:`~repro.service.executor.ThreadedExecutor`); remaining
         keyword arguments go to :class:`ResistanceService` (``config``,
-        ``result_cache_size``, ``max_task_pairs``).
+        ``result_cache_size``).
         """
         service = ResistanceService(
             graph, executor=make_executor(workers), **service_kwargs

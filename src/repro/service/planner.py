@@ -112,16 +112,14 @@ class QueryPlan:
         self.cache_hit_rows = int(np.count_nonzero(hits[self.inverse]))
         return self.cache_hit_rows
 
-    def build_subbatches(self, max_task_pairs: "int | None" = None) -> "list[SubBatch]":
+    def build_subbatches(self) -> "list[SubBatch]":
         """Group the remaining misses into engine-bound sub-batches.
 
         For a :class:`~repro.core.partitioned.PartitionedEngine` (which
         includes the classic component-sharded engine) the misses are
         grouped per region — translated to shard-local ids — plus one
         cross-region group per split component carrying global ids; any
-        other engine gets one whole-batch task.  ``max_task_pairs``
-        additionally splits oversized groups so a threaded executor has
-        work to balance.
+        other engine gets one whole-batch task.
         """
         rows = np.flatnonzero(~self.resolved)
         self.subbatches = []
@@ -130,24 +128,10 @@ class QueryPlan:
         los, his = self.unique_lo[rows], self.unique_hi[rows]
         if isinstance(self.engine, PartitionedEngine):
             for shard_id, positions, local in self.engine.shard_subbatches(los, his):
-                self._append_chunked(
-                    shard_id, rows[positions], local, max_task_pairs
-                )
+                self.subbatches.append(SubBatch(shard_id, rows[positions], local))
         else:
-            self._append_chunked(
-                None, rows, np.column_stack([los, his]), max_task_pairs
-            )
+            self.subbatches.append(SubBatch(None, rows, np.column_stack([los, his])))
         return self.subbatches
-
-    def _append_chunked(self, shard_id, unique_rows, pairs, max_task_pairs) -> None:
-        if max_task_pairs is None or pairs.shape[0] <= max_task_pairs:
-            self.subbatches.append(SubBatch(shard_id, unique_rows, pairs))
-            return
-        pieces = -(-pairs.shape[0] // max_task_pairs)
-        for rows_chunk, pairs_chunk in zip(
-            np.array_split(unique_rows, pieces), np.array_split(pairs, pieces)
-        ):
-            self.subbatches.append(SubBatch(shard_id, rows_chunk, pairs_chunk))
 
     # ------------------------------------------------------------------
     def execute_subbatch(self, subbatch: SubBatch) -> np.ndarray:

@@ -255,9 +255,6 @@ class ResistanceService:
         sub-batches; default :class:`~repro.service.executor.SerialExecutor`.
         Pass a :class:`~repro.service.executor.ThreadedExecutor` to fan a
         sharded engine's per-component sub-batches out in parallel.
-    max_task_pairs:
-        Split engine-bound sub-batches larger than this so a threaded
-        executor can balance them (default: no splitting).
     """
 
     def __init__(
@@ -266,11 +263,9 @@ class ResistanceService:
         config: "EngineConfig | None" = None,
         result_cache_size: int = 65536,
         executor: "Executor | None" = None,
-        max_task_pairs: "int | None" = None,
     ):
         self._init_state(
-            EngineConfig() if config is None else config,
-            result_cache_size, executor, max_task_pairs,
+            EngineConfig() if config is None else config, result_cache_size, executor
         )
         self._build(graph)
 
@@ -279,25 +274,19 @@ class ResistanceService:
         config: EngineConfig,
         result_cache_size: int,
         executor: "Executor | None" = None,
-        max_task_pairs: "int | None" = None,
     ) -> None:
-        for name, value, low in (
-            ("result_cache_size", result_cache_size, 0),
-            ("max_task_pairs", 1 if max_task_pairs is None else max_task_pairs, 1),
-        ):
-            require(  # a bool is an int, but never a count
-                isinstance(value, (int, np.integer))
-                and not isinstance(value, bool)
-                and value >= low,
-                f"{name} must be an integer >= {low}, got {value!r}",
-            )
+        require(  # a bool is an int, but never a count
+            isinstance(result_cache_size, (int, np.integer))
+            and not isinstance(result_cache_size, bool)
+            and result_cache_size >= 0,
+            f"result_cache_size must be an integer >= 0, got {result_cache_size!r}",
+        )
         # constructor helper: runs on a not-yet-shared instance, before the
         # locks it creates below even exist, so the lock-discipline rule's
         # once-locked-always-locked invariant cannot apply yet
         self.config = config  # repro: ignore[lock-discipline] — constructing
         self.stats = ServiceStats()  # repro: ignore[lock-discipline] — constructing
         self.executor = executor if executor is not None else SerialExecutor()
-        self.max_task_pairs = max_task_pairs
         self.last_report: "BatchReport | None" = None
         self._results = _ResultTable(int(result_cache_size))
         self._edge_resistances: "tuple[np.ndarray, np.ndarray] | None" = None  # repro: ignore[lock-discipline] — constructing
@@ -317,7 +306,6 @@ class ResistanceService:
         engine: ResistanceEngine,
         result_cache_size: int = 65536,
         executor: "Executor | None" = None,
-        max_task_pairs: "int | None" = None,
     ) -> "ResistanceService":
         """Serve an already-built engine (skips the build entirely).
 
@@ -333,9 +321,7 @@ class ResistanceService:
             "engine has no config attached; build it through build_engine()",
         )
         service = cls.__new__(cls)
-        service._init_state(
-            engine.config, result_cache_size, executor, max_task_pairs
-        )
+        service._init_state(engine.config, result_cache_size, executor)
         service.engine = engine
         service.graph = engine.graph
         return service
@@ -347,7 +333,6 @@ class ResistanceService:
         result_cache_size: int = 65536,
         mmap: bool = False,
         executor: "Executor | None" = None,
-        max_task_pairs: "int | None" = None,
     ) -> "ResistanceService":
         """Warm-start a service from an engine persisted with ``save()``.
 
@@ -362,7 +347,7 @@ class ResistanceService:
         from repro.core.persistence import load_engine
 
         engine = load_engine(path, mmap=mmap)
-        return cls.from_engine(engine, result_cache_size, executor, max_task_pairs)
+        return cls.from_engine(engine, result_cache_size, executor)
 
     # ------------------------------------------------------------------
     # construction / refresh
@@ -703,7 +688,7 @@ class ResistanceService:
                             routed.tier_seconds.get(tier, 0.0), tier=tier,
                         )
                     )
-        subbatches = plan.build_subbatches(self.max_task_pairs)
+        subbatches = plan.build_subbatches()
         report.trivial_rows = plan.trivial_rows
         report.cache_hit_rows = plan.cache_hit_rows
         report.unique_misses = routed_rows + sum(

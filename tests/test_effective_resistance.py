@@ -36,7 +36,7 @@ from repro.graphs.graph import Graph
 from repro.linalg.sparse_utils import column_pair_dots, gather_index_dtype
 from repro.powergrid.generators import PGConfig, synthetic_ibmpg_like
 from repro.reduction.pipeline import PGReducer, ReductionConfig
-from repro.service import ResistanceService, ThreadedExecutor
+from repro.service import ResistanceService
 
 
 class TestClosedForms:
@@ -848,7 +848,8 @@ class TestPairDotHelpers:
         helper_cap = max(sparse_utils_module._CORES - 1, 0)
         errors, most = [], [0]
         done = threading.Event()
-        start = threading.Barrier(10)
+        start = threading.Barrier(11)
+        service = ResistanceService.from_engine(engine, result_cache_size=0)
 
         def edge_caller():
             start.wait(timeout=60)
@@ -856,16 +857,15 @@ class TestPairDotHelpers:
                 if engine.all_edge_resistances().tobytes() != want_edges:
                     errors.append("all-edge answers differ")
 
-        def service_caller():
+        def service_caller(first):
+            # one uncached service shared by several threads, each batch a
+            # multi-segment pair-dot call of its own
             start.wait(timeout=60)
-            with ThreadedExecutor(workers=4) as executor:
-                service = ResistanceService.from_engine(
-                    engine, result_cache_size=0, executor=executor, max_task_pairs=1000
-                )
-                for _ in range(3):
-                    for batch, want in zip(batches, want_batches):
-                        if service.query_pairs(batch).tobytes() != want:
-                            errors.append("service answers differ")
+            order = [*range(first, len(batches)), *range(first)]
+            for _ in range(3):
+                for i in order:
+                    if service.query_pairs(batches[i]).tobytes() != want_batches[i]:
+                        errors.append("service answers differ")
 
         def count_helpers():
             start.wait(timeout=60)
@@ -873,8 +873,8 @@ class TestPairDotHelpers:
                 most[0] = max(most[0], _helper_threads())
                 done.wait(0.001)
 
-        callers = [threading.Thread(target=edge_caller) for _ in range(8)]
-        callers.append(threading.Thread(target=service_caller))
+        callers = [threading.Thread(target=edge_caller) for _ in range(7)]
+        callers += [threading.Thread(target=service_caller, args=(i,)) for i in range(3)]
         counter = threading.Thread(target=count_helpers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # many more hand-offs between threads

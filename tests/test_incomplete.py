@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.cholesky import incomplete as incomplete_module
-from repro.cholesky.incomplete import CholeskyBreakdownError, _leaf_columns, ic0, ichol
+from repro.cholesky.incomplete import CholeskyBreakdownError, _leaf_columns, ichol
 from repro.cholesky.numeric import cholesky
 from repro.cholesky.ordering import permute_symmetric
 from repro.graphs.generators import barabasi_albert_graph, fe_mesh_2d, grid_2d, path_graph
@@ -109,43 +109,6 @@ class TestPreconditioning:
         )
         assert preconditioned.converged
         assert preconditioned.iterations < plain.iterations
-
-    def test_ic0_preconditioner(self):
-        graph = grid_2d(9, 9)
-        matrix, _ = grounded_laplacian(graph, 1.0)
-        result = ic0(matrix, ordering="natural")
-        # pattern is exactly the lower triangle of A
-        assert result.nnz == sp.tril(matrix).nnz
-        rng = np.random.default_rng(6)
-        b = rng.normal(size=matrix.shape[0])
-        solved = pcg(matrix, b, preconditioner=ichol_preconditioner(result), rtol=1e-8)
-        assert solved.converged
-
-
-def _reference_ic0_values(lower_pattern: sp.csc_matrix) -> np.ndarray:
-    """The pre-vectorisation IC(0) sweep (dict probing), kept as the
-    executable specification for the searchsorted regression test."""
-    lower = lower_pattern.copy()
-    lp, li, lx = lower.indptr, lower.indices, lower.data
-    n = lower.shape[0]
-    col_positions = {
-        j: {int(li[t]): t for t in range(lp[j], lp[j + 1])} for j in range(n)
-    }
-    for j in range(n):
-        start, end = lp[j], lp[j + 1]
-        assert li[start] == j and lx[start] > 0
-        diag = np.sqrt(lx[start])
-        lx[start] = diag
-        lx[start + 1:end] /= diag
-        for t in range(start + 1, end):
-            k = int(li[t])
-            ljk = lx[t]
-            positions = col_positions[k]
-            for s in range(t, end):
-                hit = positions.get(int(li[s]))
-                if hit is not None:
-                    lx[hit] -= ljk * lx[s]
-    return lower.data
 
 
 def _reference_ict(
@@ -308,23 +271,6 @@ def _reference_ict(
 
 
 class TestRegressionVsReferenceSweeps:
-    @pytest.mark.parametrize("ordering", ["natural", "amd"])
-    def test_ic0_values_unchanged(self, weighted_mesh, ordering):
-        """The searchsorted-vectorised IC(0) update performs the same
-        subtractions in the same order as the old dict-probing loop — the
-        factor values must be identical bit for bit."""
-        from repro.cholesky.ordering import compute_ordering
-
-        matrix, _ = grounded_laplacian(weighted_mesh, 1.0)
-        perm = compute_ordering(sp.csc_matrix(matrix), method=ordering)
-        result = ic0(matrix, perm=perm)
-        pattern = sp.csc_matrix(
-            sp.tril(permute_symmetric(sp.csc_matrix(matrix).astype(np.float64), perm))
-        )
-        pattern.sort_indices()
-        expected = _reference_ic0_values(pattern)
-        assert np.array_equal(result.lower.data, expected)
-
     def test_ict_leaf_columns_match_scalar_path(self):
         """Columns with no lower-numbered neighbour take the vectorised
         leaf batch, the rest the scalar sweep; with ``drop_tol=0`` the
@@ -441,20 +387,18 @@ class TestPermutationValidation:
         matrix, _ = grounded_laplacian(grid_2d(6, 6), 1.0)
         return matrix
 
-    @pytest.mark.parametrize("factor", [ichol, ic0])
-    def test_repeated_entry_rejected(self, grid_matrix, factor):
+    def test_repeated_entry_rejected(self, grid_matrix):
         perm = np.arange(36)
         perm[3] = perm[2]
         with pytest.raises(ValueError, match=r"perm\[3\] = 2 repeats an earlier entry"):
-            factor(grid_matrix, perm=perm)
+            ichol(grid_matrix, perm=perm)
 
-    @pytest.mark.parametrize("factor", [ichol, ic0])
     @pytest.mark.parametrize("bad", [36, -1])
-    def test_out_of_range_entry_rejected(self, grid_matrix, factor, bad):
+    def test_out_of_range_entry_rejected(self, grid_matrix, bad):
         perm = np.arange(36)
         perm[5] = bad
         with pytest.raises(ValueError, match=rf"perm\[5\] = {bad} is out of range 0..35"):
-            factor(grid_matrix, perm=perm)
+            ichol(grid_matrix, perm=perm)
 
     def test_first_repeat_is_named(self, grid_matrix):
         perm = np.arange(36)

@@ -279,21 +279,13 @@ class TestServiceValidation:
         with pytest.raises(ValueError, match=rf"result_cache_size .*{re.escape(repr(value))}"):
             ResistanceService.from_engine(engine, result_cache_size=value)
 
-    @pytest.mark.parametrize("value", [0, -3, 2.5, True, float("inf"), "8"])
-    def test_bad_max_task_pairs_names_field_and_value(self, tiny_path, value):
-        engine = build_engine(tiny_path, EngineConfig(method="exact"))
-        with pytest.raises(ValueError, match=rf"max_task_pairs .*{re.escape(repr(value))}"):
-            ResistanceService.from_engine(engine, max_task_pairs=value)
-
     def test_unallocatable_table_fails_at_construction_with_byte_cost(self, tiny_path):
         with pytest.raises(MemoryError, match=r"24,000,000,000,000 B"):
             ResistanceService(tiny_path, result_cache_size=10**12)
 
     def test_numpy_integer_knobs_accepted(self, tiny_path):
         engine = build_engine(tiny_path, EngineConfig(method="exact"))
-        service = ResistanceService.from_engine(
-            engine, result_cache_size=np.int64(4), max_task_pairs=np.int32(2)
-        )
+        service = ResistanceService.from_engine(engine, result_cache_size=np.int64(4))
         assert service.query(0, 4) == service.query_pairs([(4, 0)])[0]
 
     def test_bad_pairs_shape(self, tiny_path):

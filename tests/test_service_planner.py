@@ -89,14 +89,6 @@ class TestQueryPlanner:
         assert len(subbatches) == 1
         assert subbatches[0].shard_id is None
 
-    def test_max_task_pairs_chunks_subbatches(self, weighted_mesh):
-        engine = build_engine(weighted_mesh, EngineConfig())
-        pairs = [(0, i) for i in range(1, 21)]
-        plan = QueryPlanner(engine).plan(pairs)
-        subbatches = plan.build_subbatches(max_task_pairs=6)
-        assert len(subbatches) == 4  # ceil(20 / 6)
-        assert sum(s.num_pairs for s in subbatches) == 20
-
     def test_cache_pass_resolves_and_counts_rows(self, weighted_mesh):
         engine = build_engine(weighted_mesh, EngineConfig())
         plan = QueryPlanner(engine).plan([(0, 5), (5, 0), (1, 7)])
@@ -179,18 +171,6 @@ class TestParallelService:
         assert warm.unique_misses == 0
         assert warm.cache_hit_rows == cold.num_queries - cold.trivial_rows
         assert service.stats.batches == 2
-
-    def test_chunked_monolithic_fanout_identical(self, weighted_mesh):
-        engine = build_engine(weighted_mesh, EngineConfig())
-        pairs = weighted_mesh.edge_array()
-        plain = ResistanceService.from_engine(engine)
-        chunked = ResistanceService.from_engine(
-            engine, executor=ThreadedExecutor(3), max_task_pairs=7
-        )
-        a = plain.query_pairs(pairs)
-        b, report = chunked.query_pairs_with_report(pairs)
-        assert np.array_equal(a, b)
-        assert len(report.subbatch_timings) > 1
 
     def test_from_engine_requires_config(self, weighted_mesh):
         from repro.core.effective_resistance import CholInvEffectiveResistance
