@@ -49,6 +49,12 @@ from repro.graphs.graph import Graph
 WORKER_COUNTS = (1, 2, 4)
 
 
+def _cholinv_engines(engine) -> "list[CholInvEffectiveResistance]":
+    """Every Alg. 3 engine an engine holds (its shards, when sharded)."""
+    subs = engine._engines if isinstance(engine, PartitionedEngine) else [engine]
+    return [sub for sub in subs if isinstance(sub, CholInvEffectiveResistance)]
+
+
 def _z_arrays(engine) -> "list[tuple[np.ndarray, np.ndarray, np.ndarray]]":
     """The raw CSC arrays of every Alg. 3 factor an engine holds."""
     if isinstance(engine, PartitionedEngine):
@@ -101,6 +107,9 @@ def run_case(name: str, graph: Graph, config: EngineConfig, probe: np.ndarray) -
         runs.append({
             "workers": workers,
             "build_seconds": build_seconds,
+            "ichol_seconds": sum(
+                float(sub.timer.times.get("ichol", 0.0)) for sub in _cholinv_engines(engine)
+            ),
             "stage_seconds": {
                 stage: float(seconds)
                 for stage, seconds in engine.timer.times.items()
@@ -111,6 +120,7 @@ def run_case(name: str, graph: Graph, config: EngineConfig, probe: np.ndarray) -
             file=sys.stderr,
         )
     nnz = int(sum(arrays[2].shape[0] for arrays in _z_arrays(reference)))
+    factors = [sub.ichol_result for sub in _cholinv_engines(reference)]
     by_workers = {run["workers"]: run["build_seconds"] for run in runs}
     return {
         "case": name,
@@ -118,6 +128,9 @@ def run_case(name: str, graph: Graph, config: EngineConfig, probe: np.ndarray) -
         "edges": int(graph.num_edges),
         "components": int(reference.component_labels.max()) + 1,
         "nnz_z": nnz,
+        "nnz_l": int(sum(factor.nnz for factor in factors)),
+        # trailing columns the ICT sweep finished with dense updates
+        "dense_columns": int(sum(factor.dense_columns for factor in factors)),
         "runs": runs,
         "speedup_2": by_workers[1] / by_workers[2] if by_workers[2] else 0.0,
         "speedup_4": by_workers[1] / by_workers[4] if by_workers[4] else 0.0,

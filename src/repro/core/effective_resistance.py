@@ -479,19 +479,44 @@ def spanning_edge_centrality(
 
 
 def dense_pinv_resistance(graph: Graph, pairs) -> np.ndarray:
-    """Reference values through the dense pseudo-inverse (tests only).
+    """Reference values of Eq. (3) from dense grounded solves (tests only).
 
-    Computes Eq. (3) literally: ``R(p,q) = e_pqᵀ L_G† e_pq``.  O(n³) — keep
-    ``n`` small.
+    ``R(p,q) = e_pqᵀ L_G† e_pq`` equals ``x_p − x_q`` for
+    ``A x = e_p − e_q``, where ``A`` is ``L_G`` with one node per
+    component grounded.  A dense Cholesky of ``A`` solves every pair at
+    once, and one refinement step recovers what its rounding loses on
+    badly scaled weights: the residual is summed from the branch currents
+    ``w·(x_h − x_t)`` in extended precision, which stay bounded by the
+    unit injection however the weights spread, where ``A·x`` summed
+    directly would cancel terms of size ``w·x``.  O(n³ + n²·pairs) —
+    keep ``n`` small.
     """
+    import scipy.linalg as sla
+
     from repro.graphs.laplacian import laplacian
 
-    lap = laplacian(graph).toarray()
-    pinv = np.linalg.pinv(lap)
-    ps, qs = as_pair_columns(pairs)
-    diffs = pinv[ps, ps] + pinv[qs, qs] - pinv[ps, qs] - pinv[qs, ps]
     labels, _ = connected_components(graph)
-    diffs = np.asarray(diffs, dtype=np.float64)
-    diffs[labels[ps] != labels[qs]] = np.inf
-    diffs[ps == qs] = 0.0
-    return diffs
+    ps, qs = as_pair_columns(pairs)
+    ground = component_ground_nodes(labels)
+    shunt = float(graph.weights.mean()) if graph.num_edges else 1.0
+    matrix = laplacian(graph).toarray()
+    matrix[ground, ground] += shunt
+    cols = np.arange(ps.shape[0])
+    rhs = np.zeros((graph.num_nodes, ps.shape[0]))
+    rhs[ps, cols] += 1.0
+    rhs[qs, cols] -= 1.0
+    factor = sla.cho_factor(matrix, lower=True)
+    x = sla.cho_solve(factor, rhs)
+
+    wide = x.astype(np.longdouble)
+    currents = graph.weights.astype(np.longdouble)[:, None] * (wide[graph.heads] - wide[graph.tails])
+    residual = rhs.astype(np.longdouble)
+    np.subtract.at(residual, graph.heads, currents)
+    np.add.at(residual, graph.tails, currents)
+    residual[ground] -= shunt * wide[ground]
+    x += sla.cho_solve(factor, residual.astype(np.float64))
+
+    out = x[ps, cols] - x[qs, cols]
+    out[labels[ps] != labels[qs]] = np.inf
+    out[ps == qs] = 0.0
+    return out

@@ -361,6 +361,63 @@ def _assert_same(engine, pairs) -> None:
     assert got.tobytes() == want.tobytes()
 
 
+def _longdouble_resistance(graph: Graph, pairs: np.ndarray) -> np.ndarray:
+    """Eq. 3 by an LU solve of the grounded Laplacian refined to
+    convergence with residuals summed in ``np.longdouble``."""
+    import scipy.linalg as sla
+
+    from repro.graphs.components import connected_components
+    from repro.graphs.laplacian import component_ground_nodes, laplacian
+
+    labels, _ = connected_components(graph)
+    ground = component_ground_nodes(labels)
+    shunt = float(graph.weights.mean())
+    matrix = laplacian(graph).toarray()
+    matrix[ground, ground] += shunt
+    ps, qs = pairs[:, 0], pairs[:, 1]
+    cols = np.arange(ps.shape[0])
+    rhs = np.zeros((graph.num_nodes, ps.shape[0]), dtype=np.longdouble)
+    rhs[ps, cols] += 1
+    rhs[qs, cols] -= 1
+    lu = sla.lu_factor(matrix)
+    x = sla.lu_solve(lu, rhs.astype(np.float64)).astype(np.longdouble)
+    weights = graph.weights.astype(np.longdouble)[:, None]
+    for _ in range(3):
+        currents = weights * (x[graph.heads] - x[graph.tails])
+        residual = rhs.copy()
+        np.subtract.at(residual, graph.heads, currents)
+        np.add.at(residual, graph.tails, currents)
+        residual[ground] -= np.longdouble(shunt) * x[ground]
+        x += sla.lu_solve(lu, residual.astype(np.float64))
+    out = (x[ps, cols] - x[qs, cols]).astype(np.float64)
+    out[labels[ps] != labels[qs]] = np.inf
+    out[ps == qs] = 0.0
+    return out
+
+
+class TestDensePinvReference:
+    """The dense reference stays accurate when weights span 12 decades."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 4])
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_log_uniform_weights_match_longdouble_solve(self, name, seed):
+        graph = KERNEL_GRAPHS[name]()
+        rng = np.random.default_rng(seed)
+        graph = graph.with_weights(
+            np.exp(rng.uniform(np.log(1e-6), np.log(1e6), graph.num_edges))
+        )
+        pairs = np.concatenate([_probe_pairs(graph.num_nodes, seed=0), graph.edge_array()])
+        got = dense_pinv_resistance(graph, pairs)
+        want = _longdouble_resistance(graph, pairs)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.array_equal(got[~finite], want[~finite])
+        positive = finite & (want > 0)
+        assert np.array_equal(got[finite & ~positive], want[finite & ~positive])
+        rel = np.abs(got[positive] - want[positive]) / want[positive]
+        assert float(rel.max()) <= 1e-10
+
+
 class TestPairDotKernelMatchesScipy:
     """The raw pair-dot kernel equals scipy's column-slice expression
     byte for byte on every input shape the engines see."""

@@ -8,10 +8,13 @@ from repro.cholesky import incomplete as incomplete_module
 from repro.cholesky.incomplete import CholeskyBreakdownError, _leaf_columns, ichol
 from repro.cholesky.numeric import cholesky
 from repro.cholesky.ordering import permute_symmetric
+from repro.core.engine import EngineConfig, build_engine
 from repro.graphs.generators import barabasi_albert_graph, fe_mesh_2d, grid_2d, path_graph
 from repro.graphs.graph import Graph
 from repro.graphs.laplacian import grounded_laplacian
 from repro.linalg.pcg import ichol_preconditioner, pcg
+from repro.powergrid.generators import synthetic_ibmpg_like
+from repro.reduction.pipeline import PGReducer, ReductionConfig
 
 
 class TestExactLimit:
@@ -299,21 +302,57 @@ class TestRegressionVsReferenceSweeps:
             assert np.all(np.diff(col) > 0)
 
 
+def _reference_kernel(*args):
+    """``_reference_ict`` in ``_ict_factor``'s return shape: it factors
+    every column with the sparse sweep, so no column is dense."""
+    return (*_reference_ict(*args), 0)
+
+
 def _ichol_pair(monkeypatch, matrix, **kwargs):
-    """``ichol`` with the gather–scatter kernel and with the reference
-    sweep swapped in (same ordering, tril extraction and shift retry)."""
-    fast = ichol(matrix, **kwargs)
+    """``ichol`` with the production kernel and with the reference sweep
+    swapped in (same ordering, tril extraction and shift retry), each
+    with the number of kernel calls (1 + Manteuffel retries) it made."""
+    calls = {"fast": 0, "reference": 0}
+
+    def counted(kernel, key):
+        def run(*args):
+            calls[key] += 1
+            return kernel(*args)
+        return run
+
     with monkeypatch.context() as patched:
-        patched.setattr(incomplete_module, "_ict_factor", _reference_ict)
+        patched.setattr(
+            incomplete_module, "_ict_factor", counted(incomplete_module._ict_factor, "fast")
+        )
+        fast = ichol(matrix, **kwargs)
+        patched.setattr(incomplete_module, "_ict_factor", counted(_reference_kernel, "reference"))
         reference = ichol(matrix, **kwargs)
+    assert calls["fast"] == calls["reference"]
     return fast, reference
 
 
+# the dense trailing block sums each column's updates in BLAS order, not
+# in the sweep's Jones–Plassmann FIFO order, so its values may move by a
+# few rounding errors (measured at most 7e-14 of the column max)
+DENSE_BLOCK_RTOL = 1e-13
+
+
 def _assert_same_factor(fast, reference) -> None:
-    for part in ("indptr", "indices", "data"):
+    """Same pattern, perm and shift; columns before the switch byte for
+    byte, the dense block within ``DENSE_BLOCK_RTOL`` of each column's
+    largest magnitude."""
+    for part in ("indptr", "indices"):
         assert getattr(fast.lower, part).tobytes() == getattr(reference.lower, part).tobytes(), part
     assert np.array_equal(fast.perm, reference.perm)
     assert fast.shift == reference.shift
+    assert reference.dense_columns == 0
+    indptr = fast.lower.indptr
+    head = indptr[fast.n - fast.dense_columns]
+    assert fast.lower.data[:head].tobytes() == reference.lower.data[:head].tobytes()
+    for j in range(fast.n - fast.dense_columns, fast.n):
+        got = fast.lower.data[indptr[j]:indptr[j + 1]]
+        want = reference.lower.data[indptr[j]:indptr[j + 1]]
+        assert np.abs(got - want).max() <= DENSE_BLOCK_RTOL * np.abs(want).max(), j
 
 
 def _ict_graphs() -> "dict[str, Graph]":
@@ -324,6 +363,9 @@ def _ict_graphs() -> "dict[str, Graph]":
         "components": Graph.disjoint_union(
             [grid_2d(6, 7, jitter=0.3, seed=5), barabasi_albert_graph(60, 2, seed=6), path_graph(9)]
         ),
+        # larger factors, where the switch lands well inside the sweep
+        "ba_1000": barabasi_albert_graph(1000, 3, weight_low=0.5, weight_high=2.0, seed=4),
+        "grid_30": grid_2d(30, 30, jitter=0.3, seed=2),
     }
 
 
@@ -334,18 +376,36 @@ def _nearly_singular_spd() -> sp.csc_matrix:
     return sp.csc_matrix(base @ base.T + 1e-4 * np.eye(40))
 
 
-class TestIctBitIdenticalToReference:
-    """The gather–scatter ICT kernel performs the reference sweep's
-    subtractions in the same order, so ``L`` must match it byte for byte."""
+class TestIctMatchesReference:
+    """Up to the switch the kernel performs the reference sweep's
+    subtractions in the same order, so those columns of ``L`` match it
+    byte for byte; the dense trailing block keeps the pattern, the pivots'
+    breakdowns and the shift, with values equal up to rounding."""
 
     @pytest.mark.parametrize("graph_name", sorted(_ict_graphs()))
     @pytest.mark.parametrize("drop_tol", [0.0, 1e-3, 1e-2, 0.1])
     @pytest.mark.parametrize("max_fill", [None, 3])
-    def test_factor_bytes_match(self, monkeypatch, graph_name, drop_tol, max_fill):
+    def test_factor_matches(self, monkeypatch, graph_name, drop_tol, max_fill):
         matrix, _ = grounded_laplacian(_ict_graphs()[graph_name], 1.0)
         fast, reference = _ichol_pair(
             monkeypatch, matrix, drop_tol=drop_tol, max_fill=max_fill, ordering="amd"
         )
+        assert 0 < fast.dense_columns < fast.n
+        _assert_same_factor(fast, reference)
+
+    @pytest.mark.parametrize("graph_name", ["ba_1000", "grid_30"])
+    def test_switch_lands_mid_factor(self, graph_name):
+        matrix, _ = grounded_laplacian(_ict_graphs()[graph_name], 1.0)
+        result = ichol(matrix, drop_tol=1e-3, ordering="amd")
+        assert 16 <= result.dense_columns <= result.n // 4
+
+    def test_dense_block_never_exceeds_the_cap(self, monkeypatch):
+        # BA-1000's half-density run is about 200 columns; under a cap of
+        # 50 the switch waits until 50 columns remain
+        matrix, _ = grounded_laplacian(_ict_graphs()["ba_1000"], 1.0)
+        monkeypatch.setattr(incomplete_module, "_DENSE_MAX_COLUMNS", 50)
+        fast, reference = _ichol_pair(monkeypatch, matrix, drop_tol=1e-3, ordering="amd")
+        assert fast.dense_columns == 50
         _assert_same_factor(fast, reference)
 
     @pytest.mark.parametrize("drop_tol,max_retries", [(0.5, 12), (0.05, 30)])
@@ -353,12 +413,13 @@ class TestIctBitIdenticalToReference:
         """The ``test_shift_retry_succeeds`` matrix: at τ = 0.5 it factors
         unshifted, at τ = 0.05 only after Manteuffel retries — both kernels
         must break down on the same attempts and agree on the final shift
-        and factor."""
+        and factor.  Nearly all of this dense matrix is the dense block."""
         fast, reference = _ichol_pair(
             monkeypatch, _nearly_singular_spd(), drop_tol=drop_tol,
             ordering="natural", max_retries=max_retries,
         )
         assert (fast.shift > 0.0) == (drop_tol < 0.5)
+        assert fast.dense_columns == fast.n - 1
         _assert_same_factor(fast, reference)
 
     @pytest.mark.parametrize("case", ["pivot", "missing_diagonal"])
@@ -372,11 +433,69 @@ class TestIctBitIdenticalToReference:
         with pytest.raises(CholeskyBreakdownError) as fast:
             ichol(matrix, **kwargs)
         with monkeypatch.context() as patched:
-            patched.setattr(incomplete_module, "_ict_factor", _reference_ict)
+            patched.setattr(incomplete_module, "_ict_factor", _reference_kernel)
             with pytest.raises(CholeskyBreakdownError) as reference:
                 ichol(matrix, **kwargs)
         assert expected in str(fast.value)
         assert str(fast.value) == str(reference.value)
+
+
+def _assert_close(got, want, rtol=1e-12) -> None:
+    """Every entry within ``rtol`` of its own magnitude."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+
+
+def _with_reference_kernel(monkeypatch, build):
+    """``build()`` once as is and once with the reference sweep."""
+    fast = build()
+    with monkeypatch.context() as patched:
+        patched.setattr(incomplete_module, "_ict_factor", _reference_kernel)
+        reference = build()
+    return fast, reference
+
+
+class TestDenseTailAnswers:
+    """Alg. 3's answers do not notice which kernel factored ``L``."""
+
+    @pytest.mark.parametrize("graph_name", ["grid_jitter", "ba"])
+    def test_all_edge_resistances(self, monkeypatch, graph_name):
+        graph = {
+            "grid_jitter": grid_2d(40, 40, jitter=0.3, seed=1),
+            "ba": barabasi_albert_graph(2000, 3, seed=1),
+        }[graph_name]
+        fast, reference = _with_reference_kernel(
+            monkeypatch, lambda: build_engine(graph, EngineConfig())
+        )
+        assert fast.ichol_result.dense_columns > 0
+        assert fast.z_tilde.nnz == reference.z_tilde.nnz
+        _assert_close(fast.all_edge_resistances(), reference.all_edge_resistances())
+
+    def test_pg_schur_blocks_and_reduced_grid(self, monkeypatch):
+        grid = synthetic_ibmpg_like(nx=24, ny=24, pad_pitch=6, seed=2)
+        config = ReductionConfig(seed=1)
+        reducer = PGReducer(grid, config)
+        blocks = [reducer._schur_block(b).graph for b in range(reducer.num_blocks)]
+        blocks = [block for block in blocks if block.num_edges]
+        assert blocks
+
+        def all_edge():
+            engines = [build_engine(block, EngineConfig()) for block in blocks]
+            return engines, [engine.all_edge_resistances() for engine in engines]
+
+        (fast, fast_er), (_, reference_er) = _with_reference_kernel(monkeypatch, all_edge)
+        assert max(engine.ichol_result.dense_columns for engine in fast) > 0
+        for got, want in zip(fast_er, reference_er):
+            _assert_close(got, want)
+
+        fast_grid, reference_grid = _with_reference_kernel(
+            monkeypatch, lambda: PGReducer(grid, config).reduce().grid
+        )
+        assert fast_grid.node_names == reference_grid.node_names
+        assert fast_grid.res_a == reference_grid.res_a
+        assert fast_grid.res_b == reference_grid.res_b
+        assert fast_grid.shunt_node == reference_grid.shunt_node
+        _assert_close(np.array(fast_grid.res_ohms), np.array(reference_grid.res_ohms))
 
 
 class TestPermutationValidation:

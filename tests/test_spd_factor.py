@@ -33,9 +33,9 @@ import repro.reduction.schur as schur_module
 from repro.baselines.random_projection import RandomProjectionEffectiveResistance
 from repro.cholesky.numeric import cholesky
 from repro.cholesky.ordering import permute_symmetric
-from repro.core.effective_resistance import ExactEffectiveResistance, dense_pinv_resistance
+from repro.core.effective_resistance import ExactEffectiveResistance
 from repro.graphs.components import connected_components
-from repro.graphs.laplacian import component_ground_nodes, grounded_laplacian
+from repro.graphs.laplacian import component_ground_nodes, grounded_laplacian, laplacian
 from repro.linalg import NotPositiveDefiniteError, spd_factor
 from repro.powergrid.dc import dc_analysis
 from repro.powergrid.generators import PGConfig, synthetic_ibmpg_like
@@ -262,6 +262,17 @@ def _panel_pairs(graph):
     return np.concatenate([_probe_pairs(graph.num_nodes, seed=0), graph.edge_array()])
 
 
+def _pinv_resistance(graph, pairs):
+    """Eq. 3 read off ``np.linalg.pinv`` of the dense Laplacian."""
+    pinv = np.linalg.pinv(laplacian(graph).toarray())
+    ps, qs = pairs[:, 0], pairs[:, 1]
+    out = pinv[ps, ps] + pinv[qs, qs] - pinv[ps, qs] - pinv[qs, ps]
+    labels, _ = connected_components(graph)
+    out[labels[ps] != labels[qs]] = np.inf
+    out[ps == qs] = 0.0
+    return out
+
+
 def _refined_resistance(graph, pairs):
     """Eq. 3 on the grounded Laplacian ``A`` by a dense solve refined with
     extended-precision residuals, and ``κ₂(A)``.
@@ -309,7 +320,7 @@ class TestExactEngineMatchesReferenceLU:
         # ~2e-7; on these weights the symmetric one is not the less accurate
         graph = _log_uniform_weights(KERNEL_GRAPHS[name]())
         pairs = _panel_pairs(graph)
-        truth = dense_pinv_resistance(graph, pairs)
+        truth = _pinv_resistance(graph, pairs)
         finite = np.isfinite(truth)
         new = _exact(graph, pairs)
         ref = _exact(graph, pairs, _reference_splu, monkeypatch)
