@@ -266,11 +266,12 @@ def _dense_tail(
     a_cols = np.repeat(np.arange(k), np.diff(a_indptr[j0:]))
     s[a_indices[a_start:] - j0, a_cols] += a_data[a_start:]
 
+    if leaves is not None:
+        leaf_slot, leaf_ptr, leaf_rows, leaf_vals, leaf_diag = leaves
     kept = np.zeros((k, k), dtype=bool, order="F")
     for c in range(k):
         j = j0 + c
         if leaf_flags[j]:
-            leaf_slot, leaf_ptr, leaf_rows, leaf_vals, leaf_diag = leaves
             slot = leaf_slot[j]
             lo, hi = leaf_ptr[slot], leaf_ptr[slot + 1]
             rows = leaf_rows[lo:hi] - j0
